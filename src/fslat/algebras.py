@@ -215,10 +215,6 @@ def validate_axioms(algebra: FSemilattice) -> ValidationReport:
     return ValidationReport(True)
 
 
-def is_valid(algebra: FSemilattice) -> bool:
-    return validate_axioms(algebra).ok
-
-
 def act(algebra: FSemilattice, g: Element, x: int) -> int:
     """Action of a full group element: generator permutations raised to its coordinates."""
     if len(g) != algebra.group.rank:
@@ -363,59 +359,83 @@ class HomExtendResult:
         return self.hom is not None
 
 
+def _derivation_term(
+    group: GroupSpec, moves, terms: dict[int, UnaryTerm], how: tuple
+) -> UnaryTerm:
+    """The unary term of one ``hom_extend`` derivation, given the terms of the
+    earlier elements it points at."""
+    kind, u, v = how
+    if kind == "seed":
+        return frozenset({identity(group)})
+    if kind == "move":
+        return frozenset(mul(group, moves[v][0], h) for h in terms[u])
+    return terms[u] | terms[v]
+
+
 def hom_extend(
     source: FSemilattice, a: int, target: FSemilattice, b: int
 ) -> HomExtendResult:
     """Try to extend ``a -> b`` to the canonical homomorphism t(a) -> t(b).
 
     The relation {(a, b)} is closed under generator application (both
-    directions) and meet-pairing while tracking, for each reached source
-    element, one unary term that produced it.  If two derivations of the same
-    source element disagree on the target side, the map is not well-defined
-    and the two terms form the returned witness: they agree at ``a`` but not
-    at ``b``.  Otherwise the closure is the unique homomorphism sending
-    ``a`` to ``b``, and it is surjective onto the subalgebra generated by ``b``.
+    directions) and meet-pairing, breadth first, recording for each reached
+    source element how it was first reached: the seed, a generator move from
+    an earlier element, or the meet of two earlier elements.  If two
+    derivations of the same source element disagree on the target side, the
+    map is not well-defined; the unary terms of the two derivations are
+    rebuilt from the records and returned as the witness: they agree at
+    ``a`` but not at ``b``.  Otherwise the closure is the unique
+    homomorphism sending ``a`` to ``b``, and it is surjective onto the
+    subalgebra generated by ``b``.
     """
     if source.group != target.group:
         raise ValueError("algebras live over different groups")
-    if not generates(source, a):
-        raise NotGeneratedError(f"element {source.label(a)!r} does not generate the source")
-    group = source.group
-    id_el = identity(group)
     moves = [
         (g, p, q)
         for (g, p), (_, q) in zip(_generator_moves(source), _generator_moves(target))
     ]
-    image: dict[int, tuple[int, UnaryTerm]] = {a: (b, frozenset({id_el}))}
-    processed: list[int] = []
-    queue = [a]
+    smeet, tmeet = source.meet, target.meet
+    image: list[int | None] = [None] * source.size
+    how: list = [None] * source.size
+    image[a] = b
+    how[a] = ("seed", None, None)
+    order = [a]
 
-    def record(x2: int, y2: int, term: UnaryTerm):
-        known = image.get(x2)
-        if known is None:
-            image[x2] = (y2, term)
-            queue.append(x2)
-            return None
-        if known[0] != y2:
-            return (known[1], term)
-        return None
+    def clash(x2: int, derivation: tuple) -> HomExtendResult:
+        if not generates(source, a):
+            raise NotGeneratedError(f"element {source.label(a)!r} does not generate the source")
+        terms: dict[int, UnaryTerm] = {}
+        for x in order:
+            terms[x] = _derivation_term(source.group, moves, terms, how[x])
+        term = _derivation_term(source.group, moves, terms, derivation)
+        return HomExtendResult(None, (terms[x2], term))
 
-    while queue:
-        x = queue.pop(0)
-        y, term_x = image[x]
-        for g, p, q in moves:
-            translated = frozenset(mul(group, g, h) for h in term_x)
-            clash = record(p[x], q[y], translated)
-            if clash:
-                return HomExtendResult(None, clash)
-        for x1 in processed + [x]:
-            y1, term_1 = image[x1]
-            clash = record(source.meet[x][x1], target.meet[y][y1], term_x | term_1)
-            if clash:
-                return HomExtendResult(None, clash)
-        processed.append(x)
-    mapping = tuple(image[x][0] for x in range(source.size))
-    return HomExtendResult(Homomorphism(source, target, mapping), None)
+    # order grows while it is walked; the list iterator sees the appends
+    for i, x in enumerate(order):
+        y = image[x]
+        for k, (_, p, q) in enumerate(moves):
+            x2, y2 = p[x], q[y]
+            known = image[x2]
+            if known is None:
+                image[x2] = y2
+                how[x2] = ("move", x, k)
+                order.append(x2)
+            elif known != y2:
+                return clash(x2, ("move", x, k))
+        srow, trow = smeet[x], tmeet[y]
+        for j in range(i + 1):
+            x1 = order[j]
+            x2, y2 = srow[x1], trow[image[x1]]
+            known = image[x2]
+            if known is None:
+                image[x2] = y2
+                how[x2] = ("meet", x, x1)
+                order.append(x2)
+            elif known != y2:
+                return clash(x2, ("meet", x, x1))
+    if len(order) < source.size:
+        raise NotGeneratedError(f"element {source.label(a)!r} does not generate the source")
+    return HomExtendResult(Homomorphism(source, target, tuple(image)), None)
 
 
 def is_isomorphic_1gen(
@@ -558,21 +578,6 @@ def quotient(algebra: FSemilattice, cong: Congruence) -> FSemilattice:
     )
     action = tuple(tuple(block_of[p[b[0]]] for b in blocks) for p in algebra.action)
     return FSemilattice(group=algebra.group, carrier=labels, meet=meet, action=action)
-
-
-def format_unary_term(term: UnaryTerm, var: str = "x") -> str:
-    """Render a normal-form unary term in the textual grammar, e.g. ``x ^ g0^2(x)``."""
-
-    def one(g: Element) -> str:
-        out = var
-        for i in reversed(range(len(g))):
-            c = g[i]
-            if c == 0:
-                continue
-            out = f"g{i}({out})" if c == 1 else f"g{i}^{c}({out})"
-        return out
-
-    return " ^ ".join(one(g) for g in sorted(term))
 
 
 def algebra_to_dict(algebra: FSemilattice) -> dict:

@@ -84,12 +84,21 @@ def _cmd_group_subgroups(args) -> int:
     return 0
 
 
+def _require(args, *names: str) -> None:
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"build {args.kind} needs {' and '.join(missing)}")
+
+
 def _build_algebra(args) -> FSemilattice:
     if args.kind == "ak":
+        _require(args, "k")
         return constructions.a_k(args.k)
-    group = _parse_orders(args.orders)
     if args.kind == "two-element":
-        return constructions.two_element(group)
+        _require(args, "orders")
+        return constructions.two_element(_parse_orders(args.orders))
+    _require(args, "orders", "subgroup")
+    group = _parse_orders(args.orders)
     sub = _parse_subgroup(group, args.subgroup)
     if args.kind == "maroti":
         return constructions.maroti(group, sub)

@@ -118,17 +118,23 @@ def parse_element(text: str) -> Element:
     return tuple(int(part) for part in text.split(","))
 
 
+def _join(current, g, add) -> set:
+    """Coset-union join <S, g> = S u (S + g) u (S + 2g) u ... of a subgroup S
+    and an element g, stopping at the first multiple of g that lies in S."""
+    joined = set(current)
+    step = g
+    while step not in current:
+        joined.update(add(step, s) for s in current)
+        step = add(step, g)
+    return joined
+
+
 def _closure(group: GroupSpec, seed) -> set[Element]:
-    """Smallest subset containing ``seed`` and the identity, closed under the product."""
-    out = {identity(group)} | {reduce_element(group, g) for g in seed}
-    queue = list(out)
-    while queue:
-        a = queue.pop()
-        for b in list(out):
-            c = mul(group, a, b)
-            if c not in out:
-                out.add(c)
-                queue.append(c)
+    """Subgroup generated by ``seed``: the identity joined with one seed
+    element at a time."""
+    out = {identity(group)}
+    for g in seed:
+        out = _join(out, reduce_element(group, g), lambda a, b: mul(group, a, b))
     return out
 
 
@@ -193,21 +199,37 @@ def full_subgroup(group: GroupSpec) -> Subgroup:
 
 
 def _subgroup_sets(group: GroupSpec, universe) -> set[frozenset[Element]]:
-    """All subgroups contained in ``universe`` (itself a subgroup's element set),
-    grown by breadth-first closure of incrementally extended generating sets."""
-    universe = list(universe)
-    seen = {frozenset({identity(group)})}
+    """All subgroups contained in ``universe`` (itself a subgroup's element set).
+
+    Elements are coded as indices into ``group.elements()`` and added through
+    one table built per call.  Every subgroup S found is extended by each
+    element g outside it with the coset-union join
+    <S, g> = S u (S + g) u (S + 2g) u ... (``_join``).  All members of one
+    coset g + S give the same join, so one element per coset is tried.
+    Coordinate tuples come back only at the return.
+    """
+    elems = group.elements()
+    index = {e: i for i, e in enumerate(elems)}
+    table = [[index[mul(group, a, b)] for b in elems] for a in elems]
+
+    def add(a: int, b: int) -> int:
+        return table[a][b]
+
+    pool = sorted(index[g] for g in universe)
+    seen = {frozenset({index[identity(group)]})}
     stack = list(seen)
     while stack:
         current = stack.pop()
-        for g in universe:
-            if g in current:
+        tried = set(current)
+        for g in pool:
+            if g in tried:
                 continue
-            extended = frozenset(_closure(group, set(current) | {g}))
+            tried.update(add(g, s) for s in current)
+            extended = frozenset(_join(current, g, add))
             if extended not in seen:
                 seen.add(extended)
                 stack.append(extended)
-    return seen
+    return {frozenset(elems[i] for i in s) for s in seen}
 
 
 def subgroups(group: GroupSpec) -> list[Subgroup]:
@@ -229,12 +251,17 @@ def cosets(group: GroupSpec, sub: Subgroup) -> list[tuple[Element, ...]]:
     if not group.is_finite:
         raise InfiniteGroupError("coset enumeration needs a finite group")
     _check_subgroup_of(group, sub)
-    members = set(sub.elements)
-    blocks: dict[Element, tuple[Element, ...]] = {}
+    # Elements come in increasing order, so the first one not yet placed is
+    # the least member of a new block and blocks appear already sorted.
+    placed: set[Element] = set()
+    blocks = []
     for g in group.elements():
-        block = tuple(sorted(mul(group, g, h) for h in members))
-        blocks[block[0]] = block
-    return [blocks[k] for k in sorted(blocks)]
+        if g in placed:
+            continue
+        block = tuple(sorted(mul(group, g, h) for h in sub.elements))
+        placed.update(block)
+        blocks.append(block)
+    return blocks
 
 
 @dataclass(frozen=True)

@@ -281,17 +281,23 @@ def verify_bijection(group: GroupSpec) -> BijectionReport:
     """Check, for one finite group, that subgroups and minimal quasivarieties
     correspond: each coset fan over a proper subgroup is free-minimal, the
     stabilizer of its identity-coset atom recovers the subgroup, and fans
-    over distinct subgroups are non-isomorphic."""
-    subs = subgroups(group)
-    fans = []
+    over distinct subgroups are non-isomorphic.
+
+    An isomorphism that sends one generator to the other commutes with the
+    action, so it preserves the generator's stabilizer.  Fans are therefore
+    grouped by (size, stabilizer of the generator), and the isomorphism test
+    runs only on pairs inside one group; pairs in different groups are
+    non-isomorphic without a test.
+    """
     entries = []
-    for sub in subs:
+    buckets: dict[tuple, list[FSemilattice]] = {}
+    for sub in subgroups(group):
         fan = maroti(group, sub)
-        fans.append(fan)
         minimal = None
         if sub.is_proper:
             minimal = is_minimal_free(fan, 0).minimal
         stab = stabilizer(fan, 0)
+        buckets.setdefault((fan.size, stab.elements), []).append(fan)
         entries.append(
             BijectionEntry(
                 subgroup=sub,
@@ -301,14 +307,11 @@ def verify_bijection(group: GroupSpec) -> BijectionReport:
                 stabilizer_ok=stab.elements == sub.elements,
             )
         )
-    distinct = True
-    for i in range(len(subs)):
-        for j in range(i + 1, len(subs)):
-            if fans[i].size != fans[j].size:
-                continue
-            iso, _ = is_isomorphic_1gen(fans[i], 0, fans[j], 0)
-            if iso:
-                distinct = False
+    distinct = not any(
+        is_isomorphic_1gen(one, 0, two, 0)[0]
+        for fans in buckets.values()
+        for one, two in itertools.combinations(fans, 2)
+    )
     return BijectionReport(group, tuple(entries), distinct)
 
 

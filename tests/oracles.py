@@ -6,8 +6,16 @@ from __future__ import annotations
 import itertools
 from math import ceil, log2
 
-from fslat.algebras import FSemilattice
-from fslat.groups import GroupSpec
+from fslat.algebras import (
+    FSemilattice,
+    HomExtendResult,
+    Homomorphism,
+    NotGeneratedError,
+    UnaryTerm,
+    _generator_moves,
+    generates,
+)
+from fslat.groups import GroupSpec, identity, mul
 
 
 def _close_mul(group: GroupSpec, seed):
@@ -173,3 +181,61 @@ def witness_violates(algebra: FSemilattice, axiom: str, witness) -> bool:
             v = p[v]
         return v != x
     return False
+
+
+def reference_hom_extend(
+    source: FSemilattice, a: int, target: FSemilattice, b: int
+) -> HomExtendResult:
+    """The term-carrying ``hom_extend`` kept as a reference for the
+    parent-pointer version: same map, same conflict terms, same exceptions.
+
+    Try to extend ``a -> b`` to the canonical homomorphism t(a) -> t(b).
+
+    The relation {(a, b)} is closed under generator application (both
+    directions) and meet-pairing while tracking, for each reached source
+    element, one unary term that produced it.  If two derivations of the same
+    source element disagree on the target side, the map is not well-defined
+    and the two terms form the returned witness: they agree at ``a`` but not
+    at ``b``.  Otherwise the closure is the unique homomorphism sending
+    ``a`` to ``b``, and it is surjective onto the subalgebra generated by ``b``.
+    """
+    if source.group != target.group:
+        raise ValueError("algebras live over different groups")
+    if not generates(source, a):
+        raise NotGeneratedError(f"element {source.label(a)!r} does not generate the source")
+    group = source.group
+    id_el = identity(group)
+    moves = [
+        (g, p, q)
+        for (g, p), (_, q) in zip(_generator_moves(source), _generator_moves(target))
+    ]
+    image: dict[int, tuple[int, UnaryTerm]] = {a: (b, frozenset({id_el}))}
+    processed: list[int] = []
+    queue = [a]
+
+    def record(x2: int, y2: int, term: UnaryTerm):
+        known = image.get(x2)
+        if known is None:
+            image[x2] = (y2, term)
+            queue.append(x2)
+            return None
+        if known[0] != y2:
+            return (known[1], term)
+        return None
+
+    while queue:
+        x = queue.pop(0)
+        y, term_x = image[x]
+        for g, p, q in moves:
+            translated = frozenset(mul(group, g, h) for h in term_x)
+            clash = record(p[x], q[y], translated)
+            if clash:
+                return HomExtendResult(None, clash)
+        for x1 in processed + [x]:
+            y1, term_1 = image[x1]
+            clash = record(source.meet[x][x1], target.meet[y][y1], term_x | term_1)
+            if clash:
+                return HomExtendResult(None, clash)
+        processed.append(x)
+    mapping = tuple(image[x][0] for x in range(source.size))
+    return HomExtendResult(Homomorphism(source, target, mapping), None)

@@ -9,6 +9,7 @@ from oracles import (
     congruences_by_exhaustion,
     is_congruence_direct,
     normal_form_subalgebra,
+    reference_hom_extend,
     witness_violates,
 )
 
@@ -311,6 +312,49 @@ def test_hom_extend_agrees_with_brute_force_search():
     cases += [(fan, 0, fan, b) for b in range(fan.size)]
     for src, a, dst, b in cases:
         assert A.hom_extend(src, a, dst, b).ok == _brute_hom_exists(src, a, dst, b)
+
+
+def _fans_opposites_and_a7(max_order):
+    """Per group of order <= max_order: the fan over every subgroup and its
+    opposite, plus, over C4, the counterexample a7 and every subalgebra it
+    generates."""
+    family = {}
+    a7 = C.counterexample_a7()
+    for spec in G.all_group_specs(max_order):
+        algebras = family.setdefault(spec, [])
+        candidates = []
+        for sub in G.subgroups(spec):
+            fan = C.maroti(spec, sub)
+            candidates += [fan, A.opposite(fan)]
+        if spec == a7.group:
+            candidates += [A.subalgebra_generated(a7, x)[0] for x in range(a7.size)]
+        for algebra in candidates:
+            if algebra not in algebras:
+                algebras.append(algebra)
+    return family
+
+
+def _hom_extend_outcome(extend, src, a, dst, b):
+    try:
+        result = extend(src, a, dst, b)
+    except ValueError as exc:
+        return type(exc)
+    return result.ok, result.hom.map if result.ok else None, result.conflict
+
+
+def test_hom_extend_matches_reference_on_small_groups():
+    kinds = set()
+    for algebras in _fans_opposites_and_a7(8).values():
+        for src in algebras:
+            for dst in algebras:
+                for a in range(src.size):
+                    for b in range(dst.size):
+                        got = _hom_extend_outcome(A.hom_extend, src, a, dst, b)
+                        want = _hom_extend_outcome(reference_hom_extend, src, a, dst, b)
+                        assert got == want, (src, a, dst, b)
+                        kinds.add(got if isinstance(got, type) else got[0])
+    # the cases cover extensions, conflicts and non-generating sources
+    assert kinds == {True, False, A.NotGeneratedError}
 
 
 def test_a7_congruence_and_quotient():

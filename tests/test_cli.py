@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from fslat import algebras as A
 from fslat import constructions as C
 from fslat import groups as G
@@ -170,6 +172,24 @@ def test_usage_errors(capsys, tmp_path):
     missing = tmp_path / "missing.json"
     assert run(["validate", "--algebra", str(missing)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "maroti"],
+        ["build", "maroti", "--orders", "4"],
+        ["build", "twisted", "--subgroup", "0;2"],
+        ["build", "ak"],
+        ["build", "two-element"],
+    ],
+)
+def test_build_missing_option_is_usage_error(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_build_twisted_and_ak(capsys, tmp_path):

@@ -173,7 +173,8 @@ def test_twisted_builds_validate_over_small_groups():
 
 
 def test_maroti_distinct_subgroups_not_isomorphic_small():
-    for spec in (Z4, Z6, Z2xZ2, G.make_group([8]), G.make_group([2, 4])):
+    # the full pairwise check that verify_bijection's stabilizer buckets skip
+    for spec in G.all_group_specs(16):
         subs = G.subgroups(spec)
         fans = [C.maroti(spec, s) for s in subs]
         for i in range(len(subs)):

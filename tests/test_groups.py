@@ -73,6 +73,22 @@ def test_subgroup_counts_match_bruteforce_up_to_16():
         assert got == expected, f"{spec}: {got} != {expected}"
 
 
+def _gaussian_binomial(n: int, k: int, q: int) -> int:
+    num = den = 1
+    for i in range(k):
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    return num // den
+
+
+@pytest.mark.parametrize("p, n, expected", [(2, 5, 374), (2, 6, 2825), (3, 3, 28), (5, 2, 8)])
+def test_subgroup_counts_match_galois_numbers(p, n, expected):
+    # subgroups of C_p^n are the subspaces of F_p^n: the Galois number
+    galois = sum(_gaussian_binomial(n, k, p) for k in range(n + 1))
+    assert galois == expected
+    assert len(G.subgroups(G.make_group([p] * n))) == galois
+
+
 def test_subgroups_closed_and_lagrange():
     for spec in (G.make_group([2, 2]), Z6, Z2xZ4, G.make_group([2, 2, 3])):
         order = spec.order()

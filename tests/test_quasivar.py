@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -189,6 +191,30 @@ def test_stabilizer_image_examples():
     te = C.two_element(Z6)
     si_te = Q.stabilizer_image(te, 1)
     assert si_te.image_size == 1 and si_te.stabilizer_size == 1
+
+
+def test_generator_preserving_isomorphism_preserves_stabilizer():
+    # the invariant verify_bijection relies on to test isomorphism only
+    # between fans with equal stabilizers
+    a7 = C.counterexample_a7()
+    distinct_isomorphic_pairs = 0
+    for spec in G.all_group_specs(8):
+        algebras = []
+        for sub in G.subgroups(spec):
+            fan = C.maroti(spec, sub)
+            algebras += [fan, A.opposite(fan)]
+            if 1 < sub.size < spec.order():
+                reps = G.transversal(spec, sub, normalized=False)
+                for factor, gens in (C.trivial_factor(spec, sub), C.chain2_factor(spec, sub)):
+                    algebras.append(C.twisted(spec, sub, factor, reps, gens))
+        if spec == a7.group:
+            algebras += [A.subalgebra_generated(a7, x)[0] for x in range(a7.size)]
+        generated = [(alg, x) for alg in algebras for x in range(alg.size) if A.generates(alg, x)]
+        for (first, a), (second, b) in itertools.product(generated, repeat=2):
+            if A.is_isomorphic_1gen(first, a, second, b)[0]:
+                distinct_isomorphic_pairs += first != second
+                assert Q.stabilizer(first, a) == Q.stabilizer(second, b)
+    assert distinct_isomorphic_pairs > 0
 
 
 def test_verify_bijection_small_groups():
