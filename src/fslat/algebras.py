@@ -131,19 +131,27 @@ def check_shape(algebra: FSemilattice) -> None:
     n = algebra.size
     if n == 0:
         raise ShapeError("empty carrier")
+    for label in algebra.carrier:
+        if not isinstance(label, str):
+            raise ShapeError(f"carrier label {label!r} is not a string")
     if len(set(algebra.carrier)) != n:
         raise ShapeError("carrier labels are not unique")
     if len(algebra.meet) != n or any(len(row) != n for row in algebra.meet):
         raise ShapeError("meet table is not square of carrier size")
     for row in algebra.meet:
         for v in row:
-            if not 0 <= v < n:
-                raise ShapeError(f"meet entry {v} out of range")
+            if not _is_index(v) or not 0 <= v < n:
+                raise ShapeError(f"meet entry {v!r} is not an index below {n}")
     if len(algebra.action) != algebra.group.rank:
         raise ShapeError("need one action permutation per group generator")
     for p in algebra.action:
-        if len(p) != n or sorted(p) != list(range(n)):
+        if len(p) != n or not all(map(_is_index, p)) or sorted(p) != list(range(n)):
             raise ShapeError("action table is not a carrier permutation")
+
+
+def _is_index(v) -> bool:
+    """An int that is not a bool: JSON true/false must not pass as 1/0."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def validate_axioms(algebra: FSemilattice) -> ValidationReport:

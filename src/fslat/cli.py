@@ -9,6 +9,7 @@ payload), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -52,19 +53,25 @@ def _generator_index(algebra: FSemilattice, label: str | None) -> int:
     raise ValueError("no single element generates this algebra; pass --generator")
 
 
+def _dot_id(label: str) -> str:
+    """A carrier label as a quoted DOT identifier."""
+    escaped = label.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
+
+
 def hasse_dot(algebra: FSemilattice, include_actions: bool = False) -> str:
     """DOT digraph of the covering relation, optionally with dashed action arcs."""
+    ids = [_dot_id(label) for label in algebra.carrier]
     lines = ["digraph hasse {", "  rankdir=BT;"]
-    for label in algebra.carrier:
-        lines.append(f'  "{label}";')
+    for node in ids:
+        lines.append(f"  {node};")
     for low, high in sorted(algebras.cover_edges(algebra)):
-        lines.append(f'  "{algebra.carrier[low]}" -> "{algebra.carrier[high]}";')
+        lines.append(f"  {ids[low]} -> {ids[high]};")
     if include_actions:
         for i, perm in enumerate(algebra.action):
             for x in range(algebra.size):
                 lines.append(
-                    f'  "{algebra.carrier[x]}" -> "{algebra.carrier[perm[x]]}"'
-                    f' [style=dashed, label="g{i}", constraint=false];'
+                    f'  {ids[x]} -> {ids[perm[x]]} [style=dashed, label="g{i}", constraint=false];'
                 )
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -318,10 +325,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """One parser per process for ``run``: building the subcommand tree costs
+    more than most requests, and ``parse_args`` leaves the parser unchanged."""
+    return build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

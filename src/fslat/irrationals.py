@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 
 
 def _sign(n: int) -> int:
@@ -161,21 +161,62 @@ def meet(alpha: QuadraticIrrational, x: BAlphaElement, y: BAlphaElement) -> BAlp
 
 def rational_between(alpha: QuadraticIrrational, beta: QuadraticIrrational) -> tuple[int, int]:
     """Minimal-denominator rational strictly between alpha < beta, found by
-    descending the Stern-Brocot tree of all rationals."""
+    descending the Stern-Brocot tree of all rationals.
+
+    The descent moves in whole runs: every mediant of a run of right turns
+    lies below alpha and every mediant of a run of left turns above beta,
+    so each run is one partial quotient, taken at once (Graham, Knuth and
+    Patashnik, Concrete Mathematics, sections 4.5 and 6.7).  The first
+    mediant that ends neither kind of run lies strictly between.
+    """
     if compare_values(alpha, beta) >= 0:
         raise ValueError("need alpha < beta")
-    lo = (-1, 0)
-    hi = (1, 0)
+    if compare_with_rational(alpha, 0, 1) <= 0:  # the root, 0/1, is below alpha
+        lo, hi = (0, 1), (1, 0)
+    elif compare_with_rational(beta, 0, 1) >= 0:
+        lo, hi = (-1, 0), (0, 1)
+    else:
+        return 0, 1
     while True:
-        num, den = lo[0] + hi[0], lo[1] + hi[1]
-        if den == 0:
-            num, den = 0, 1  # root of the tree extended over all rationals
-        if compare_with_rational(alpha, num, den) <= 0:
-            lo = (num, den)
-        elif compare_with_rational(beta, num, den) >= 0:
-            hi = (num, den)
-        else:
-            return num, den
+        k = _run_length(alpha, lo, hi, -1)
+        lo = (lo[0] + k * hi[0], lo[1] + k * hi[1])
+        k = _run_length(beta, hi, lo, 1)
+        if k == 0:
+            return lo[0] + hi[0], lo[1] + hi[1]
+        hi = (hi[0] + k * lo[0], hi[1] + k * lo[1])
+
+
+def _run_length(
+    alpha: QuadraticIrrational, start: tuple[int, int], toward: tuple[int, int], side: int
+) -> int:
+    """Largest k >= 0 such that the mediants (a + j*c)/(b + j*d), j = 1..k,
+    of start = a/b and toward = c/d all lie on ``side`` of alpha (-1 below,
+    +1 above); toward lies on the other side.
+
+    k is floor((alpha*b - a) / (c - alpha*d)), clamped at 0.  Rationalizing
+    the denominator gives (x + y*sqrt(d))/z in integers, floored exactly via
+    math.isqrt because the quotient is irrational.  Exact mediant signs then
+    confirm the run ends at k, stepping by one if it did not.
+    """
+    (a, b), (c, d) = start, toward
+    num = (b * alpha.p - a * alpha.r, b * alpha.q)
+    den = (c * alpha.r - d * alpha.p, -d * alpha.q)
+    x = num[0] * den[0] - num[1] * den[1] * alpha.d
+    y = num[1] * den[0] - num[0] * den[1]
+    z = den[0] * den[0] - den[1] * den[1] * alpha.d
+    if z < 0:
+        x, y, z = -x, -y, -z
+    root = isqrt(y * y * alpha.d)
+    k = max(0, (x + (root if y >= 0 else -root - 1)) // z)
+
+    def on_side(j: int) -> bool:
+        return compare_with_rational(alpha, a + j * c, b + j * d) == side
+
+    while on_side(k + 1):
+        k += 1
+    while k > 0 and not on_side(k):
+        k -= 1
+    return k
 
 
 def _sample_points(count: int, window: int = 8) -> list[BAlphaElement]:

@@ -109,19 +109,63 @@ def holds_quasi_identity(
     algebra: FSemilattice, qi: QuasiIdentity
 ) -> tuple[bool, dict[str, int] | None]:
     """Exhaustive check; on failure, the first failing valuation in canonical
-    order (variables sorted by name, carrier indices counted lexicographically)."""
+    order (variables sorted by name, carrier indices counted lexicographically).
+
+    Each term is compiled once to (carrier permutation, variable slot) pairs
+    in ``sorted(term.pairs)`` order, the order ``eval_term`` folds the meet
+    in.  The valuations are scanned depth-first in that same canonical order,
+    and each equation is checked as soon as its last variable is bound: a
+    failing premise, or a conclusion that holds, rules out every extension
+    of the partial valuation.  A full valuation that passes every check is
+    therefore the first failing one.
+    """
     names = qi.variables
-    for combo in itertools.product(range(algebra.size), repeat=len(names)):
-        valuation = dict(zip(names, combo))
-        if any(
-            eval_term(algebra, s, valuation) != eval_term(algebra, t, valuation)
-            for s, t in qi.premises
-        ):
+    slot = {v: i for i, v in enumerate(names)}
+    perms: dict[Element, tuple[int, ...]] = {}
+
+    def compile_term(term: Term) -> tuple[tuple[tuple[int, ...], int], ...]:
+        out = []
+        for g, v in sorted(term.pairs):
+            if g not in perms:
+                perms[g] = tuple(act(algebra, g, x) for x in range(algebra.size))
+            out.append((perms[g], slot[v]))
+        return tuple(out)
+
+    # checks[d]: equations whose last variable is names[d], with the outcome
+    # (sides equal or not) that keeps the scan going below depth d.
+    checks: list[list] = [[] for _ in names]
+    for (s, t), wanted in [(eq, True) for eq in qi.premises] + [(qi.conclusion, False)]:
+        left, right = compile_term(s), compile_term(t)
+        checks[max(i for _, i in left + right)].append((left, right, wanted))
+
+    meet = algebra.meet
+    n = algebra.size
+    last = len(names) - 1
+    valuation = [-1] * len(names)
+    depth = 0
+    while depth >= 0:
+        valuation[depth] += 1
+        if valuation[depth] == n:
+            valuation[depth] = -1
+            depth -= 1
             continue
-        s, t = qi.conclusion
-        if eval_term(algebra, s, valuation) != eval_term(algebra, t, valuation):
-            return False, valuation
+        for left, right, wanted in checks[depth]:
+            equal = _term_value(meet, left, valuation) == _term_value(meet, right, valuation)
+            if equal != wanted:
+                break
+        else:
+            if depth == last:
+                return False, dict(zip(names, valuation))
+            depth += 1
     return True, None
+
+
+def _term_value(meet, compiled, valuation: list[int]) -> int:
+    (perm, i), *rest = compiled
+    value = perm[valuation[i]]
+    for perm, i in rest:
+        value = meet[value][perm[valuation[i]]]
+    return value
 
 
 def _image_elements(algebra: FSemilattice) -> list[Element]:
@@ -489,6 +533,11 @@ def simplicity_and_quotient_report(
 _TOKEN_RE = re.compile(r"->|&|=|\^|\(|\)|g\d+|-?\d+|[a-z_][a-z0-9_]*")
 
 
+# Deepest parenthesis or generator nesting a term may have; the parser
+# recurses once per level, so deeper input would exhaust the interpreter stack.
+MAX_TERM_DEPTH = 100
+
+
 class QuasiIdentitySyntaxError(ValueError):
     pass
 
@@ -499,6 +548,7 @@ class _TermParser:
         if "".join(self.tokens).replace(" ", "") != text.replace(" ", ""):
             raise QuasiIdentitySyntaxError(f"unrecognized characters in {text!r}")
         self.pos = 0
+        self.depth = 0
         self.group = group
 
     def peek(self, ahead: int = 0) -> str | None:
@@ -515,10 +565,14 @@ class _TermParser:
         return tok
 
     def parse_term(self) -> Term:
+        self.depth += 1
+        if self.depth > MAX_TERM_DEPTH:
+            raise QuasiIdentitySyntaxError(f"terms nest deeper than {MAX_TERM_DEPTH} levels")
         term = self.parse_factor()
         while self.peek() == "^":
             self.take("^")
             term = meet_terms(term, self.parse_factor())
+        self.depth -= 1
         return term
 
     def parse_factor(self) -> Term:

@@ -16,6 +16,8 @@ from fslat.algebras import (
     generates,
 )
 from fslat.groups import GroupSpec, identity, mul
+from fslat.irrationals import QuadraticIrrational, compare_values, compare_with_rational
+from fslat.quasivar import QuasiIdentity, eval_term
 
 
 def _close_mul(group: GroupSpec, seed):
@@ -239,3 +241,50 @@ def reference_hom_extend(
         processed.append(x)
     mapping = tuple(image[x][0] for x in range(source.size))
     return HomExtendResult(Homomorphism(source, target, mapping), None)
+
+
+def reference_holds_quasi_identity(
+    algebra: FSemilattice, qi: QuasiIdentity
+) -> tuple[bool, dict[str, int] | None]:
+    """The valuation-by-valuation ``holds_quasi_identity`` kept as a reference
+    for the compiled, premise-pruned scan: same verdict, same witness.
+
+    Exhaustive check; on failure, the first failing valuation in canonical
+    order (variables sorted by name, carrier indices counted lexicographically)."""
+    names = qi.variables
+    for combo in itertools.product(range(algebra.size), repeat=len(names)):
+        valuation = dict(zip(names, combo))
+        if any(
+            eval_term(algebra, s, valuation) != eval_term(algebra, t, valuation)
+            for s, t in qi.premises
+        ):
+            continue
+        s, t = qi.conclusion
+        if eval_term(algebra, s, valuation) != eval_term(algebra, t, valuation):
+            return False, valuation
+    return True, None
+
+
+def reference_rational_between(
+    alpha: QuadraticIrrational, beta: QuadraticIrrational
+) -> tuple[int, int]:
+    """The one-step Stern-Brocot descent kept as a reference for the
+    run-length version: one mediant per step, so its time grows with the
+    partial quotients of the bounds.
+
+    Minimal-denominator rational strictly between alpha < beta, found by
+    descending the Stern-Brocot tree of all rationals."""
+    if compare_values(alpha, beta) >= 0:
+        raise ValueError("need alpha < beta")
+    lo = (-1, 0)
+    hi = (1, 0)
+    while True:
+        num, den = lo[0] + hi[0], lo[1] + hi[1]
+        if den == 0:
+            num, den = 0, 1  # root of the tree extended over all rationals
+        if compare_with_rational(alpha, num, den) <= 0:
+            lo = (num, den)
+        elif compare_with_rational(beta, num, den) >= 0:
+            hi = (num, den)
+        else:
+            return num, den

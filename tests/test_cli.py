@@ -1,10 +1,12 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
 from fslat import algebras as A
+from fslat import cli
 from fslat import constructions as C
 from fslat import groups as G
 from fslat.cli import hasse_dot, run
@@ -243,3 +245,98 @@ def test_module_entrypoint_subprocess():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["count"] == 8
+
+
+def test_run_reuses_one_parser(capsys, monkeypatch, tmp_path):
+    fan = C.maroti(G.make_group([4]), G.subgroup_from_elements(G.make_group([4]), [(0,), (2,)]))
+    path = write_algebra(tmp_path, fan)
+    argvs = [
+        ["build", "ak", "--k", "2"],
+        ["validate", "--algebra", path],
+        ["no-such-command"],
+        ["quasi", "--algebra", path, "--qi", "x ^ y = y -> x = y"],
+        ["--help"],
+        ["build", "ak"],
+        ["check-minimal", "--algebra", path, "--meta"],
+        ["hasse", "--algebra", path],
+        ["build", "ak", "--k", "2"],
+        ["group", "subgroups", "--help"],
+    ]
+
+    def outcomes():
+        out = []
+        for argv in argvs:
+            code = run(argv)
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    assert cli._shared_parser() is cli._shared_parser()
+    assert cli.build_parser() is not cli.build_parser()
+    shared = outcomes()
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    fresh = outcomes()
+    assert [code for code, _, _ in shared] == [0, 0, 2, 1, 0, 2, 0, 0, 0, 0]
+    for (code, out, err), (code2, out2, err2) in zip(shared, fresh):
+        assert code == code2 and err == err2
+        if '"meta"' in out:
+            # meta carries a clock reading; the canonical payload must match
+            out, out2 = json.loads(out)["payload"], json.loads(out2)["payload"]
+        assert out == out2
+
+
+def _shape_cases():
+    fan = A.algebra_to_dict(C.maroti(G.make_group([2]), G.trivial_subgroup(G.make_group([2]))))
+    bool_meet = json.loads(json.dumps(fan))
+    bool_meet["carrier"] = ["a", "b"]
+    bool_meet["meet"] = [[False, False], [False, True]]
+    bool_meet["action"] = [[0, 1]]
+    bool_action = json.loads(json.dumps(bool_meet))
+    bool_action["meet"] = [[0, 0], [0, 1]]
+    bool_action["action"] = [[False, True]]
+    int_labels = json.loads(json.dumps(fan))
+    int_labels["carrier"] = list(range(len(fan["carrier"])))
+    list_label = json.loads(json.dumps(fan))
+    list_label["carrier"][0] = ["a"]
+    return [bool_meet, bool_action, int_labels, list_label]
+
+
+@pytest.mark.parametrize("payload", _shape_cases())
+def test_shape_errors_exit_2(capsys, tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    for argv in (["validate"], ["hasse"], ["check-minimal"], ["quasi", "--qi", "-> x = x"]):
+        assert run(argv + ["--algebra", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    with pytest.raises(A.ShapeError):
+        A.algebra_from_dict(payload)
+
+
+def test_hasse_escapes_labels(capsys, tmp_path):
+    group = G.make_group([2])
+    labels = ('a"]; evil [x="', "back\\slash", "o")
+    odd = A.FSemilattice(group, labels, [[0, 2, 2], [2, 1, 2], [2, 2, 2]], [[1, 0, 2]])
+    assert A.validate_axioms(odd).ok
+    path = write_algebra(tmp_path, odd)
+    code, out = invoke(capsys, ["hasse", "--algebra", path, "--actions"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[2:5] == ['  "a\\"]; evil [x=\\"";', '  "back\\\\slash";', '  "o";']
+    # with every quoted identifier removed, only DOT punctuation is left
+    quoted = re.compile(r'"(?:[^"\\]|\\.)*"')
+    shapes = {"  ;", "   -> ;", "   ->  [style=dashed, label=, constraint=false];"}
+    assert {quoted.sub("", line) for line in lines[2:-1]} == shapes
+
+
+def test_deeply_nested_qi_is_usage_error(capsys, tmp_path):
+    fan = C.maroti(G.make_group([2]), G.trivial_subgroup(G.make_group([2])))
+    path = write_algebra(tmp_path, fan)
+    qi = "-> " + "(" * 2000 + "x" + ")" * 2000 + " = x"
+    assert run(["quasi", "--algebra", path, "--qi", qi]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fslat import irrationals as I
+from oracles import reference_rational_between
 
 SQRT2 = I.sqrt_of(2)
 SQRT3 = I.sqrt_of(3)
@@ -89,6 +90,40 @@ def test_rational_between_is_strictly_inside():
         assert q > 0
         assert I.compare_with_rational(alpha, p, q) > 0
         assert I.compare_with_rational(beta, p, q) < 0
+
+
+def test_rational_between_matches_one_step_descent():
+    rng = random.Random(1729)
+    radicands = [d for d in range(2, 40) if I._sqrtfree(d)]
+
+    def generic():
+        p, q = rng.randint(-20, 20), rng.choice([-5, -3, -2, -1, 1, 2, 3, 7])
+        return I.QuadraticIrrational(p, q, rng.choice([1, 2, 3, 5, 7]), rng.choice(radicands))
+
+    def near_rational():
+        # s + q*sqrt(d)/N: long runs of one turn in the descent
+        n, s = rng.randint(1, 3000), rng.randint(-5, 5)
+        return I.QuadraticIrrational(s * n, rng.choice([-2, -1, 1, 2]), n, rng.choice(radicands))
+
+    checked = 0
+    for make in (generic, near_rational) * 400:
+        alpha, beta = make(), make()
+        order = I.compare_values(alpha, beta)
+        if order == 0:
+            continue
+        if order > 0:
+            alpha, beta = beta, alpha
+        want = reference_rational_between(alpha, beta)
+        assert I.rational_between(alpha, beta) == want, (alpha, beta)
+        checked += 1
+    assert checked > 700
+
+
+def test_rational_between_long_partial_quotient():
+    # one right turn of length 353553390593 below sqrt(2)/10^12
+    alpha = I.QuadraticIrrational(0, 1, 10**12, 2)
+    beta = I.QuadraticIrrational(0, 2, 10**12, 2)
+    assert I.rational_between(alpha, beta) == (1, 353553390594)
 
 
 def test_check_separating_identity_full_example():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from fslat import algebras as A
 from fslat import constructions as C
 from fslat import groups as G
 from fslat import quasivar as Q
+from oracles import reference_holds_quasi_identity
 
 Z2 = G.make_group([2])
 Z4 = G.make_group([4])
@@ -357,3 +359,108 @@ def test_grammar_errors():
         Q.parse_quasi_identity("-> g7(x) = x", Z2)  # generator out of range
     with pytest.raises(Q.QuasiIdentitySyntaxError):
         Q.parse_quasi_identity("-> x ? y = x", Z2)
+
+
+def test_grammar_nesting_depth_is_capped():
+    shallow = "-> " + "(" * 50 + "x" + ")" * 50 + " = x"
+    assert Q.parse_quasi_identity(shallow, Z2).variables == ("x",)
+    for depth in (Q.MAX_TERM_DEPTH, 2000):
+        with pytest.raises(Q.QuasiIdentitySyntaxError):
+            Q.parse_quasi_identity("-> " + "(" * depth + "x" + ")" * depth + " = x", Z2)
+        with pytest.raises(Q.QuasiIdentitySyntaxError):
+            Q.parse_quasi_identity("-> x = " + "g0(" * depth + "x" + ")" * depth, Z2)
+
+
+# Quasi-identities for the differential test, written for generator g0 only
+# so that they parse over every group: no premises, several premises,
+# premises that bind only early variables, conclusions that bind only early
+# variables, and generator powers.
+DIFFERENTIAL_QIS = (
+    "-> x ^ y = y ^ x",
+    "-> x ^ y = x",
+    "-> g0^2(x) = x",
+    "x ^ y = y -> x = y",
+    "x ^ y = x & y ^ z = y -> x ^ z = x",
+    "x ^ y = x -> g0(x) ^ g0(y) = g0(x)",
+    "g0(x) = x -> x = x ^ y",
+    "g0^2(x) ^ x = x -> x = x ^ y",
+    "g0^-1(x) = x & x ^ y = y -> g0(y) = y",
+    "y ^ z = y -> x = g0(x)",
+    "x ^ g0(y) = x & z = z -> g0^3(x ^ z) ^ y = x ^ y",
+    "x ^ (y ^ z) = z -> (g0(x) ^ y) ^ z = z",
+)
+
+
+def _coset_tower(group, subs):
+    """Levels of coset partitions above a zero: ``subs`` runs from the bottom
+    level up, each subgroup containing the next.  Two cosets meet at the
+    deepest level where one coset holds both representatives."""
+    levels = [G.cosets(group, sub) for sub in subs]
+    nodes = [(depth, block) for depth, blocks in enumerate(levels) for block in blocks]
+    index = {node: i for i, node in enumerate(nodes)}
+    bottom = len(nodes)
+    block_at = [{g: b for b in blocks for g in b} for blocks in levels]
+
+    def meet(one, two):
+        (d1, b1), (d2, b2) = one, two
+        for depth in range(min(d1, d2), -1, -1):
+            if block_at[depth][b1[0]] == block_at[depth][b2[0]]:
+                return index[(depth, block_at[depth][b1[0]])]
+        return bottom
+
+    table = [[meet(u, v) for v in nodes] + [bottom] for u in nodes] + [[bottom] * (bottom + 1)]
+    action = []
+    for i in range(group.rank):
+        step = G.elementary(group, i)
+        action.append(
+            [index[(d, block_at[d][G.mul(group, b[0], step)])] for d, b in nodes] + [bottom]
+        )
+    carrier = [f"{d}:{G.format_element(b[0])}" for d, b in nodes] + ["o"]
+    return A.FSemilattice(group, carrier, table, action)
+
+
+def _random_tables(rng, group, count):
+    """Shape-valid algebras whose meet tables are random, so mostly neither
+    associative nor commutative; the fold order of a term's meet shows."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        meet = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+        action = [rng.sample(range(n), n) for _ in range(group.rank)]
+        out.append(A.FSemilattice(group, [str(i) for i in range(n)], meet, action))
+    return out
+
+
+def _holds_outcome(check, algebra, qi):
+    try:
+        return check(algebra, qi)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_holds_quasi_identity_matches_reference():
+    rng = random.Random(20121)
+    a7 = C.counterexample_a7()
+    cases = [(a7.group, A.subalgebra_generated(a7, x)[0]) for x in range(a7.size)]
+    for orders in ([2], [3], [4], [2, 2], [6], [8]):
+        group = G.make_group(orders)
+        subs = G.subgroups(group)
+        cases += [(group, C.maroti(group, sub)) for sub in subs]
+        cases += [
+            (group, _coset_tower(group, [big, small]))
+            for big, small in itertools.permutations(subs, 2)
+            if set(small.elements) < set(big.elements)
+        ]
+        cases += [(group, t) for t in _random_tables(rng, group, 20)]
+    cases.append((C.a_k(3).group, C.a_k(3)))
+    outcomes = set()
+    for group, algebra in cases:
+        A.check_shape(algebra)
+        for text in DIFFERENTIAL_QIS:
+            qi = Q.parse_quasi_identity(text, group)
+            got = _holds_outcome(Q.holds_quasi_identity, algebra, qi)
+            want = _holds_outcome(reference_holds_quasi_identity, algebra, qi)
+            assert got == want, (algebra, text)
+            outcomes.add(got[0])
+    # both verdicts occur, so witnesses were compared too
+    assert outcomes == {True, False}
