@@ -11,7 +11,9 @@ All values are immutable after construction; every operation here is pure.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 from .groups import (
@@ -23,6 +25,11 @@ from .groups import (
 )
 
 Perm = tuple[int, ...]
+
+# Most entries the action table of one algebra may hold (carrier size times
+# the summed orders of the generator permutations); a larger table is refused
+# before it is built.
+MAX_ACTION_TABLE = 1 << 22
 
 # A unary term in normal form: x |-> meet of g(x) over a nonempty set of
 # group elements.  Meets of terms are set unions, translation multiplies
@@ -74,14 +81,6 @@ def perm_order(p: Perm) -> int:
     return n
 
 
-def perm_power(p: Perm, e: int) -> Perm:
-    e %= perm_order(p)
-    out = perm_identity(len(p))
-    for _ in range(e):
-        out = perm_compose(p, out)
-    return out
-
-
 @dataclass(frozen=True)
 class FSemilattice:
     """Carrier labels, meet table of indices, and one permutation per generator."""
@@ -108,6 +107,24 @@ class FSemilattice:
 
     def label(self, x: int) -> str:
         return self.carrier[x]
+
+    @cached_property
+    def powers(self) -> tuple[tuple[Perm, ...], ...]:
+        """The action table: for each generator permutation p, the powers
+        p^0, ..., p^(m-1) with m = ``perm_order(p)``, built on first use."""
+        orders = [perm_order(p) for p in self.action]
+        if sum(orders) * self.size > MAX_ACTION_TABLE:
+            raise CarrierLimitError(
+                f"action table of {sum(orders)} permutations on {self.size} elements "
+                f"exceeds {MAX_ACTION_TABLE} entries"
+            )
+        table = []
+        for p, m in zip(self.action, orders):
+            row = [perm_identity(self.size)]
+            for _ in range(m - 1):
+                row.append(tuple(p[x] for x in row[-1]))
+            table.append(tuple(row))
+        return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -210,7 +227,7 @@ def validate_axioms(algebra: FSemilattice) -> ValidationReport:
     for i, (p, k) in enumerate(zip(algebra.action, algebra.group.orders)):
         if k >= 1:
             pk = perm_identity(n)
-            for _ in range(k):
+            for _ in range(k % perm_order(p)):
                 pk = perm_compose(p, pk)
             for x in range(n):
                 if pk[x] != x:
@@ -224,22 +241,19 @@ def validate_axioms(algebra: FSemilattice) -> ValidationReport:
 
 
 def act(algebra: FSemilattice, g: Element, x: int) -> int:
-    """Action of a full group element: generator permutations raised to its coordinates."""
+    """Action of a full group element: generator permutations raised to its
+    coordinates, the first generator applied first, each coordinate looked
+    up modulo the permutation's order in ``algebra.powers``."""
     if len(g) != algebra.group.rank:
         raise ValueError("coordinate length mismatch")
-    y = x
-    for p, c in zip(algebra.action, g):
-        for _ in range(c % perm_order(p)):
-            y = p[y]
-    return y
+    for row, c in zip(algebra.powers, g):
+        x = row[c % len(row)][x]
+    return x
 
 
 def element_action(algebra: FSemilattice, g: Element) -> Perm:
     """The full carrier permutation induced by one group element."""
-    out = perm_identity(algebra.size)
-    for p, c in zip(algebra.action, g):
-        out = perm_compose(perm_power(p, c), out)
-    return out
+    return tuple(act(algebra, g, x) for x in range(algebra.size))
 
 
 def zero(algebra: FSemilattice) -> int:
@@ -289,16 +303,27 @@ def _generator_moves(algebra: FSemilattice) -> list[tuple[Element, Perm]]:
     return moves
 
 
-def subalgebra_generated(algebra: FSemilattice, seed: int) -> tuple[FSemilattice, tuple[int, ...]]:
-    """Least subset containing ``seed`` closed under meet and all generator
-    permutations and their inverses, returned as an algebra plus the index
-    embedding into the parent."""
-    perms = [p for _, p in _generator_moves(algebra)]
+def generated_by(
+    algebra: FSemilattice, seed: int, group: GroupSpec, perms: Sequence[Perm]
+) -> tuple[FSemilattice, tuple[int, ...]]:
+    """Least subset containing ``seed`` closed under meet and the carrier
+    permutations ``perms`` (one per generator of ``group``) and their
+    inverses, returned as an algebra over ``group`` acting by the restricted
+    permutations, plus the index embedding into ``algebra``.
+
+    The moves are each permutation followed by its inverse.  Each dequeued
+    element is met with the members found so far on one side only, so on a
+    meet table that is not commutative the subset returned depends on the
+    order elements are queued in.
+    """
+    moves = []
+    for p in perms:
+        moves += [p, perm_inverse(p)]
     members = {seed}
     queue = [seed]
     while queue:
         x = queue.pop()
-        for p in perms:
+        for p in moves:
             y = p[x]
             if y not in members:
                 members.add(y)
@@ -311,12 +336,18 @@ def subalgebra_generated(algebra: FSemilattice, seed: int) -> tuple[FSemilattice
     embedding = tuple(sorted(members))
     pos = {v: i for i, v in enumerate(embedding)}
     sub = FSemilattice(
-        group=algebra.group,
+        group=group,
         carrier=tuple(algebra.carrier[v] for v in embedding),
         meet=tuple(tuple(pos[algebra.meet[u][v]] for v in embedding) for u in embedding),
-        action=tuple(tuple(pos[p[v]] for v in embedding) for p in algebra.action),
+        action=tuple(tuple(pos[p[v]] for v in embedding) for p in perms),
     )
     return sub, embedding
+
+
+def subalgebra_generated(algebra: FSemilattice, seed: int) -> tuple[FSemilattice, tuple[int, ...]]:
+    """The subalgebra generated by ``seed`` under meet and the whole group,
+    plus its index embedding into the parent."""
+    return generated_by(algebra, seed, algebra.group, algebra.action)
 
 
 def generates(algebra: FSemilattice, x: int) -> bool:

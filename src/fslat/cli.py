@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 
@@ -18,8 +19,18 @@ from . import algebras, constructions, groups, irrationals, quasivar
 from .algebras import FSemilattice
 
 
+# Largest product of the finite factor orders ``--orders`` accepts, and the
+# most atoms ``build ak`` builds; larger requests are usage errors, refused
+# before anything is built.
+MAX_GROUP_ORDER = 64
+MAX_AK_ATOMS = 256
+
+
 def _parse_orders(text: str) -> groups.GroupSpec:
-    return groups.make_group([int(p) for p in text.split(",")])
+    orders = [int(p) for p in text.split(",")]
+    if math.prod(k for k in orders if k >= 1) > MAX_GROUP_ORDER:
+        raise ValueError(f"finite factor orders {text} multiply to more than {MAX_GROUP_ORDER}")
+    return groups.make_group(orders)
 
 
 def _parse_subgroup(group: groups.GroupSpec, text: str) -> groups.Subgroup:
@@ -100,6 +111,8 @@ def _require(args, *names: str) -> None:
 def _build_algebra(args) -> FSemilattice:
     if args.kind == "ak":
         _require(args, "k")
+        if args.k > MAX_AK_ATOMS:
+            raise ValueError(f"build ak takes at most {MAX_AK_ATOMS} atoms, got --k {args.k}")
         return constructions.a_k(args.k)
     if args.kind == "two-element":
         _require(args, "orders")
@@ -344,6 +357,7 @@ def run(argv=None) -> int:
         KeyError,
         OSError,
         json.JSONDecodeError,
+        constructions.VerificationError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .algebras import (
     FSemilattice,
     Homomorphism,
+    act,
     is_homomorphism,
     perm_identity,
 )
@@ -224,10 +225,7 @@ def twisted_multiple(spec: TwistedSpec) -> FSemilattice:
             gt = mul(group, g, reps[t])
             f = rep_of[gt]
             k = mul(group, gt, inv(group, f))
-            u2 = u
-            for p, e in zip(spec.factor.action, exponents[k]):
-                for _ in range(e):
-                    u2 = p[u2]
+            u2 = act(spec.factor, exponents[k], u)
             perm.append(pair_index[(u2, reps.index(f))])
         perm.append(bottom)
         action.append(tuple(perm))
@@ -274,11 +272,7 @@ def transversal_independence_check(
         t2_pos = coset_of[t]
         t2 = second.reps[t2_pos]
         k = mul(group, inv(group, t2), t)
-        u2 = u
-        for p, e in zip(spec1.factor.action, exponents[k]):
-            for _ in range(e):
-                u2 = p[u2]
-        mapping.append(t2_pos * u_size + u2)
+        mapping.append(t2_pos * u_size + act(spec1.factor, exponents[k], u))
     mapping.append(right.size - 1)
     hom = Homomorphism(left, right, tuple(mapping))
     if not (hom.is_bijective and is_homomorphism(hom)):

@@ -15,6 +15,11 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 
+# Largest radicand accepted: square-freeness is decided by trial division,
+# which takes about sqrt(d) steps.
+MAX_RADICAND = 10**9
+
+
 def _sign(n: int) -> int:
     return (n > 0) - (n < 0)
 
@@ -60,6 +65,8 @@ class QuadraticIrrational:
             raise ValueError("q = 0 would make the value rational")
         if self.r == 0:
             raise ValueError("zero denominator")
+        if self.d > MAX_RADICAND:
+            raise ValueError(f"radicand {self.d} exceeds {MAX_RADICAND}")
         if not _sqrtfree(self.d):
             raise ValueError(f"radicand {self.d} must be square-free and >= 2")
         p, q, r = self.p, self.q, self.r

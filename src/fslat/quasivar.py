@@ -26,13 +26,10 @@ from .algebras import (
     act,
     congruences,
     element_action,
+    generated_by,
     generates,
     is_homomorphism,
     is_isomorphic_1gen,
-    perm_compose,
-    perm_identity,
-    perm_inverse,
-    perm_order,
     quotient,
     subalgebra_generated,
     zero,
@@ -127,7 +124,7 @@ def holds_quasi_identity(
         out = []
         for g, v in sorted(term.pairs):
             if g not in perms:
-                perms[g] = tuple(act(algebra, g, x) for x in range(algebra.size))
+                perms[g] = element_action(algebra, g)
             out.append((perms[g], slot[v]))
         return tuple(out)
 
@@ -171,9 +168,8 @@ def _term_value(meet, compiled, valuation: list[int]) -> int:
 def _image_elements(algebra: FSemilattice) -> list[Element]:
     """Group elements enumerating the action image: full factor ranges when
     finite, permutation-order ranges on infinite factors."""
-    ranges = []
-    for k, p in zip(algebra.group.orders, algebra.action):
-        ranges.append(range(k if k >= 1 else perm_order(p)))
+    orders = algebra.group.orders
+    ranges = [range(k if k >= 1 else len(row)) for k, row in zip(orders, algebra.powers)]
     return [tuple(c) for c in itertools.product(*ranges)]
 
 
@@ -258,20 +254,16 @@ class StabilizerImage:
 
 
 def stabilizer_image(algebra: FSemilattice, a: int) -> StabilizerImage:
-    n = algebra.size
-    gens = [tuple(p) for p in algebra.action]
-    gens += [perm_inverse(p) for p in gens]
-    image = {perm_identity(n)}
-    queue = list(image)
-    while queue:
-        p = queue.pop()
-        for g in gens:
-            q = perm_compose(g, p)
-            if q not in image:
-                image.add(q)
-                queue.append(q)
-    fixing = tuple(sorted(p for p in image if p[a] == a))
-    return StabilizerImage(tuple(sorted(image)), fixing)
+    """The action image as the carrier permutations of every product of
+    generator powers, and the ones among them fixing ``a``.
+
+    Precondition: the generator permutations commute, as in every algebra
+    that passes ``validate_axioms``; only then do these products form the
+    group the permutations generate.
+    """
+    powers = itertools.product(*(range(len(row)) for row in algebra.powers))
+    image = tuple(sorted({element_action(algebra, c) for c in powers}))
+    return StabilizerImage(image, tuple(p for p in image if p[a] == a))
 
 
 @dataclass(frozen=True)
@@ -393,7 +385,8 @@ def decompose_ku(
         )
     bottom = zero(algebra)
     elements = group.elements()
-    k_elems = [g for g in elements if algebra.meet[a][act(algebra, g, a)] != bottom]
+    translate = {g: act(algebra, g, a) for g in elements}
+    k_elems = [g for g in elements if algebra.meet[a][translate[g]] != bottom]
     sub = subgroup_from_elements(group, k_elems)  # failure here would be a bug
     coset_id = {}
     for g in elements:
@@ -402,7 +395,7 @@ def decompose_ku(
         for combo in itertools.combinations_with_replacement(elements, size):
             value = None
             for g in combo:
-                translated = act(algebra, g, a)
+                translated = translate[g]
                 value = translated if value is None else algebra.meet[value][translated]
             same_coset = len({coset_id[g] for g in combo}) == 1
             if (value != bottom) != same_coset:
@@ -410,34 +403,8 @@ def decompose_ku(
                     f"block condition fails for translates {[format_element(g) for g in combo]}"
                 )
     pres = presentation(group, sub)
-    members = {a}
-    queue = [a]
-    gen_perms = []
-    for g in pres.generators:
-        p = element_action(algebra, g)
-        gen_perms += [p, perm_inverse(p)]
-    while queue:
-        x = queue.pop()
-        for p in gen_perms:
-            y = p[x]
-            if y not in members:
-                members.add(y)
-                queue.append(y)
-        for y in list(members):
-            m = algebra.meet[x][y]
-            if m not in members:
-                members.add(m)
-                queue.append(m)
-    closure = tuple(sorted(members))
-    pos = {v: i for i, v in enumerate(closure)}
-    factor = FSemilattice(
-        group=pres.spec,
-        carrier=tuple(algebra.carrier[v] for v in closure),
-        meet=tuple(tuple(pos[algebra.meet[u][v]] for v in closure) for u in closure),
-        action=tuple(
-            tuple(pos[element_action(algebra, g)[v]] for v in closure)
-            for g in pres.generators
-        ),
+    factor, closure = generated_by(
+        algebra, a, pres.spec, [element_action(algebra, g) for g in pres.generators]
     )
     spec = twisted_spec(group, sub, factor, factor_generators=pres.generators)
     rebuilt = twisted_multiple(spec)

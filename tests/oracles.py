@@ -14,10 +14,14 @@ from fslat.algebras import (
     UnaryTerm,
     _generator_moves,
     generates,
+    perm_compose,
+    perm_identity,
+    perm_inverse,
+    perm_order,
 )
-from fslat.groups import GroupSpec, identity, mul
+from fslat.groups import Element, GroupSpec, identity, mul
 from fslat.irrationals import QuadraticIrrational, compare_values, compare_with_rational
-from fslat.quasivar import QuasiIdentity, eval_term
+from fslat.quasivar import QuasiIdentity, StabilizerImage, eval_term
 
 
 def _close_mul(group: GroupSpec, seed):
@@ -129,8 +133,6 @@ def axioms_hold_direct(algebra: FSemilattice) -> bool:
 def normal_form_subalgebra(algebra: FSemilattice, seed: int) -> set[int]:
     """Every element of the generated subalgebra as a meet of a nonempty set
     of translates of the seed (the term normal form), computed directly."""
-    from fslat.algebras import perm_compose, perm_identity, perm_inverse
-
     n = algebra.size
     gens = [tuple(p) for p in algebra.action]
     gens += [perm_inverse(p) for p in gens]
@@ -288,3 +290,62 @@ def reference_rational_between(
             hi = (num, den)
         else:
             return num, den
+
+
+def reference_act(algebra: FSemilattice, g: Element, x: int) -> int:
+    """The step-by-step ``act`` kept as a reference for the table lookup:
+    each generator permutation applied (coordinate mod its order) times.
+
+    Action of a full group element: generator permutations raised to its coordinates."""
+    if len(g) != algebra.group.rank:
+        raise ValueError("coordinate length mismatch")
+    y = x
+    for p, c in zip(algebra.action, g):
+        for _ in range(c % perm_order(p)):
+            y = p[y]
+    return y
+
+
+def reference_stabilizer_image(algebra: FSemilattice, a: int) -> StabilizerImage:
+    """The search-based ``stabilizer_image`` kept as a reference for the
+    product of generator powers: it closes the generator permutations and
+    their inverses under composition, so it needs no commuting generators."""
+    n = algebra.size
+    gens = [tuple(p) for p in algebra.action]
+    gens += [perm_inverse(p) for p in gens]
+    image = {perm_identity(n)}
+    queue = list(image)
+    while queue:
+        p = queue.pop()
+        for g in gens:
+            q = perm_compose(g, p)
+            if q not in image:
+                image.add(q)
+                queue.append(q)
+    fixing = tuple(sorted(p for p in image if p[a] == a))
+    return StabilizerImage(tuple(sorted(image)), fixing)
+
+
+def reference_closure(algebra: FSemilattice, seed: int, perms) -> tuple[int, ...]:
+    """The closure loop ``decompose_ku`` and ``subalgebra_generated`` each
+    carried before they shared ``generated_by``, kept as its reference: the
+    least subset containing ``seed`` closed under meet and ``perms`` with
+    their inverses, each permutation visited right before its inverse."""
+    members = {seed}
+    queue = [seed]
+    gen_perms = []
+    for p in perms:
+        gen_perms += [p, perm_inverse(p)]
+    while queue:
+        x = queue.pop()
+        for p in gen_perms:
+            y = p[x]
+            if y not in members:
+                members.add(y)
+                queue.append(y)
+        for y in list(members):
+            m = algebra.meet[x][y]
+            if m not in members:
+                members.add(m)
+                queue.append(m)
+    return tuple(sorted(members))

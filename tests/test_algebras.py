@@ -64,6 +64,17 @@ def test_validate_non_automorphism_action():
     assert witness_violates(bad, report.axiom, report.witness)
 
 
+def test_validate_huge_factor_order():
+    # the order check reduces the factor order modulo the permutation's order
+    swap = ((1, 0, 2),)
+    meet = [[0, 2, 2], [2, 1, 2], [2, 2, 2]]
+    even = A.FSemilattice(G.make_group([10**12]), ("a", "b", "o"), meet, swap)
+    assert A.validate_axioms(even).ok
+    odd = A.FSemilattice(G.make_group([10**12 + 1]), ("a", "b", "o"), meet, swap)
+    report = A.validate_axioms(odd)
+    assert (report.ok, report.axiom, report.witness) == (False, "action-order", (0, 0))
+
+
 def test_shape_errors_are_separate():
     base = maroti_z2()
     with pytest.raises(A.ShapeError):
@@ -118,6 +129,37 @@ def test_act_on_infinite_factor_reduces_by_permutation_order():
     assert A.act(ak, (3,), 0) == 0
     assert A.act(ak, (-1,), 0) == 2
     assert A.act(ak, (7,), 0) == 1
+
+
+def test_action_table_rows_are_the_generator_powers():
+    algebra = C.a_k(4)
+    (row,) = algebra.powers
+    assert row == tuple(tuple((x + j) % 4 for x in range(4)) + (4,) for j in range(4))
+    assert algebra.powers is algebra.powers  # built once
+
+
+def _atom_fan_over_z(cycle_lengths):
+    """Atoms over a zero, the infinite cyclic group rotating each block of
+    atoms as one cycle of the given length."""
+    n = sum(cycle_lengths) + 1
+    bottom = n - 1
+    perm, start = [], 0
+    for length in cycle_lengths:
+        perm += [start + (i + 1) % length for i in range(length)]
+        start += length
+    meet = [[x if x == y else bottom for y in range(n)] for x in range(n)]
+    return A.FSemilattice(G.make_group([0]), [str(x) for x in range(n)], meet, [perm + [bottom]])
+
+
+def test_action_table_size_is_capped():
+    # 61 elements whose generator has order 3*4*5*7*11*13*17 = 1,021,020
+    big = _atom_fan_over_z([3, 4, 5, 7, 11, 13, 17])
+    assert A.validate_axioms(big).ok
+    assert A.perm_order(big.action[0]) * big.size > A.MAX_ACTION_TABLE
+    with pytest.raises(A.CarrierLimitError):
+        A.act(big, (1,), 0)
+    small = _atom_fan_over_z([3, 4, 5, 7])
+    assert A.act(small, (-1,), 0) == 2 and A.act(small, (10**12,), 3) == 3
 
 
 def test_subalgebra_examples():

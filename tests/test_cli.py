@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fslat import algebras as A
 from fslat import cli
@@ -340,3 +345,84 @@ def test_deeply_nested_qi_is_usage_error(capsys, tmp_path):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def assert_usage_error(out, err):
+    """Exit 2 prints nothing on stdout and one ``error:`` line on stderr."""
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+
+
+def test_decompose_verification_error_is_usage_error(capsys, tmp_path):
+    # a shape-valid table whose block condition fails once e1 is the generator
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps({"group": {"orders": [2]}, "carrier": ["e0", "e1"],
+                    "meet": [[0, 0], [0, 1]], "action": [[1, 0]]})
+    )
+    assert run(["decompose", "--algebra", str(path), "--generator", "e1"]) == 2
+    captured = capsys.readouterr()
+    assert_usage_error(captured.out, captured.err)
+    assert "block condition fails" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, accepted",
+    [
+        (
+            ["group", "subgroups", "--orders", "2,2,2,2,2,2,2,2"],
+            ["group", "subgroups", "--orders", "64"],
+        ),
+        (["build", "ak", "--k", "1000000000"], ["build", "ak", "--k", "256"]),
+        (
+            ["balpha", "--alpha", "sqrt:2", "--beta", "sqrt:1000000000000000003"],
+            ["balpha", "--alpha", "sqrt:2", "--beta", "sqrt:999999937"],
+        ),
+    ],
+    ids=["orders", "ak", "radicand"],
+)
+def test_hostile_sizes_are_usage_errors(capsys, argv, accepted):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert_usage_error(captured.out, captured.err)
+    # a size at the cap, above every size the tests and the benchmark use
+    assert run(accepted) == 0
+    capsys.readouterr()
+
+
+_FUZZ_QIS = ("x^y=x & y^z=y -> x^z=x", "g0(x)=x -> x = x^y", "-> g1^-2(x) ^ y = y ^ x")
+
+
+@st.composite
+def shape_valid_tables(draw):
+    orders = draw(st.sampled_from([[1], [2], [3], [4], [2, 2], [0], [6], [0, 2]]))
+    n = draw(st.integers(1, 4))
+    meet = [[draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(n)]
+    action = [list(draw(st.permutations(range(n)))) for _ in orders]
+    return {"group": {"orders": orders}, "carrier": [f"e{i}" for i in range(n)],
+            "meet": meet, "action": action}
+
+
+@given(shape_valid_tables(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_cli_exit_code_contract_on_random_tables(table, data):
+    generator = data.draw(st.sampled_from([None] + table["carrier"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/algebra.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(table, fh)
+        requests = [["quasi", "--algebra", path, "--qi", qi] for qi in _FUZZ_QIS]
+        for command in ("check-minimal", "decompose", "simplicity"):
+            flags = [] if generator is None else ["--generator", generator]
+            requests.append([command, "--algebra", path] + flags)
+        for argv in requests:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 1, 2), argv
+            if code == 2:
+                assert_usage_error(out.getvalue(), err.getvalue())
+            else:
+                json.loads(out.getvalue())

@@ -9,7 +9,12 @@ from fslat import algebras as A
 from fslat import constructions as C
 from fslat import groups as G
 from fslat import quasivar as Q
-from oracles import reference_holds_quasi_identity
+from oracles import (
+    reference_act,
+    reference_closure,
+    reference_holds_quasi_identity,
+    reference_stabilizer_image,
+)
 
 Z2 = G.make_group([2])
 Z4 = G.make_group([4])
@@ -464,3 +469,105 @@ def test_holds_quasi_identity_matches_reference():
             outcomes.add(got[0])
     # both verdicts occur, so witnesses were compared too
     assert outcomes == {True, False}
+
+
+def _z_by_z2_fan():
+    """Six atoms (i, j), i mod 3 and j mod 2, over a zero; the infinite
+    cyclic factor rotates i and the factor of order 2 flips j."""
+    atoms = [(i, j) for i in range(3) for j in range(2)]
+    bottom = len(atoms)
+    meet = [[x if x == y else bottom for y in range(7)] for x in range(7)]
+    action = [
+        [atoms.index(((i + 1) % 3, j)) for i, j in atoms] + [bottom],
+        [atoms.index((i, 1 - j)) for i, j in atoms] + [bottom],
+    ]
+    carrier = [f"{i},{j}" for i, j in atoms] + ["o"]
+    return A.FSemilattice(G.make_group([0, 2]), carrier, meet, action)
+
+
+def _action_cases():
+    """Axiom-valid algebras: fans and their opposites, trivial and chain2
+    twisted multiples, coset towers, the a7 subalgebras, a_k and a fan over
+    the integers times Z2."""
+    a7 = C.counterexample_a7()
+    out = [a7] + [A.subalgebra_generated(a7, x)[0] for x in range(a7.size)]
+    for spec in G.all_group_specs(8):
+        subs = G.subgroups(spec)
+        for sub in subs:
+            fan = C.maroti(spec, sub)
+            out += [fan, A.opposite(fan), C.two_element(spec)]
+            if sub.is_proper:
+                for factor, gens in (C.trivial_factor(spec, sub), C.chain2_factor(spec, sub)):
+                    out.append(C.twisted(spec, sub, factor, None, gens))
+        out += [
+            _coset_tower(spec, [big, small])
+            for big, small in itertools.permutations(subs, 2)
+            if set(small.elements) < set(big.elements)
+        ]
+    out += [C.a_k(k) for k in range(1, 7)] + [_z_by_z2_fan()]
+    return out
+
+
+def _coordinates(rng, rank):
+    """Unreduced coordinates: the zero vector, 30 random ones in [-20, 20]^rank
+    and three large ones."""
+    small = [tuple(rng.randint(-20, 20) for _ in range(rank)) for _ in range(30)]
+    large = [(10**12 + 5,) * rank, (-(10**9) - 1,) * rank, tuple(range(10**6, 10**6 + rank))]
+    return [(0,) * rank] + small + large
+
+
+def test_act_matches_reference():
+    rng = random.Random(4242)
+    cases = _action_cases()
+    odd = 0
+    for orders in ([2], [3], [4], [2, 2], [0], [2, 3], [0, 2]):
+        group = G.make_group(orders)
+        for table in _random_tables(rng, group, 15):
+            ps = table.action
+            commuting = all(A.perm_compose(p, q) == A.perm_compose(q, p) for p in ps for q in ps)
+            dividing = all(k >= 1 and k % A.perm_order(p) == 0 for p, k in zip(ps, orders))
+            odd += not commuting and not dividing
+            cases.append(table)
+    assert odd > 0
+    for algebra in cases:
+        for g in _coordinates(rng, algebra.group.rank):
+            want = tuple(reference_act(algebra, g, x) for x in range(algebra.size))
+            assert tuple(A.act(algebra, g, x) for x in range(algebra.size)) == want, (algebra, g)
+            assert A.element_action(algebra, g) == want, (algebra, g)
+
+
+def test_stabilizer_image_matches_reference():
+    for algebra in _action_cases():
+        assert A.validate_axioms(algebra).ok
+        for a in range(algebra.size):
+            assert Q.stabilizer_image(algebra, a) == reference_stabilizer_image(algebra, a)
+
+
+def test_generated_by_matches_reference_closure():
+    # on random meet tables, mostly not commutative, the subset the closure
+    # reaches depends on the order it queues elements in (dropping the
+    # inverse moves changes it); a subset not closed under the other meet
+    # order has no induced algebra, and building one raises KeyError
+    rng = random.Random(977)
+    built = 0
+    for orders in ([2], [4], [2, 2], [0], [2, 3]):
+        group = G.make_group(orders)
+        for table in _random_tables(rng, group, 30):
+            elements = [tuple(rng.randint(-3, 3) for _ in orders) for _ in range(2)]
+            perms = [A.element_action(table, g) for g in elements]
+            for seed in range(table.size):
+                for spec, given in ((group, table.action), (G.make_group([0, 0]), perms)):
+                    want = reference_closure(table, seed, given)
+                    if any(table.meet[u][v] not in want for u in want for v in want):
+                        with pytest.raises(KeyError):
+                            A.generated_by(table, seed, spec, given)
+                        continue
+                    sub, embedding = A.generated_by(table, seed, spec, given)
+                    assert embedding == want and sub.group == spec
+                    assert sub.action == tuple(
+                        tuple(want.index(p[v]) for v in want) for p in given
+                    )
+                    if given is table.action:
+                        assert A.subalgebra_generated(table, seed) == (sub, embedding)
+                    built += 1
+    assert built > 100
