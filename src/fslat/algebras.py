@@ -294,15 +294,6 @@ def cover_edges(algebra: FSemilattice) -> tuple[tuple[int, int], ...]:
     return tuple(edges)
 
 
-def _generator_moves(algebra: FSemilattice) -> list[tuple[Element, Perm]]:
-    """Generator and inverse-generator permutations with their group elements."""
-    moves = []
-    for i, p in enumerate(algebra.action):
-        moves.append((elementary(algebra.group, i, 1), p))
-        moves.append((elementary(algebra.group, i, -1), perm_inverse(p)))
-    return moves
-
-
 def generated_by(
     algebra: FSemilattice, seed: int, group: GroupSpec, perms: Sequence[Perm]
 ) -> tuple[FSemilattice, tuple[int, ...]]:
@@ -314,7 +305,8 @@ def generated_by(
     The moves are each permutation followed by its inverse.  Each dequeued
     element is met with the members found so far on one side only, so on a
     meet table that is not commutative the subset returned depends on the
-    order elements are queued in.
+    order elements are queued in; a meet that leaves the subset is then
+    reported as a ``ShapeError`` naming the pair.
     """
     moves = []
     for p in perms:
@@ -335,10 +327,21 @@ def generated_by(
                 queue.append(z)
     embedding = tuple(sorted(members))
     pos = {v: i for i, v in enumerate(embedding)}
+    try:
+        meet = tuple(tuple(pos[algebra.meet[u][v]] for v in embedding) for u in embedding)
+    except KeyError:
+        u, v = next(
+            (u, v) for u in embedding for v in embedding if algebra.meet[u][v] not in pos
+        )
+        lab = algebra.label
+        raise ShapeError(
+            f"meet table is not commutative: {lab(u)} ^ {lab(v)} = "
+            f"{lab(algebra.meet[u][v])} lies outside the subset generated by {lab(seed)}"
+        ) from None
     sub = FSemilattice(
         group=group,
         carrier=tuple(algebra.carrier[v] for v in embedding),
-        meet=tuple(tuple(pos[algebra.meet[u][v]] for v in embedding) for u in embedding),
+        meet=meet,
         action=tuple(tuple(pos[p[v]] for v in embedding) for p in perms),
     )
     return sub, embedding
@@ -388,6 +391,11 @@ def is_homomorphism(hom: Homomorphism) -> bool:
     return True
 
 
+def is_isomorphism(hom: Homomorphism) -> bool:
+    """A bijective homomorphism."""
+    return hom.is_bijective and is_homomorphism(hom)
+
+
 @dataclass(frozen=True)
 class HomExtendResult:
     hom: Homomorphism | None
@@ -399,15 +407,15 @@ class HomExtendResult:
 
 
 def _derivation_term(
-    group: GroupSpec, moves, terms: dict[int, UnaryTerm], how: tuple
+    group: GroupSpec, steps: list[Element], terms: dict[int, UnaryTerm], how: tuple
 ) -> UnaryTerm:
     """The unary term of one ``hom_extend`` derivation, given the terms of the
-    earlier elements it points at."""
+    earlier elements it points at; move k multiplies by ``steps[k]``."""
     kind, u, v = how
     if kind == "seed":
         return frozenset({identity(group)})
     if kind == "move":
-        return frozenset(mul(group, moves[v][0], h) for h in terms[u])
+        return frozenset(mul(group, steps[v], h) for h in terms[u])
     return terms[u] | terms[v]
 
 
@@ -429,10 +437,11 @@ def hom_extend(
     """
     if source.group != target.group:
         raise ValueError("algebras live over different groups")
-    moves = [
-        (g, p, q)
-        for (g, p), (_, q) in zip(_generator_moves(source), _generator_moves(target))
-    ]
+    # Each generator, then its inverse: (generator index, exponent, source
+    # permutation, target permutation).
+    moves = []
+    for i, (p, q) in enumerate(zip(source.action, target.action)):
+        moves += [(i, 1, p, q), (i, -1, perm_inverse(p), perm_inverse(q))]
     smeet, tmeet = source.meet, target.meet
     image: list[int | None] = [None] * source.size
     how: list = [None] * source.size
@@ -443,16 +452,17 @@ def hom_extend(
     def clash(x2: int, derivation: tuple) -> HomExtendResult:
         if not generates(source, a):
             raise NotGeneratedError(f"element {source.label(a)!r} does not generate the source")
+        steps = [elementary(source.group, i, e) for i, e, _, _ in moves]
         terms: dict[int, UnaryTerm] = {}
         for x in order:
-            terms[x] = _derivation_term(source.group, moves, terms, how[x])
-        term = _derivation_term(source.group, moves, terms, derivation)
+            terms[x] = _derivation_term(source.group, steps, terms, how[x])
+        term = _derivation_term(source.group, steps, terms, derivation)
         return HomExtendResult(None, (terms[x2], term))
 
     # order grows while it is walked; the list iterator sees the appends
     for i, x in enumerate(order):
         y = image[x]
-        for k, (_, p, q) in enumerate(moves):
+        for k, (_, _, p, q) in enumerate(moves):
             x2, y2 = p[x], q[y]
             known = image[x2]
             if known is None:
@@ -581,21 +591,24 @@ def congruences(algebra: FSemilattice, limit: int = 24) -> list[Congruence]:
 
     Joins of congruences are computed as partition joins, which stays inside
     the congruence lattice because compatibility with each operation survives
-    unions and transitive closure.
+    unions and transitive closure.  Every congruence is a join of principal
+    ones and partition join is associative, so each congruence found is
+    joined with the principal ones only (R. Freese, "Computing congruences
+    efficiently", Algebra Universalis 59, 2008).
     """
     n = algebra.size
     if n > limit:
         raise CarrierLimitError(f"carrier size {n} exceeds congruence limit {limit}")
     delta = tuple((x,) for x in range(n))
-    found = {delta}
-    for x in range(n):
-        for y in range(x + 1, n):
-            found.add(principal_congruence(algebra, x, y))
+    principals = sorted(
+        {principal_congruence(algebra, x, y) for x in range(n) for y in range(x + 1, n)}
+    )
+    found = {delta, *principals}
     frontier = list(found)
     while frontier:
         fresh = []
         for one in frontier:
-            for two in list(found):
+            for two in principals:
                 joined = _join_partitions(n, one, two)
                 if joined not in found:
                     found.add(joined)

@@ -14,7 +14,7 @@ from .algebras import (
     FSemilattice,
     Homomorphism,
     act,
-    is_homomorphism,
+    is_isomorphism,
     perm_identity,
 )
 from .groups import (
@@ -275,7 +275,7 @@ def transversal_independence_check(
         mapping.append(t2_pos * u_size + act(spec1.factor, exponents[k], u))
     mapping.append(right.size - 1)
     hom = Homomorphism(left, right, tuple(mapping))
-    if not (hom.is_bijective and is_homomorphism(hom)):
+    if not is_isomorphism(hom):
         raise VerificationError("transversal-independence map failed verification")
     return hom
 

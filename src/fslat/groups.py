@@ -81,7 +81,7 @@ def identity(group: GroupSpec) -> Element:
 def mul(group: GroupSpec, a: Element, b: Element) -> Element:
     if len(a) != group.rank or len(b) != group.rank:
         raise ValueError("coordinate length mismatch")
-    return reduce_element(group, tuple(x + y for x, y in zip(a, b)))
+    return tuple((x + y) % k if k >= 1 else x + y for x, y, k in zip(a, b, group.orders))
 
 
 def inv(group: GroupSpec, a: Element) -> Element:
@@ -157,34 +157,56 @@ class Subgroup:
         return order is None or self.size < order
 
 
-def _minimal_generators(group: GroupSpec, elems: set[Element]) -> tuple[Element, ...]:
+def _minimal_generators(
+    group: GroupSpec, elems: set[Element]
+) -> tuple[tuple[Element, ...], set[Element]]:
+    """Generators of <elems>, and <elems> itself.
+
+    The greedy pass takes each element of sorted ``elems`` that the subgroup
+    found so far misses, so it ends with <elems>.  Only when that is
+    ``elems`` does the second pass drop each generator the others already
+    generate, comparing sizes inside a subgroup.  ``elems`` must have a
+    finite closure.
+    """
     gens: list[Element] = []
     have = {identity(group)}
     for g in sorted(elems):
         if g not in have:
             gens.append(g)
-            have = _closure(group, gens)
-    for g in list(gens):
-        rest = [h for h in gens if h != g]
-        if len(_closure(group, rest)) == len(elems):
-            gens = rest
-    return tuple(gens)
+            have = _join(have, g, lambda a, b: mul(group, a, b))
+    if have == elems:
+        for g in list(gens):
+            rest = [h for h in gens if h != g]
+            if len(_closure(group, rest)) == len(elems):
+                gens = rest
+    return tuple(gens), have
 
 
 def subgroup_from_elements(group: GroupSpec, elems) -> Subgroup:
-    """Validate an element set as a subgroup and put it in canonical form."""
+    """Validate an element set as a subgroup and put it in canonical form.
+
+    The set is a subgroup exactly when it equals the subgroup it generates,
+    which the generator search computes anyway.  Only a set that fails is
+    walked pair by pair, to name the missing inverse or product.  A set with
+    a nonzero coordinate on an infinite factor is never a finite subgroup;
+    it skips the search, whose closure would not end.
+    """
     elems = {reduce_element(group, e) for e in elems}
     if not elems:
         raise NotASubgroupError("a subgroup is nonempty")
     if identity(group) not in elems:
         raise NotASubgroupError("identity element missing")
+    if all(c == 0 for e in elems for c, k in zip(e, group.orders) if k == 0):
+        gens, generated = _minimal_generators(group, elems)
+        if generated == elems:
+            return Subgroup(group, tuple(sorted(elems)), gens)
     for a in elems:
         if inv(group, a) not in elems:
             raise NotASubgroupError(f"not closed under inverse at {a}")
         for b in elems:
             if mul(group, a, b) not in elems:
                 raise NotASubgroupError(f"not closed under product at {a}, {b}")
-    return Subgroup(group, tuple(sorted(elems)), _minimal_generators(group, elems))
+    raise AssertionError("a set closed under inverse and product generates itself")
 
 
 def trivial_subgroup(group: GroupSpec) -> Subgroup:
@@ -195,7 +217,7 @@ def full_subgroup(group: GroupSpec) -> Subgroup:
     if not group.is_finite:
         raise InfiniteGroupError("full subgroup only materialized for finite groups")
     elems = group.elements()
-    return Subgroup(group, tuple(sorted(elems)), _minimal_generators(group, set(elems)))
+    return Subgroup(group, tuple(sorted(elems)), _minimal_generators(group, set(elems))[0])
 
 
 def _subgroup_sets(group: GroupSpec, universe) -> set[frozenset[Element]]:

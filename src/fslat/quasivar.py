@@ -28,8 +28,8 @@ from .algebras import (
     element_action,
     generated_by,
     generates,
-    is_homomorphism,
     is_isomorphic_1gen,
+    is_isomorphism,
     quotient,
     subalgebra_generated,
     zero,
@@ -199,31 +199,67 @@ def separating_quasi_identity(algebra: FSemilattice, a: int) -> QuasiIdentity:
 
 @dataclass(frozen=True)
 class MinimalityVerdict:
+    """Outcome of ``is_minimal_free``: the verdict, the first nonzero element
+    (by carrier index) that fails, and ``checked``, the number of nonzero
+    elements decided up to the verdict, whether tested one by one or passed
+    with an element of their orbit."""
+
     minimal: bool
     counterexample: int | None
     checked: int
 
 
+def _automorphic_generators(algebra: FSemilattice) -> list[tuple[int, ...]]:
+    """The generator permutations that are checked automorphisms: bijective,
+    meet-preserving and commuting with every generator.  Empty when the
+    meet table is not commutative: closures then depend on visiting order,
+    so automorphisms need not carry one onto another."""
+    n = algebra.size
+    meet = algebra.meet
+    if any(meet[x][y] != meet[y][x] for x in range(n) for y in range(x + 1, n)):
+        return []
+    return [p for p in algebra.action if is_isomorphism(Homomorphism(algebra, algebra, p))]
+
+
 def is_minimal_free(algebra: FSemilattice, a: int) -> MinimalityVerdict:
     """Decide whether the generated quasivariety is minimal: every nonzero
     element must generate a subalgebra isomorphic to the whole algebra via
-    the canonical generator-to-generator map."""
+    the canonical generator-to-generator map.
+
+    An automorphism s of the algebra that commutes with the action maps the
+    subalgebra generated by b onto the one generated by s(b), carrying the
+    canonical maps along, so b and s(b) pass or fail together.  When b
+    passes, its orbit under the generator permutations that are checked
+    automorphisms (``_automorphic_generators``) is marked as passed and the
+    scan skips those elements; the first failing element is the one the
+    element-by-element scan finds.
+    """
     if algebra.size == 1:
         raise ValueError("minimality test needs a nontrivial algebra")
     if not generates(algebra, a):
         raise NotGeneratedError(f"{algebra.label(a)!r} does not generate the algebra")
+    automorphisms = _automorphic_generators(algebra)
     bottom = zero(algebra)
+    passed = [False] * algebra.size
     checked = 0
     for b in range(algebra.size):
         if b == bottom:
             continue
         checked += 1
+        if passed[b]:
+            continue
         sub, embedding = subalgebra_generated(algebra, b)
         if sub.size != algebra.size:
             return MinimalityVerdict(False, b, checked)
         ok, _ = is_isomorphic_1gen(algebra, a, sub, embedding.index(b))
         if not ok:
             return MinimalityVerdict(False, b, checked)
+        orbit = [b]
+        for x in orbit:
+            for p in automorphisms:
+                if not passed[p[x]]:
+                    passed[p[x]] = True
+                    orbit.append(p[x])
     return MinimalityVerdict(True, None, checked)
 
 
@@ -416,7 +452,7 @@ def decompose_ku(
         mapping.append(act(algebra, t, closure[u]))
     mapping.append(bottom)
     iso = Homomorphism(rebuilt, algebra, tuple(mapping))
-    if not (iso.is_bijective and is_homomorphism(iso)):
+    if not is_isomorphism(iso):
         raise VerificationError("reconstruction map failed verification")
     return DecompositionResult(sub, factor, pres.generators, rebuilt, iso)
 

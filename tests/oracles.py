@@ -7,21 +7,37 @@ import itertools
 from math import ceil, log2
 
 from fslat.algebras import (
+    Congruence,
     FSemilattice,
     HomExtendResult,
     Homomorphism,
     NotGeneratedError,
     UnaryTerm,
-    _generator_moves,
+    _join_partitions,
     generates,
+    is_isomorphic_1gen,
     perm_compose,
     perm_identity,
     perm_inverse,
     perm_order,
+    principal_congruence,
+    subalgebra_generated,
+    zero,
 )
-from fslat.groups import Element, GroupSpec, identity, mul
+from fslat.groups import (
+    Element,
+    GroupSpec,
+    NotASubgroupError,
+    Subgroup,
+    _closure,
+    elementary,
+    identity,
+    inv,
+    mul,
+    reduce_element,
+)
 from fslat.irrationals import QuadraticIrrational, compare_values, compare_with_rational
-from fslat.quasivar import QuasiIdentity, StabilizerImage, eval_term
+from fslat.quasivar import MinimalityVerdict, QuasiIdentity, StabilizerImage, eval_term
 
 
 def _close_mul(group: GroupSpec, seed):
@@ -187,6 +203,15 @@ def witness_violates(algebra: FSemilattice, axiom: str, witness) -> bool:
     return False
 
 
+def _generator_moves(algebra: FSemilattice):
+    """Generator and inverse-generator permutations with their group elements."""
+    moves = []
+    for i, p in enumerate(algebra.action):
+        moves.append((elementary(algebra.group, i, 1), p))
+        moves.append((elementary(algebra.group, i, -1), perm_inverse(p)))
+    return moves
+
+
 def reference_hom_extend(
     source: FSemilattice, a: int, target: FSemilattice, b: int
 ) -> HomExtendResult:
@@ -349,3 +374,86 @@ def reference_closure(algebra: FSemilattice, seed: int, perms) -> tuple[int, ...
                 members.add(m)
                 queue.append(m)
     return tuple(sorted(members))
+
+
+def reference_is_minimal_free(algebra: FSemilattice, a: int) -> MinimalityVerdict:
+    """The element-by-element ``is_minimal_free`` kept as a reference for the
+    orbit skip: it tests every nonzero element up to the first failure.
+
+    Decide whether the generated quasivariety is minimal: every nonzero
+    element must generate a subalgebra isomorphic to the whole algebra via
+    the canonical generator-to-generator map."""
+    if algebra.size == 1:
+        raise ValueError("minimality test needs a nontrivial algebra")
+    if not generates(algebra, a):
+        raise NotGeneratedError(f"{algebra.label(a)!r} does not generate the algebra")
+    bottom = zero(algebra)
+    checked = 0
+    for b in range(algebra.size):
+        if b == bottom:
+            continue
+        checked += 1
+        sub, embedding = subalgebra_generated(algebra, b)
+        if sub.size != algebra.size:
+            return MinimalityVerdict(False, b, checked)
+        ok, _ = is_isomorphic_1gen(algebra, a, sub, embedding.index(b))
+        if not ok:
+            return MinimalityVerdict(False, b, checked)
+    return MinimalityVerdict(True, None, checked)
+
+
+def _reference_minimal_generators(group: GroupSpec, elems: set[Element]) -> tuple[Element, ...]:
+    gens: list[Element] = []
+    have = {identity(group)}
+    for g in sorted(elems):
+        if g not in have:
+            gens.append(g)
+            have = _closure(group, gens)
+    for g in list(gens):
+        rest = [h for h in gens if h != g]
+        if len(_closure(group, rest)) == len(elems):
+            gens = rest
+    return tuple(gens)
+
+
+def reference_subgroup_from_elements(group: GroupSpec, elems) -> Subgroup:
+    """The pair-by-pair ``subgroup_from_elements`` kept as a reference for
+    the validation by closure: same subgroup, same error messages.
+
+    Validate an element set as a subgroup and put it in canonical form."""
+    elems = {reduce_element(group, e) for e in elems}
+    if not elems:
+        raise NotASubgroupError("a subgroup is nonempty")
+    if identity(group) not in elems:
+        raise NotASubgroupError("identity element missing")
+    for a in elems:
+        if inv(group, a) not in elems:
+            raise NotASubgroupError(f"not closed under inverse at {a}")
+        for b in elems:
+            if mul(group, a, b) not in elems:
+                raise NotASubgroupError(f"not closed under product at {a}, {b}")
+    return Subgroup(group, tuple(sorted(elems)), _reference_minimal_generators(group, elems))
+
+
+def reference_congruences(algebra: FSemilattice) -> list[Congruence]:
+    """The ``congruences`` closure that joins each new partition with every
+    partition found so far, kept as a reference for joining with the
+    principal congruences only (no carrier limit)."""
+    n = algebra.size
+    delta = tuple((x,) for x in range(n))
+    found = {delta}
+    for x in range(n):
+        for y in range(x + 1, n):
+            found.add(principal_congruence(algebra, x, y))
+    frontier = list(found)
+    while frontier:
+        fresh = []
+        for one in frontier:
+            for two in list(found):
+                joined = _join_partitions(n, one, two)
+                if joined not in found:
+                    found.add(joined)
+                    fresh.append(joined)
+        frontier = fresh
+    ordered = sorted(found, key=lambda blocks: (-len(blocks), blocks))
+    return [Congruence(algebra, blocks) for blocks in ordered]

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from oracles import (
     congruences_by_exhaustion,
     is_congruence_direct,
     normal_form_subalgebra,
+    reference_congruences,
     reference_hom_extend,
     witness_violates,
 )
@@ -315,6 +318,34 @@ def test_congruence_method_matches_oracle_on_carriers_up_to_7():
         for c in congs:
             assert is_congruence_direct(algebra, c.blocks)
     assert len(A.congruences(twisted_chain)) == 4
+
+
+def test_congruences_match_join_with_everything_closure():
+    # joining with the principal congruences only reaches the same set as
+    # joining every pair found, and every partition the plain scan accepts
+    rng = random.Random(8128)
+    atoms8 = A.FSemilattice(
+        G.make_group([1]),
+        [str(i) for i in range(9)],
+        [[i if i == j else 8 for j in range(9)] for i in range(9)],
+        [tuple(range(9))],
+    )
+    cases = [atoms8, C.counterexample_a7(), C.a_k(5)]
+    cases += [C.maroti(spec, sub) for spec in G.all_group_specs(6) for sub in G.subgroups(spec)]
+    for orders in ([1], [2], [3], [2, 2], [0]):
+        for _ in range(25):
+            n = rng.randint(1, 5)
+            meet = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
+            action = [rng.sample(range(n), n) for _ in orders]
+            cases.append(A.FSemilattice(G.make_group(orders), [str(i) for i in range(n)], meet, action))
+    sizes = set()
+    for algebra in cases:
+        congs = A.congruences(algebra)
+        assert congs == reference_congruences(algebra)
+        if algebra.size <= 7:
+            assert sorted(c.blocks for c in congs) == sorted(congruences_by_exhaustion(algebra))
+        sizes.add(len(congs))
+    assert {1, 2, 3, 4, 256} <= sizes
 
 
 def _brute_hom_exists(src, a, dst, b):

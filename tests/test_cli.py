@@ -368,6 +368,24 @@ def test_decompose_verification_error_is_usage_error(capsys, tmp_path):
     assert "block condition fails" in captured.err
 
 
+@pytest.mark.parametrize("command", ["check-minimal", "decompose", "simplicity"])
+def test_meet_leaving_the_closure_is_a_named_usage_error(capsys, tmp_path, command):
+    # a ^ b = c but b ^ a = a: the closure of a is {a, b}, which is not closed
+    # under meet in the order a ^ b
+    path = tmp_path / "lopsided.json"
+    path.write_text(
+        json.dumps({"group": {"orders": [1]}, "carrier": ["a", "b", "c"],
+                    "meet": [[1, 2, 0], [0, 0, 0], [0, 0, 0]], "action": [[0, 1, 2]]})
+    )
+    assert run([command, "--algebra", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert_usage_error(captured.out, captured.err)
+    assert captured.err == (
+        "error: meet table is not commutative: "
+        "a ^ b = c lies outside the subset generated by a\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, accepted",
     [

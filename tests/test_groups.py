@@ -1,9 +1,12 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fslat import groups as G
-from oracles import brute_force_subgroups
+from oracles import brute_force_subgroups, reference_subgroup_from_elements
 
 Z4 = G.make_group([4])
 Z6 = G.make_group([6])
@@ -41,6 +44,17 @@ def test_infinite_factor_arithmetic():
     inf = G.make_group([0, 2])
     assert G.mul(inf, (5, 1), (-7, 1)) == (-2, 0)
     assert G.inv(inf, (3, 1)) == (-3, 1)
+
+
+def test_mul_matches_the_reduced_sum():
+    rng = random.Random(31)
+    for orders in ([1], [5], [2, 4], [0], [0, 3], [3, 0, 2]):
+        group = G.make_group(orders)
+        for _ in range(50):
+            a = tuple(rng.randint(-30, 30) for _ in orders)
+            b = tuple(rng.randint(-30, 30) for _ in orders)
+            want = G.reduce_element(group, [x + y for x, y in zip(a, b)])
+            assert G.mul(group, a, b) == want
 
 
 finite_specs = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3).map(
@@ -136,6 +150,67 @@ def test_subgroup_validation():
         G.subgroup_from_elements(Z4, [(1,), (3,)])
     with pytest.raises(G.NotASubgroupError):
         G.subgroup_from_elements(Z4, [(0,), (1,)])
+
+
+def _subgroup_outcome(build, group, elems):
+    try:
+        sub = build(group, elems)
+    except G.NotASubgroupError as exc:
+        return str(exc)
+    return sub.elements, sub.generators
+
+
+def _candidate_sets(rng, group):
+    """Subgroups, subgroups with one element added or removed, and random
+    subsets with and without the identity, some written with unreduced
+    coordinates.  Over infinite factors coordinates come from [-2, 2], and
+    the subgroups are those of the finite part."""
+    ranges = [range(k) if k else range(-2, 3) for k in group.orders]
+    pool = list(itertools.product(*ranges))
+    ident = G.identity(group)
+    torsion = G.make_group([k or 1 for k in group.orders])
+    subs = [list(s.elements) for s in G.subgroups(torsion)]
+    sets = [[], [ident]] + subs
+    for sub in subs:
+        sets.append(sub + [rng.choice(pool)])
+        if len(sub) > 1:
+            sets.append([g for g in sub if g != rng.choice(sub[1:])])
+    for _ in range(40):
+        picked = rng.sample(pool, rng.randint(1, min(6, len(pool))))
+        sets += [picked, picked + [ident]]
+    unreduced = [tuple(c + 3 * k for c, k in zip(g, group.orders)) for g in pool]
+    sets.append([ident] + rng.sample(unreduced, min(3, len(unreduced))))
+    return sets
+
+
+def test_subgroup_from_elements_matches_reference():
+    rng = random.Random(1789)
+    outcomes = []
+    for orders in ([1], [2], [4], [6], [2, 2], [2, 4], [2, 2, 2], [3, 3], [0], [0, 2], [2, 0, 3]):
+        group = G.make_group(orders)
+        for elems in _candidate_sets(rng, group):
+            got = _subgroup_outcome(G.subgroup_from_elements, group, elems)
+            want = _subgroup_outcome(reference_subgroup_from_elements, group, elems)
+            assert got == want, (orders, elems)
+            outcomes.append(got if isinstance(got, str) else "subgroup")
+    kinds = {o.split(" at ")[0] for o in outcomes}
+    assert kinds == {
+        "subgroup",
+        "a subgroup is nonempty",
+        "identity element missing",
+        "not closed under inverse",
+        "not closed under product",
+    }
+
+
+def test_subgroup_validation_compares_sets_not_sizes():
+    # {0, e1, e2, e3} has four elements, the size of a subgroup of C2^3, but
+    # generates all eight
+    c2_3 = G.make_group([2, 2, 2])
+    elems = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    with pytest.raises(G.NotASubgroupError, match="not closed under product") as caught:
+        G.subgroup_from_elements(c2_3, elems)
+    assert str(caught.value) == _subgroup_outcome(reference_subgroup_from_elements, c2_3, elems)
 
 
 def test_transversal_examples():

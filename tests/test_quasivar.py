@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from oracles import (
     reference_act,
     reference_closure,
     reference_holds_quasi_identity,
+    reference_is_minimal_free,
     reference_stabilizer_image,
 )
 
@@ -547,7 +549,8 @@ def test_generated_by_matches_reference_closure():
     # on random meet tables, mostly not commutative, the subset the closure
     # reaches depends on the order it queues elements in (dropping the
     # inverse moves changes it); a subset not closed under the other meet
-    # order has no induced algebra, and building one raises KeyError
+    # order has no induced algebra, and building one raises a ShapeError
+    # naming the first pair whose meet leaves it
     rng = random.Random(977)
     built = 0
     for orders in ([2], [4], [2, 2], [0], [2, 3]):
@@ -558,8 +561,12 @@ def test_generated_by_matches_reference_closure():
             for seed in range(table.size):
                 for spec, given in ((group, table.action), (G.make_group([0, 0]), perms)):
                     want = reference_closure(table, seed, given)
-                    if any(table.meet[u][v] not in want for u in want for v in want):
-                        with pytest.raises(KeyError):
+                    leaks = [(u, v) for u in want for v in want if table.meet[u][v] not in want]
+                    if leaks:
+                        u, v = leaks[0]
+                        lab = table.label
+                        named = f"{lab(u)} ^ {lab(v)} = {lab(table.meet[u][v])} lies outside"
+                        with pytest.raises(A.ShapeError, match=re.escape(named)):
                             A.generated_by(table, seed, spec, given)
                         continue
                     sub, embedding = A.generated_by(table, seed, spec, given)
@@ -571,3 +578,101 @@ def test_generated_by_matches_reference_closure():
                         assert A.subalgebra_generated(table, seed) == (sub, embedding)
                     built += 1
     assert built > 100
+
+
+def _invariant_meet(rng, s, commutative):
+    """A random meet table that the permutation ``s`` preserves, commutative
+    or not, or None when a random entry clashes along its orbit of pairs."""
+    n = len(s)
+    meet = [[None] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x if commutative else 0, n):
+            if meet[x][y] is not None:
+                continue
+            u, v, w = x, y, rng.randrange(n)
+            while meet[u][v] is None:
+                meet[u][v] = w
+                if commutative:
+                    meet[v][u] = w
+                u, v, w = s[u], s[v], s[w]
+            if meet[u][v] != w:
+                return None
+    return meet
+
+
+def _invariant_tables(rng, count):
+    """Shape-valid algebras whose random meet table (mostly not a
+    semilattice) is preserved by a random permutation s.  By kind: a
+    commutative table acted on by powers of s, so the generators are
+    automorphisms the orbit skip uses; the same with random permutations,
+    which mostly are not automorphisms; a non-commutative table acted on by
+    powers of s."""
+    out = []
+    while len(out) < count:
+        kind = len(out) % 3
+        n = rng.randint(2, 6)
+        s = rng.sample(range(n), n)
+        meet = _invariant_meet(rng, s, commutative=kind < 2)
+        if meet is None:
+            continue
+        orders = rng.choice([[2], [3], [4], [6], [0], [2, 2], [0, 3]])
+        if kind == 1:
+            action = [rng.sample(range(n), n) for _ in orders]
+        else:
+            action = [s]
+            while len(action) < len(orders):
+                action.append(tuple(s[x] for x in action[-1]))
+        group = G.make_group(orders)
+        out.append((kind, A.FSemilattice(group, [str(i) for i in range(n)], meet, action)))
+    return out
+
+
+def _minimality_outcome(check, algebra, a):
+    try:
+        return check(algebra, a)
+    except (ValueError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+def test_is_minimal_free_matches_reference(monkeypatch):
+    # the orbit skip leaves verdict, counterexample and checked as the
+    # element-by-element scan has them; ``tested`` counts the elements the
+    # fast scan really tests, to show that it skips some
+    tested = []
+    closure = Q.subalgebra_generated
+    monkeypatch.setattr(Q, "subalgebra_generated", lambda alg, b: tested.append(b) or closure(alg, b))
+    rng = random.Random(2718)
+    cases = [(None, algebra) for algebra in _action_cases()]
+    cases += [
+        (None, C.maroti(spec, sub))
+        for spec in G.all_group_specs(16)
+        if spec.order() > 8
+        for sub in G.subgroups(spec)
+    ]
+    for orders in ([2], [4], [2, 2], [0], [2, 3]):
+        cases += [(None, table) for table in _random_tables(rng, G.make_group(orders), 20)]
+    cases += _invariant_tables(rng, 240)
+    skipped = dict.fromkeys([None, 0, 1, 2], 0)
+    verdicts = set()
+    for kind, algebra in cases:
+        for a in range(algebra.size):
+            tested.clear()
+            got = _minimality_outcome(Q.is_minimal_free, algebra, a)
+            want = _minimality_outcome(reference_is_minimal_free, algebra, a)
+            assert got == want, (algebra, a)
+            if isinstance(got, Q.MinimalityVerdict):
+                verdicts.add(got.minimal)
+                skipped[kind] += got.checked - len(tested)
+    assert verdicts == {True, False}
+    # valid algebras and commutative tables acted on by automorphisms skip
+    # elements
+    assert skipped[None] > 1000 and skipped[0] > 20
+    # most tables of the other two kinds have a generator the guard rejects:
+    # a random permutation, or an automorphism of a meet table that is not
+    # commutative
+    rejected = [
+        kind
+        for kind, algebra in cases
+        if len(Q._automorphic_generators(algebra)) < algebra.group.rank
+    ]
+    assert rejected.count(1) > 40 and rejected.count(2) > 40
