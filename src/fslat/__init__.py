@@ -38,6 +38,7 @@ from .constructions import (
     a_k,
     chain2_factor,
     counterexample_a7,
+    free_one_generated,
     maroti,
     transversal_independence_check,
     trivial_factor,

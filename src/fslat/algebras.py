@@ -396,6 +396,18 @@ def is_isomorphism(hom: Homomorphism) -> bool:
     return hom.is_bijective and is_homomorphism(hom)
 
 
+def _automorphic_generators(algebra: FSemilattice) -> list[Perm]:
+    """The generator permutations that are checked automorphisms: bijective,
+    meet-preserving and commuting with every generator.  Empty when the
+    meet table is not commutative: closures then depend on visiting order,
+    so automorphisms need not carry one onto another."""
+    n = algebra.size
+    meet = algebra.meet
+    if any(meet[x][y] != meet[y][x] for x in range(n) for y in range(x + 1, n)):
+        return []
+    return [p for p in algebra.action if is_isomorphism(Homomorphism(algebra, algebra, p))]
+
+
 @dataclass(frozen=True)
 class HomExtendResult:
     hom: Homomorphism | None
@@ -513,10 +525,15 @@ def opposite(algebra: FSemilattice) -> FSemilattice:
     )
 
 
+# A partition of the carrier in canonical form: sorted blocks, sorted by
+# least member.
+Blocks = tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class Congruence:
     algebra: FSemilattice
-    blocks: tuple[tuple[int, ...], ...]
+    blocks: Blocks
 
     @property
     def is_identity(self) -> bool:
@@ -526,95 +543,133 @@ class Congruence:
     def is_total(self) -> bool:
         return len(self.blocks) == 1
 
-    def block_of(self, x: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if x in b:
-                return i
-        raise KeyError(x)
 
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if ry < rx:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        return True
-
-
-def _canonical_blocks(n: int, uf: _UnionFind) -> tuple[tuple[int, ...], ...]:
+def _blocks(labels: Sequence[int]) -> Blocks:
+    """The partition given by each element's class label, as blocks: a class
+    first appears at its least member, so the blocks come out canonical."""
     groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(uf.find(x), []).append(x)
-    return tuple(tuple(sorted(b)) for b in sorted(groups.values(), key=lambda b: b[0]))
+    for x, label in enumerate(labels):
+        groups.setdefault(label, []).append(x)
+    return tuple(map(tuple, groups.values()))
 
 
-def principal_congruence(algebra: FSemilattice, x: int, y: int) -> tuple[tuple[int, ...], ...]:
+def principal_congruence(algebra: FSemilattice, x: int, y: int) -> Blocks:
     """Smallest congruence identifying ``x`` and ``y``: close the merge under
-    every generator permutation and one-sided meets."""
+    every generator permutation and one-sided meets, stopping as soon as one
+    class is left.  Classes only grow, so a meet pair already in one class
+    is not queued."""
     n = algebra.size
-    uf = _UnionFind(n)
+    meet, action = algebra.meet, algebra.action
+    label = list(range(n))
+    members = [[z] for z in range(n)]
+    classes = n
     queue = [(x, y)]
     while queue:
         u, v = queue.pop()
-        if not uf.union(u, v):
+        lu, lv = label[u], label[v]
+        if lu == lv:
             continue
-        for p in algebra.action:
+        if len(members[lu]) < len(members[lv]):
+            lu, lv = lv, lu
+        moved = members[lv]
+        for z in moved:
+            label[z] = lu
+        members[lu] += moved
+        classes -= 1
+        if classes == 1:
+            break
+        for p in action:
             queue.append((p[u], p[v]))
-        for c in range(n):
-            queue.append((algebra.meet[u][c], algebra.meet[v][c]))
-    return _canonical_blocks(n, uf)
+        queue += [(a, b) for a, b in zip(meet[u], meet[v]) if label[a] != label[b]]
+    return _blocks(label)
 
 
-def _join_partitions(n, first, second) -> tuple[tuple[int, ...], ...]:
-    uf = _UnionFind(n)
-    for blocks in (first, second):
-        for block in blocks:
-            for other in block[1:]:
-                uf.union(block[0], other)
-    return _canonical_blocks(n, uf)
+def _join(roots: tuple[int, ...], blocks: Blocks) -> tuple[int, ...]:
+    """The join of a partition, given as each element's root (the least
+    member of its class), with the partition ``blocks``, in the same form.
+    Roots are merged in a union-find keyed by root, so each block costs one
+    lookup per member and a relabelling pass runs once, at the end."""
+    parent: dict[int, int] = {}
+
+    def find(r: int) -> int:
+        while r in parent:
+            r = parent[r]
+        return r
+
+    for block in blocks:
+        tops = {find(r) for r in set(map(roots.__getitem__, block))}
+        if len(tops) > 1:
+            least = min(tops)
+            for r in tops - {least}:
+                parent[r] = least
+    if not parent:
+        return roots
+    lookup = list(range(len(roots)))
+    for r in parent:
+        lookup[r] = find(r)
+    return tuple(map(lookup.__getitem__, roots))
+
+
+def _principal_basis(algebra: FSemilattice) -> set[Blocks]:
+    """Principal congruences whose joins give every congruence.
+
+    On a commutative, idempotent meet table the pairs (x, x ^ y) suffice:
+    Cg(x, y) = Cg(x, x ^ y) v Cg(y, x ^ y), because x ~ y forces
+    x ^ y ~ y ^ y = y and x = x ^ x ~ y ^ x = x ^ y, which uses only those
+    two laws.  Any other table gets every pair.  A congruence is closed
+    under each generator permutation p, and p has finite order, so
+    Cg(p x, p y) = Cg(x, y) on every table: one closure serves the whole
+    orbit of a pair under the generator permutations.
+    """
+    n = algebra.size
+    meet = algebra.meet
+    commutative_idempotent = all(meet[x][x] == x for x in range(n)) and all(
+        meet[x][y] == meet[y][x] for x in range(n) for y in range(x + 1, n)
+    )
+    if commutative_idempotent:
+        pairs = {(min(x, m), max(x, m)) for x in range(n) for m in meet[x] if m != x}
+    else:
+        pairs = {(x, y) for x in range(n) for y in range(x + 1, n)}
+    basis = set()
+    for pair in sorted(pairs):
+        if pair not in pairs:
+            continue
+        basis.add(principal_congruence(algebra, *pair))
+        pairs.discard(pair)
+        orbit = [pair]
+        for u, v in orbit:
+            for p in algebra.action:
+                image = (min(p[u], p[v]), max(p[u], p[v]))
+                if image in pairs:
+                    pairs.discard(image)
+                    orbit.append(image)
+    return basis
 
 
 def congruences(algebra: FSemilattice, limit: int = 24) -> list[Congruence]:
-    """All congruences, as the join-closure of the principal ones.
+    """All congruences, as the join-closure of a basis of principal ones.
 
     Joins of congruences are computed as partition joins, which stays inside
     the congruence lattice because compatibility with each operation survives
-    unions and transitive closure.  Every congruence is a join of principal
-    ones and partition join is associative, so each congruence found is
-    joined with the principal ones only (R. Freese, "Computing congruences
-    efficiently", Algebra Universalis 59, 2008).
+    unions and transitive closure.  Every congruence is a join of basis
+    elements, so the basis elements are taken in turn and each is joined
+    with every congruence found so far: after k of them, the found set holds
+    the joins of every subset of the first k (R. Freese, "Computing
+    congruences efficiently", Algebra Universalis 59, 2008).  A join with a
+    basis element the congruence already contains merges nothing and returns
+    the congruence itself.  The coarsest basis elements go first, which
+    keeps the found set small the longest.  ``_principal_basis`` says which
+    principal congruences make up the basis and how few closures compute
+    them.
     """
     n = algebra.size
     if n > limit:
         raise CarrierLimitError(f"carrier size {n} exceeds congruence limit {limit}")
-    delta = tuple((x,) for x in range(n))
-    principals = sorted(
-        {principal_congruence(algebra, x, y) for x in range(n) for y in range(x + 1, n)}
-    )
-    found = {delta, *principals}
-    frontier = list(found)
-    while frontier:
-        fresh = []
-        for one in frontier:
-            for two in principals:
-                joined = _join_partitions(n, one, two)
-                if joined not in found:
-                    found.add(joined)
-                    fresh.append(joined)
-        frontier = fresh
-    ordered = sorted(found, key=lambda blocks: (-len(blocks), blocks))
+    found = {tuple(range(n))}
+    for blocks in sorted(_principal_basis(algebra), key=lambda blocks: (len(blocks), blocks)):
+        blocks = tuple(b for b in blocks if len(b) > 1)
+        found |= {_join(one, blocks) for one in found}
+    ordered = sorted(map(_blocks, found), key=lambda blocks: (-len(blocks), blocks))
     return [Congruence(algebra, blocks) for blocks in ordered]
 
 

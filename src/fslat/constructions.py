@@ -3,7 +3,8 @@
 Builders for the coset fan over a subgroup (the Maroti semilattice), the
 generalized twisted multiple that glues shifted copies of a smaller algebra
 above a common zero, the cyclic atom fan over the infinite cyclic group, and
-the two-element algebra with trivial action.
+the two-element algebra with trivial action, and the free one-generated
+algebra P+(F).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebras import (
+    CarrierLimitError,
     FSemilattice,
     Homomorphism,
     act,
@@ -37,6 +39,10 @@ from .groups import (
 
 class VerificationError(RuntimeError):
     """A construction invariant that should always hold failed; this signals a bug."""
+
+
+# Largest carrier ``free_one_generated`` builds: 2^|F| - 1 for |F| = 10.
+MAX_FREE_CARRIER = 1023
 
 
 def maroti(group: GroupSpec, sub: Subgroup) -> FSemilattice:
@@ -89,6 +95,42 @@ def a_k(k: int) -> FSemilattice:
         meet=tuple(tuple(r) for r in meet),
         action=(perm,),
     )
+
+
+def free_one_generated(group: GroupSpec) -> FSemilattice:
+    """P+(F): the nonempty subsets of the group, union as meet, translation
+    as action; the free one-generated algebra, generated by {0}.
+
+    The subset with bit i set for the i-th element of ``group.elements()``
+    has index mask - 1, so the generator {0} has index 0.  Labels list the
+    members, e.g. ``{0;2}`` over C4.
+    """
+    if not group.is_finite:
+        raise InfiniteGroupError("P+(F) is built over finite groups")
+    # 2^k - 1 <= MAX_FREE_CARRIER exactly when k <= MAX_FREE_CARRIER.bit_length()
+    if group.order() > MAX_FREE_CARRIER.bit_length():
+        raise CarrierLimitError(
+            f"P+({group}) has 2^{group.order()} - 1 elements, more than {MAX_FREE_CARRIER}"
+        )
+    elems = group.elements()
+    n = (1 << len(elems)) - 1
+    masks = range(1, n + 1)
+    labels = tuple(
+        "{" + ";".join(format_element(g) for i, g in enumerate(elems) if m >> i & 1) + "}"
+        for m in masks
+    )
+    meet = tuple(tuple((m | k) - 1 for k in masks) for m in masks)
+    pos = {g: i for i, g in enumerate(elems)}
+    action = []
+    for gi in range(group.rank):
+        step = elementary(group, gi)
+        shift = [pos[mul(group, g, step)] for g in elems]
+        image = [0] * (n + 1)
+        for m in masks:
+            low = (m & -m).bit_length() - 1
+            image[m] = image[m & (m - 1)] | 1 << shift[low]
+        action.append(tuple(image[m] - 1 for m in masks))
+    return FSemilattice(group=group, carrier=labels, meet=meet, action=tuple(action))
 
 
 def trivial_factor(group: GroupSpec, sub: Subgroup) -> tuple[FSemilattice, tuple[Element, ...]]:

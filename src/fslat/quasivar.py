@@ -23,6 +23,7 @@ from .algebras import (
     FSemilattice,
     Homomorphism,
     NotGeneratedError,
+    _automorphic_generators,
     act,
     congruences,
     element_action,
@@ -207,18 +208,6 @@ class MinimalityVerdict:
     minimal: bool
     counterexample: int | None
     checked: int
-
-
-def _automorphic_generators(algebra: FSemilattice) -> list[tuple[int, ...]]:
-    """The generator permutations that are checked automorphisms: bijective,
-    meet-preserving and commuting with every generator.  Empty when the
-    meet table is not commutative: closures then depend on visiting order,
-    so automorphisms need not carry one onto another."""
-    n = algebra.size
-    meet = algebra.meet
-    if any(meet[x][y] != meet[y][x] for x in range(n) for y in range(x + 1, n)):
-        return []
-    return [p for p in algebra.action if is_isomorphism(Homomorphism(algebra, algebra, p))]
 
 
 def is_minimal_free(algebra: FSemilattice, a: int) -> MinimalityVerdict:

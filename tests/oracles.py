@@ -13,14 +13,12 @@ from fslat.algebras import (
     Homomorphism,
     NotGeneratedError,
     UnaryTerm,
-    _join_partitions,
     generates,
     is_isomorphic_1gen,
     perm_compose,
     perm_identity,
     perm_inverse,
     perm_order,
-    principal_congruence,
     subalgebra_generated,
     zero,
 )
@@ -41,20 +39,22 @@ from fslat.quasivar import MinimalityVerdict, QuasiIdentity, StabilizerImage, ev
 
 
 def _close_mul(group: GroupSpec, seed):
-    ident = (0,) * group.rank
+    """The identity and ``seed`` closed under products, breadth first from
+    the identity, multiplying each element found by the seed elements only:
+    in a finite group that reaches every product of seed elements."""
+    seed = list(seed)
 
     def times(a, b):
         return tuple((x + y) % k if k else x + y for x, y, k in zip(a, b, group.orders))
 
-    out = {ident} | set(seed)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in itertools.product(list(out), repeat=2):
+    out = [(0,) * group.rank]
+    seen = set(out)
+    for a in out:
+        for b in seed:
             c = times(a, b)
-            if c not in out:
-                out.add(c)
-                changed = True
+            if c not in seen:
+                seen.add(c)
+                out.append(c)
     return frozenset(out)
 
 
@@ -435,16 +435,73 @@ def reference_subgroup_from_elements(group: GroupSpec, elems) -> Subgroup:
     return Subgroup(group, tuple(sorted(elems)), _reference_minimal_generators(group, elems))
 
 
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, x: int, y: int) -> bool:
+        rx, ry = self.find(x), self.find(y)
+        if rx == ry:
+            return False
+        if ry < rx:
+            rx, ry = ry, rx
+        self.parent[ry] = rx
+        return True
+
+
+def _canonical_blocks(n: int, uf: _UnionFind) -> tuple[tuple[int, ...], ...]:
+    groups: dict[int, list[int]] = {}
+    for x in range(n):
+        groups.setdefault(uf.find(x), []).append(x)
+    return tuple(tuple(sorted(b)) for b in sorted(groups.values(), key=lambda b: b[0]))
+
+
+def reference_principal_congruence(algebra: FSemilattice, x: int, y: int) -> tuple[tuple[int, ...], ...]:
+    """The ``principal_congruence`` without an early stop, kept as a
+    reference for the library's.
+
+    Smallest congruence identifying ``x`` and ``y``: close the merge under
+    every generator permutation and one-sided meets."""
+    n = algebra.size
+    uf = _UnionFind(n)
+    queue = [(x, y)]
+    while queue:
+        u, v = queue.pop()
+        if not uf.union(u, v):
+            continue
+        for p in algebra.action:
+            queue.append((p[u], p[v]))
+        for c in range(n):
+            queue.append((algebra.meet[u][c], algebra.meet[v][c]))
+    return _canonical_blocks(n, uf)
+
+
+def _join_partitions(n, first, second) -> tuple[tuple[int, ...], ...]:
+    uf = _UnionFind(n)
+    for blocks in (first, second):
+        for block in blocks:
+            for other in block[1:]:
+                uf.union(block[0], other)
+    return _canonical_blocks(n, uf)
+
+
 def reference_congruences(algebra: FSemilattice) -> list[Congruence]:
     """The ``congruences`` closure that joins each new partition with every
-    partition found so far, kept as a reference for joining with the
-    principal congruences only (no carrier limit)."""
+    partition found so far, from the principal congruences of all pairs,
+    kept as a reference for the library's basis and join loop (no carrier
+    limit)."""
     n = algebra.size
     delta = tuple((x,) for x in range(n))
     found = {delta}
     for x in range(n):
         for y in range(x + 1, n):
-            found.add(principal_congruence(algebra, x, y))
+            found.add(reference_principal_congruence(algebra, x, y))
     frontier = list(found)
     while frontier:
         fresh = []

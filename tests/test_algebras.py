@@ -13,8 +13,10 @@ from oracles import (
     normal_form_subalgebra,
     reference_congruences,
     reference_hom_extend,
+    reference_principal_congruence,
     witness_violates,
 )
+from tables import invariant_meet, invariant_tables, powers_of, random_tables
 
 Z2 = G.make_group([2])
 Z4 = G.make_group([4])
@@ -346,6 +348,111 @@ def test_congruences_match_join_with_everything_closure():
             assert sorted(c.blocks for c in congs) == sorted(congruences_by_exhaustion(algebra))
         sizes.add(len(congs))
     assert {1, 2, 3, 4, 256} <= sizes
+
+
+def _assert_congruences_match(algebra):
+    congs = A.congruences(algebra, limit=algebra.size)
+    assert congs == reference_congruences(algebra), algebra
+    if algebra.size <= 7:
+        assert [c.blocks for c in congs] == sorted(
+            congruences_by_exhaustion(algebra), key=lambda blocks: (-len(blocks), blocks)
+        )
+    return congs
+
+
+def _is_commutative(algebra):
+    meet, n = algebra.meet, algebra.size
+    return all(meet[x][y] == meet[y][x] for x in range(n) for y in range(n))
+
+
+def _is_lattice_table(algebra):
+    """Commutative and idempotent: the tables that get the (x, x ^ y) basis."""
+    return _is_commutative(algebra) and all(algebra.meet[x][x] == x for x in range(algebra.size))
+
+
+def test_congruences_match_reference_on_fans_up_to_16():
+    # coset fans are what ``simplicity`` is run on; each has only the two
+    # trivial congruences
+    counts = set()
+    for spec in G.all_group_specs(16):
+        for sub in G.subgroups(spec):
+            counts.add(len(_assert_congruences_match(C.maroti(spec, sub))))
+    assert counts == {2}
+
+
+def test_congruences_match_reference_on_free_one_generated():
+    for orders in ([1], [2], [3], [4], [2, 2], [5]):
+        _assert_congruences_match(C.free_one_generated(G.make_group(orders)))
+
+
+def _commutative_idempotent_tables(rng, count):
+    """Commutative, idempotent, non-associative tables: half with random
+    permutations, half acted on by powers of a permutation preserving the
+    table."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 6)
+        s = rng.sample(range(n), n)
+        orders = rng.choice([[1], [2], [3], [2, 2], [0]])
+        if len(out) % 2:
+            meet = invariant_meet(rng, s, commutative=True, idempotent=True)
+            action = powers_of(s, len(orders))
+        else:
+            meet = [[None] * n for _ in range(n)]
+            for x in range(n):
+                meet[x][x] = x
+                for y in range(x + 1, n):
+                    meet[x][y] = meet[y][x] = rng.randrange(n)
+            action = [rng.sample(range(n), n) for _ in orders]
+        if meet is None:
+            continue
+        table = A.FSemilattice(G.make_group(orders), [str(i) for i in range(n)], meet, action)
+        if A.validate_axioms(table).axiom == "meet-associativity":
+            out.append(table)
+    return out
+
+
+def test_congruences_match_reference_on_random_tables(monkeypatch):
+    # shape-valid tables of five kinds: arbitrary; commutative and
+    # idempotent but not associative, where the (x, x ^ y) basis applies
+    # although its order-theoretic reading does not; and the three kinds of
+    # ``invariant_tables``: commutative with automorphic generators, mostly
+    # not idempotent, so every pair is a basis pair; commutative with random
+    # permutations; non-commutative with automorphic permutations.  The
+    # orbit reduction needs no guard, so it runs on every kind; ``closures``
+    # counts the principal congruences computed, to show that the basis and
+    # the orbits skip some pairs on every kind
+    closures = []
+    principal = A.principal_congruence
+    monkeypatch.setattr(A, "principal_congruence", lambda alg, x, y: closures.append(x) or principal(alg, x, y))
+    rng = random.Random(31337)
+    cases = {"arbitrary": [], "lattice": _commutative_idempotent_tables(rng, 300), 0: [], 1: [], 2: []}
+    for orders in ([1], [2], [3], [2, 2], [0]):
+        cases["arbitrary"] += random_tables(rng, G.make_group(orders), 40)
+    for kind, table in invariant_tables(rng, 900):
+        cases[kind].append(table)
+    skipping = dict.fromkeys(cases, 0)
+    for name, tables in cases.items():
+        for table in tables:
+            closures.clear()
+            _assert_congruences_match(table)
+            pairs = table.size * (table.size - 1) // 2
+            skipping[name] += len(closures) < pairs
+    assert all(_is_lattice_table(t) for t in cases["lattice"])
+    assert sum(not _is_commutative(t) for t in cases["arbitrary"] + cases[2]) > 300
+    assert sum(not _is_lattice_table(t) for t in cases[0] + cases[1]) > 300
+    assert all(count > 100 for count in skipping.values()), skipping
+
+
+def test_principal_congruence_matches_reference():
+    rng = random.Random(4099)
+    tables = [C.free_one_generated(G.make_group([4])), C.counterexample_a7(), C.a_k(4)]
+    tables += random_tables(rng, G.make_group([2]), 40)
+    tables += [table for _, table in invariant_tables(rng, 60)]
+    for table in tables:
+        for x in range(table.size):
+            for y in range(table.size):
+                assert A.principal_congruence(table, x, y) == reference_principal_congruence(table, x, y)
 
 
 def _brute_hom_exists(src, a, dst, b):

@@ -189,3 +189,27 @@ def test_counterexample_a7_shape():
     assert a7.size == 7
     assert A.validate_axioms(a7).ok
     assert A.generates(a7, 0)
+
+
+def test_free_one_generated():
+    # P+(F): nonempty subsets of F, union as meet, generated by {0}; the
+    # congruence counts were computed by the all-pairs enumeration
+    pinned = {(2,): 2, (3,): 3, (4,): 7, (2, 2): 13, (5,): 11, (6,): 99}
+    for orders, count in pinned.items():
+        group = G.make_group(orders)
+        free = C.free_one_generated(group)
+        assert free.size == 2 ** group.order() - 1
+        assert A.validate_axioms(free).ok
+        assert free.label(0) == "{" + G.format_element(G.identity(group)) + "}"
+        assert A.generates(free, 0)
+        assert len(A.congruences(free, limit=free.size)) == count
+    assert C.free_one_generated(Z4).label(4) == "{0;2}"
+
+
+def test_free_one_generated_refuses_large_and_infinite_groups():
+    with pytest.raises(A.CarrierLimitError):
+        C.free_one_generated(G.make_group([11]))
+    with pytest.raises(A.CarrierLimitError):
+        C.free_one_generated(G.make_group([2, 2, 3]))
+    with pytest.raises(G.InfiniteGroupError):
+        C.free_one_generated(G.make_group([0]))

@@ -17,6 +17,7 @@ from oracles import (
     reference_is_minimal_free,
     reference_stabilizer_image,
 )
+from tables import invariant_tables, random_tables
 
 Z2 = G.make_group([2])
 Z4 = G.make_group([4])
@@ -426,18 +427,6 @@ def _coset_tower(group, subs):
     return A.FSemilattice(group, carrier, table, action)
 
 
-def _random_tables(rng, group, count):
-    """Shape-valid algebras whose meet tables are random, so mostly neither
-    associative nor commutative; the fold order of a term's meet shows."""
-    out = []
-    for _ in range(count):
-        n = rng.randint(1, 5)
-        meet = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
-        action = [rng.sample(range(n), n) for _ in range(group.rank)]
-        out.append(A.FSemilattice(group, [str(i) for i in range(n)], meet, action))
-    return out
-
-
 def _holds_outcome(check, algebra, qi):
     try:
         return check(algebra, qi)
@@ -458,7 +447,7 @@ def test_holds_quasi_identity_matches_reference():
             for big, small in itertools.permutations(subs, 2)
             if set(small.elements) < set(big.elements)
         ]
-        cases += [(group, t) for t in _random_tables(rng, group, 20)]
+        cases += [(group, t) for t in random_tables(rng, group, 20)]
     cases.append((C.a_k(3).group, C.a_k(3)))
     outcomes = set()
     for group, algebra in cases:
@@ -524,7 +513,7 @@ def test_act_matches_reference():
     odd = 0
     for orders in ([2], [3], [4], [2, 2], [0], [2, 3], [0, 2]):
         group = G.make_group(orders)
-        for table in _random_tables(rng, group, 15):
+        for table in random_tables(rng, group, 15):
             ps = table.action
             commuting = all(A.perm_compose(p, q) == A.perm_compose(q, p) for p in ps for q in ps)
             dividing = all(k >= 1 and k % A.perm_order(p) == 0 for p, k in zip(ps, orders))
@@ -555,7 +544,7 @@ def test_generated_by_matches_reference_closure():
     built = 0
     for orders in ([2], [4], [2, 2], [0], [2, 3]):
         group = G.make_group(orders)
-        for table in _random_tables(rng, group, 30):
+        for table in random_tables(rng, group, 30):
             elements = [tuple(rng.randint(-3, 3) for _ in orders) for _ in range(2)]
             perms = [A.element_action(table, g) for g in elements]
             for seed in range(table.size):
@@ -578,53 +567,6 @@ def test_generated_by_matches_reference_closure():
                         assert A.subalgebra_generated(table, seed) == (sub, embedding)
                     built += 1
     assert built > 100
-
-
-def _invariant_meet(rng, s, commutative):
-    """A random meet table that the permutation ``s`` preserves, commutative
-    or not, or None when a random entry clashes along its orbit of pairs."""
-    n = len(s)
-    meet = [[None] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(x if commutative else 0, n):
-            if meet[x][y] is not None:
-                continue
-            u, v, w = x, y, rng.randrange(n)
-            while meet[u][v] is None:
-                meet[u][v] = w
-                if commutative:
-                    meet[v][u] = w
-                u, v, w = s[u], s[v], s[w]
-            if meet[u][v] != w:
-                return None
-    return meet
-
-
-def _invariant_tables(rng, count):
-    """Shape-valid algebras whose random meet table (mostly not a
-    semilattice) is preserved by a random permutation s.  By kind: a
-    commutative table acted on by powers of s, so the generators are
-    automorphisms the orbit skip uses; the same with random permutations,
-    which mostly are not automorphisms; a non-commutative table acted on by
-    powers of s."""
-    out = []
-    while len(out) < count:
-        kind = len(out) % 3
-        n = rng.randint(2, 6)
-        s = rng.sample(range(n), n)
-        meet = _invariant_meet(rng, s, commutative=kind < 2)
-        if meet is None:
-            continue
-        orders = rng.choice([[2], [3], [4], [6], [0], [2, 2], [0, 3]])
-        if kind == 1:
-            action = [rng.sample(range(n), n) for _ in orders]
-        else:
-            action = [s]
-            while len(action) < len(orders):
-                action.append(tuple(s[x] for x in action[-1]))
-        group = G.make_group(orders)
-        out.append((kind, A.FSemilattice(group, [str(i) for i in range(n)], meet, action)))
-    return out
 
 
 def _minimality_outcome(check, algebra, a):
@@ -650,8 +592,8 @@ def test_is_minimal_free_matches_reference(monkeypatch):
         for sub in G.subgroups(spec)
     ]
     for orders in ([2], [4], [2, 2], [0], [2, 3]):
-        cases += [(None, table) for table in _random_tables(rng, G.make_group(orders), 20)]
-    cases += _invariant_tables(rng, 240)
+        cases += [(None, table) for table in random_tables(rng, G.make_group(orders), 20)]
+    cases += invariant_tables(rng, 240)
     skipped = dict.fromkeys([None, 0, 1, 2], 0)
     verdicts = set()
     for kind, algebra in cases:
@@ -673,6 +615,6 @@ def test_is_minimal_free_matches_reference(monkeypatch):
     rejected = [
         kind
         for kind, algebra in cases
-        if len(Q._automorphic_generators(algebra)) < algebra.group.rank
+        if len(A._automorphic_generators(algebra)) < algebra.group.rank
     ]
     assert rejected.count(1) > 40 and rejected.count(2) > 40
