@@ -12,28 +12,37 @@ import time
 
 from fslat import groups as G
 from fslat import quasivar as Q
+from fslat.cli import MAX_GROUP_ORDER
+
+
+def max_order(text: str) -> int:
+    """A group order bound in [1, MAX_GROUP_ORDER], the range ``fslat`` accepts."""
+    value = int(text)
+    if not 1 <= value <= MAX_GROUP_ORDER:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_GROUP_ORDER}, got {value}")
+    return value
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-order", type=int, default=16)
+    parser.add_argument("--max-order", type=max_order, default=16)
     args = parser.parse_args()
 
     grand_total = 0
-    start = time.time()
+    start = time.perf_counter()
     print(f"{'group':>14} {'order':>5} {'subgroups':>9} {'minimal':>7} {'ok':>3} {'secs':>6}")
     for spec in G.all_group_specs(args.max_order):
-        t0 = time.time()
+        t0 = time.perf_counter()
         report = Q.verify_bijection(spec)
         proper = sum(1 for e in report.entries if e.is_proper)
         grand_total += report.subgroup_count
         print(
             f"{str(spec):>14} {spec.order():>5} {report.subgroup_count:>9} "
-            f"{proper:>7} {'yes' if report.ok else 'NO':>3} {time.time() - t0:>6.2f}"
+            f"{proper:>7} {'yes' if report.ok else 'NO':>3} {time.perf_counter() - t0:>6.2f}"
         )
         if not report.ok:
             raise SystemExit(1)
-    print(f"\n{grand_total} subgroups verified in {time.time() - start:.2f}s")
+    print(f"\n{grand_total} subgroups verified in {time.perf_counter() - start:.2f}s")
 
 
 if __name__ == "__main__":

@@ -20,13 +20,13 @@ from .algebras import (
     perm_identity,
 )
 from .groups import (
+    AdditionTable,
     Element,
     GroupSpec,
     InfiniteGroupError,
     NotASubgroupError,
     Subgroup,
     Transversal,
-    cosets,
     format_element,
     identity,
     inv,
@@ -45,26 +45,26 @@ class VerificationError(RuntimeError):
 MAX_FREE_CARRIER = 1023
 
 
-def maroti(group: GroupSpec, sub: Subgroup) -> FSemilattice:
+def maroti(group: GroupSpec, sub: Subgroup, table: AdditionTable | None = None) -> FSemilattice:
     """Atoms are the cosets of the subgroup, plus a common zero below them.
 
     The group translates cosets; the zero is fixed.  Atoms are labeled by the
     lexicographically least coset member, the zero by ``o``.
     """
-    blocks = cosets(group, sub)
-    block_index = {g: i for i, b in enumerate(blocks) for g in b}
+    table = AdditionTable.of(group, table)
+    blocks = table.cosets(sub)
+    block_of = {g: i for i, b in enumerate(blocks) for g in b}
     n = len(blocks) + 1
     bottom = n - 1
-    labels = tuple(format_element(b[0]) for b in blocks) + ("o",)
+    labels = tuple(format_element(table.elements[b[0]]) for b in blocks) + ("o",)
     meet = [[bottom] * n for _ in range(n)]
     for i in range(len(blocks)):
         meet[i][i] = i
     meet[bottom][bottom] = bottom
     action = []
     for i in range(group.rank):
-        step = elementary(group, i)
-        perm = [block_index[mul(group, b[0], step)] for b in blocks] + [bottom]
-        action.append(tuple(perm))
+        row = table[table.index[elementary(group, i)]]
+        action.append(tuple(block_of[row[b[0]]] for b in blocks) + (bottom,))
     return FSemilattice(group=group, carrier=labels, meet=tuple(tuple(r) for r in meet), action=tuple(action))
 
 
@@ -112,7 +112,8 @@ def free_one_generated(group: GroupSpec) -> FSemilattice:
         raise CarrierLimitError(
             f"P+({group}) has 2^{group.order()} - 1 elements, more than {MAX_FREE_CARRIER}"
         )
-    elems = group.elements()
+    table = AdditionTable(group)
+    elems = table.elements
     n = (1 << len(elems)) - 1
     masks = range(1, n + 1)
     labels = tuple(
@@ -120,11 +121,9 @@ def free_one_generated(group: GroupSpec) -> FSemilattice:
         for m in masks
     )
     meet = tuple(tuple((m | k) - 1 for k in masks) for m in masks)
-    pos = {g: i for i, g in enumerate(elems)}
     action = []
     for gi in range(group.rank):
-        step = elementary(group, gi)
-        shift = [pos[mul(group, g, step)] for g in elems]
+        shift = table[table.index[elementary(group, gi)]]
         image = [0] * (n + 1)
         for m in masks:
             low = (m & -m).bit_length() - 1

@@ -4,7 +4,8 @@ A group is described by a tuple of factor orders: an entry ``k >= 1`` is a
 cyclic factor of order ``k``, an entry ``0`` is an infinite cyclic factor.
 Elements are integer coordinate vectors, reduced into ``[0, k)`` on finite
 factors and unrestricted on infinite ones, so equality of reduced vectors is
-equality of elements.
+equality of elements.  These tuples are the API and JSON form; the finite
+routines work on integer codes added through one ``AdditionTable`` per call.
 """
 
 from __future__ import annotations
@@ -118,24 +119,91 @@ def parse_element(text: str) -> Element:
     return tuple(int(part) for part in text.split(","))
 
 
-def _join(current, g, add) -> set:
-    """Coset-union join <S, g> = S u (S + g) u (S + 2g) u ... of a subgroup S
-    and an element g, stopping at the first multiple of g that lies in S."""
-    joined = set(current)
-    step = g
-    while step not in current:
-        joined.update(add(step, s) for s in current)
-        step = add(step, g)
-    return joined
+class AdditionTable(dict):
+    """Integer codes for the torsion part of a group, and their sums.
+
+    Code i is ``elements[i]``, the i-th torsion element in lexicographic
+    order, so sorting codes sorts elements; code 0 is the identity, ``index``
+    maps back, and ``table[a][b]`` codes the sum, each row filled on first
+    use.  Built per top-level call and handed down, never kept past it.
+    Given ``span``, only the product over factors of the cyclic subgroups
+    that the elements' coordinates generate is coded; it holds <span>.
+    """
+
+    def __init__(self, group: GroupSpec, span=None):
+        super().__init__()
+        self.group = group
+        steps = [gcd(k, *(e[i] for e in span)) if k and span else 1 for i, k in enumerate(group.orders)]
+        self.digits = [((k or 1) // d, d) for k, d in zip(group.orders, steps)]
+        self.elements = list(itertools.product(*(range(0, r * d, d) for r, d in self.digits)))
+        self.index = {e: i for i, e in enumerate(self.elements)}
+
+    @staticmethod
+    def of(group: GroupSpec, table: AdditionTable | None) -> AdditionTable:
+        """``table`` checked to code ``group``, or a new table when None."""
+        if table is not None and table.group != group:
+            raise ValueError(f"the addition table codes {table.group}, not {group}")
+        return AdditionTable(group) if table is None else table
+
+    def __missing__(self, a: int) -> list[int]:
+        row = [0]
+        for (r, d), c in zip(self.digits, self.elements[a]):
+            row = [x * r + (c // d + j) % r for x in row for j in range(r)] if r > 1 else row
+        self[a] = row
+        return row
+
+    def subgroup(self, codes: set[int]) -> Subgroup | None:
+        """The subgroup coded by ``codes``, or None when they are not closed.
+
+        The greedy pass takes each code of sorted ``codes`` that the subgroup
+        found so far misses, so it ends with <codes>.  Only when that is
+        ``codes`` does the second pass drop each generator the others
+        already generate, comparing sizes inside a subgroup.
+        """
+        gens: list[int] = []
+        have = {0}
+        for g in sorted(codes):
+            if g not in have:
+                gens.append(g)
+                have = _join(have, [g], self)
+        if have != codes:
+            return None
+        for g in list(gens):
+            rest = [h for h in gens if h != g]
+            if len(_join({0}, rest, self)) == len(codes):
+                gens = rest
+        decode = self.elements.__getitem__
+        return Subgroup(self.group, tuple(map(decode, sorted(codes))), tuple(map(decode, gens)))
+
+    def cosets(self, sub: Subgroup) -> list[list[int]]:
+        """Coded coset blocks of a finite group, sorted inside and by least member."""
+        if not self.group.is_finite:
+            raise InfiniteGroupError("coset enumeration needs a finite group")
+        if sub.parent != self.group:
+            raise NotASubgroupError("subgroup belongs to a different group")
+        rows = [self[self.index[h]] for h in sub.elements]
+        placed: set[int] = set()
+        blocks: list[list[int]] = []
+        for g in range(len(self.elements)):  # the least unplaced code starts a block
+            if g not in placed:
+                blocks.append(sorted(row[g] for row in rows))
+                placed.update(blocks[-1])
+        return blocks
 
 
-def _closure(group: GroupSpec, seed) -> set[Element]:
-    """Subgroup generated by ``seed``: the identity joined with one seed
-    element at a time."""
-    out = {identity(group)}
-    for g in seed:
-        out = _join(out, reduce_element(group, g), lambda a, b: mul(group, a, b))
-    return out
+def _join(current, gens, table: AdditionTable) -> set[int]:
+    """<S, g1, g2, ...> for a coded subgroup S, one coset-union join
+    S u (S + g) u (S + 2g) u ... per code g, stopping at the first multiple
+    of g already in the set."""
+    for g in gens:
+        joined = set(current)
+        step = g
+        while step not in current:
+            row = table[step]
+            joined.update([row[s] for s in current])
+            step = row[g]
+        current = joined
+    return current
 
 
 @dataclass(frozen=True)
@@ -157,39 +225,14 @@ class Subgroup:
         return order is None or self.size < order
 
 
-def _minimal_generators(
-    group: GroupSpec, elems: set[Element]
-) -> tuple[tuple[Element, ...], set[Element]]:
-    """Generators of <elems>, and <elems> itself.
-
-    The greedy pass takes each element of sorted ``elems`` that the subgroup
-    found so far misses, so it ends with <elems>.  Only when that is
-    ``elems`` does the second pass drop each generator the others already
-    generate, comparing sizes inside a subgroup.  ``elems`` must have a
-    finite closure.
-    """
-    gens: list[Element] = []
-    have = {identity(group)}
-    for g in sorted(elems):
-        if g not in have:
-            gens.append(g)
-            have = _join(have, g, lambda a, b: mul(group, a, b))
-    if have == elems:
-        for g in list(gens):
-            rest = [h for h in gens if h != g]
-            if len(_closure(group, rest)) == len(elems):
-                gens = rest
-    return tuple(gens), have
-
-
-def subgroup_from_elements(group: GroupSpec, elems) -> Subgroup:
+def subgroup_from_elements(group: GroupSpec, elems, table: AdditionTable | None = None) -> Subgroup:
     """Validate an element set as a subgroup and put it in canonical form.
 
     The set is a subgroup exactly when it equals the subgroup it generates,
-    which the generator search computes anyway.  Only a set that fails is
-    walked pair by pair, to name the missing inverse or product.  A set with
-    a nonzero coordinate on an infinite factor is never a finite subgroup;
-    it skips the search, whose closure would not end.
+    which the coded generator search computes anyway.  Only a set that
+    fails is walked pair by pair, to name the missing inverse or product.  A
+    set with a nonzero coordinate on an infinite factor skips the search, as
+    no finite subgroup has one; with no table, the search codes its span.
     """
     elems = {reduce_element(group, e) for e in elems}
     if not elems:
@@ -197,9 +240,10 @@ def subgroup_from_elements(group: GroupSpec, elems) -> Subgroup:
     if identity(group) not in elems:
         raise NotASubgroupError("identity element missing")
     if all(c == 0 for e in elems for c, k in zip(e, group.orders) if k == 0):
-        gens, generated = _minimal_generators(group, elems)
-        if generated == elems:
-            return Subgroup(group, tuple(sorted(elems)), gens)
+        table = AdditionTable(group, elems) if table is None else AdditionTable.of(group, table)
+        sub = table.subgroup({table.index[e] for e in elems})
+        if sub is not None:
+            return sub
     for a in elems:
         if inv(group, a) not in elems:
             raise NotASubgroupError(f"not closed under inverse at {a}")
@@ -216,29 +260,16 @@ def trivial_subgroup(group: GroupSpec) -> Subgroup:
 def full_subgroup(group: GroupSpec) -> Subgroup:
     if not group.is_finite:
         raise InfiniteGroupError("full subgroup only materialized for finite groups")
-    elems = group.elements()
-    return Subgroup(group, tuple(sorted(elems)), _minimal_generators(group, set(elems))[0])
+    table = AdditionTable(group)
+    return table.subgroup(set(range(len(table.elements))))
 
 
-def _subgroup_sets(group: GroupSpec, universe) -> set[frozenset[Element]]:
-    """All subgroups contained in ``universe`` (itself a subgroup's element set).
-
-    Elements are coded as indices into ``group.elements()`` and added through
-    one table built per call.  Every subgroup S found is extended by each
-    element g outside it with the coset-union join
-    <S, g> = S u (S + g) u (S + 2g) u ... (``_join``).  All members of one
-    coset g + S give the same join, so one element per coset is tried.
-    Coordinate tuples come back only at the return.
-    """
-    elems = group.elements()
-    index = {e: i for i, e in enumerate(elems)}
-    table = [[index[mul(group, a, b)] for b in elems] for a in elems]
-
-    def add(a: int, b: int) -> int:
-        return table[a][b]
-
-    pool = sorted(index[g] for g in universe)
-    seen = {frozenset({index[identity(group)]})}
+def _subgroup_sets(table: AdditionTable, universe) -> set[frozenset[int]]:
+    """All coded subgroups inside the coded subgroup ``universe``: each one
+    found, S, is joined with each code g outside it (``_join``); all of
+    g + S give the same join, so one code per coset is tried."""
+    pool = sorted(universe)
+    seen = {frozenset({0})}
     stack = list(seen)
     while stack:
         current = stack.pop()
@@ -246,44 +277,28 @@ def _subgroup_sets(group: GroupSpec, universe) -> set[frozenset[Element]]:
         for g in pool:
             if g in tried:
                 continue
-            tried.update(add(g, s) for s in current)
-            extended = frozenset(_join(current, g, add))
+            row = table[g]
+            tried.update([row[s] for s in current])
+            extended = frozenset(_join(current, [g], table))
             if extended not in seen:
                 seen.add(extended)
                 stack.append(extended)
-    return {frozenset(elems[i] for i in s) for s in seen}
+    return seen
 
 
-def subgroups(group: GroupSpec) -> list[Subgroup]:
+def subgroups(group: GroupSpec, table: AdditionTable | None = None) -> list[Subgroup]:
     """Every subgroup of a finite group, canonically sorted by (size, elements)."""
     if not group.is_finite:
         raise InfiniteGroupError("subgroup enumeration needs a finite group")
-    sets = _subgroup_sets(group, group.elements())
-    ordered = sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
-    return [subgroup_from_elements(group, s) for s in ordered]
-
-
-def _check_subgroup_of(group: GroupSpec, sub: Subgroup) -> None:
-    if sub.parent != group:
-        raise NotASubgroupError("subgroup belongs to a different group")
+    table = AdditionTable.of(group, table)
+    sets = _subgroup_sets(table, range(len(table.elements)))
+    return [table.subgroup(s) for s in sorted(sets, key=lambda s: (len(s), sorted(s)))]
 
 
 def cosets(group: GroupSpec, sub: Subgroup) -> list[tuple[Element, ...]]:
     """The coset partition of a finite group, blocks sorted by least member."""
-    if not group.is_finite:
-        raise InfiniteGroupError("coset enumeration needs a finite group")
-    _check_subgroup_of(group, sub)
-    # Elements come in increasing order, so the first one not yet placed is
-    # the least member of a new block and blocks appear already sorted.
-    placed: set[Element] = set()
-    blocks = []
-    for g in group.elements():
-        if g in placed:
-            continue
-        block = tuple(sorted(mul(group, g, h) for h in sub.elements))
-        placed.update(block)
-        blocks.append(block)
-    return blocks
+    table = AdditionTable(group)
+    return [tuple(table.elements[g] for g in block) for block in table.cosets(sub)]
 
 
 @dataclass(frozen=True)
@@ -334,24 +349,25 @@ def presentation(group: GroupSpec, sub: Subgroup) -> SubgroupPresentation:
     """Invariant-factor decomposition of a finite subgroup with explicit generators.
 
     Repeatedly splits off a cyclic direct summand of maximal order; the
-    complement is located among the subgroups of the remainder.
+    complement is located among the subgroups of the remainder, all coded
+    over the subgroup's span.
     """
-    elems = set(sub.elements)
-    if len(elems) == 1:
+    if len(sub.elements) == 1:
         return SubgroupPresentation(GroupSpec((1,)), (identity(group),))
+    table = AdditionTable(group, sub.elements)
+    elems = table.elements
     orders: list[int] = []
     gens: list[Element] = []
-    current = sorted(elems)
+    current = sorted(table.index[e] for e in sub.elements)
     while len(current) > 1:
-        g1 = max(current, key=lambda g: (element_order(group, g), tuple(-c for c in g)))
-        d = element_order(group, g1)
-        cyclic = _closure(group, [g1])
-        orders.append(d)
-        gens.append(g1)
+        g1 = max(current, key=lambda g: (element_order(group, elems[g]), -g))
+        cyclic = _join({0}, [g1], table)
+        orders.append(len(cyclic))
+        gens.append(elems[g1])
         if len(cyclic) == len(current):
             break
         target = len(current) // len(cyclic)
-        candidates = sorted(_subgroup_sets(group, current), key=lambda s: tuple(sorted(s)))
+        candidates = sorted(_subgroup_sets(table, current), key=sorted)
         complement = next(
             s for s in candidates if len(s) == target and len(s & cyclic) == 1
         )

@@ -37,6 +37,7 @@ from .algebras import (
 )
 from .constructions import VerificationError, maroti, twisted_multiple, twisted_spec
 from .groups import (
+    AdditionTable,
     Element,
     GroupSpec,
     InfiniteGroupError,
@@ -252,13 +253,14 @@ def is_minimal_free(algebra: FSemilattice, a: int) -> MinimalityVerdict:
     return MinimalityVerdict(True, None, checked)
 
 
-def stabilizer(algebra: FSemilattice, a: int) -> Subgroup:
+def stabilizer(algebra: FSemilattice, a: int, table: AdditionTable | None = None) -> Subgroup:
     """The subgroup of group elements fixing ``a`` (finite groups only)."""
     group = algebra.group
     if not group.is_finite:
         raise InfiniteGroupError("use stabilizer_image over infinite factors")
-    fixing = [g for g in group.elements() if act(algebra, g, a) == a]
-    return subgroup_from_elements(group, fixing)
+    table = AdditionTable.of(group, table)
+    fixing = [g for g in table.elements if act(algebra, g, a) == a]
+    return subgroup_from_elements(group, fixing, table)
 
 
 @dataclass(frozen=True)
@@ -345,35 +347,19 @@ def verify_bijection(group: GroupSpec) -> BijectionReport:
     over distinct subgroups are non-isomorphic.
 
     An isomorphism that sends one generator to the other commutes with the
-    action, so it preserves the generator's stabilizer.  Fans are therefore
-    grouped by (size, stabilizer of the generator), and the isomorphism test
-    runs only on pairs inside one group; pairs in different groups are
-    non-isomorphic without a test.
+    action, so it preserves the generator's stabilizer: ``pairwise_distinct``
+    reports that the generator stabilizers are pairwise distinct.  One
+    addition table serves the subgroups, every fan and every stabilizer.
     """
-    entries = []
-    buckets: dict[tuple, list[FSemilattice]] = {}
-    for sub in subgroups(group):
-        fan = maroti(group, sub)
-        minimal = None
-        if sub.is_proper:
-            minimal = is_minimal_free(fan, 0).minimal
-        stab = stabilizer(fan, 0)
-        buckets.setdefault((fan.size, stab.elements), []).append(fan)
-        entries.append(
-            BijectionEntry(
-                subgroup=sub,
-                algebra_size=fan.size,
-                is_proper=sub.is_proper,
-                minimal=minimal,
-                stabilizer_ok=stab.elements == sub.elements,
-            )
-        )
-    distinct = not any(
-        is_isomorphic_1gen(one, 0, two, 0)[0]
-        for fans in buckets.values()
-        for one, two in itertools.combinations(fans, 2)
-    )
-    return BijectionReport(group, tuple(entries), distinct)
+    table = AdditionTable(group)
+    entries, stabilizers = [], set()
+    for sub in subgroups(group, table):
+        fan = maroti(group, sub, table)
+        minimal = is_minimal_free(fan, 0).minimal if sub.is_proper else None
+        stab = stabilizer(fan, 0, table).elements
+        stabilizers.add(stab)
+        entries.append(BijectionEntry(sub, fan.size, sub.is_proper, minimal, stab == sub.elements))
+    return BijectionReport(group, tuple(entries), len(stabilizers) == len(entries))
 
 
 @dataclass(frozen=True)
@@ -409,13 +395,12 @@ def decompose_ku(
             f"{algebra.label(verdict.counterexample)!r}"
         )
     bottom = zero(algebra)
-    elements = group.elements()
+    table = AdditionTable(group)
+    elements = table.elements
     translate = {g: act(algebra, g, a) for g in elements}
     k_elems = [g for g in elements if algebra.meet[a][translate[g]] != bottom]
-    sub = subgroup_from_elements(group, k_elems)  # failure here would be a bug
-    coset_id = {}
-    for g in elements:
-        coset_id[g] = tuple(sorted(mul(group, g, h) for h in sub.elements))[0]
+    sub = subgroup_from_elements(group, k_elems, table)  # failure here would be a bug
+    coset_id = {table.elements[g]: i for i, b in enumerate(table.cosets(sub)) for g in b}
     for size in range(1, max_translates + 1):
         for combo in itertools.combinations_with_replacement(elements, size):
             value = None

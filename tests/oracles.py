@@ -13,6 +13,7 @@ from fslat.algebras import (
     Homomorphism,
     NotGeneratedError,
     UnaryTerm,
+    act,
     generates,
     is_isomorphic_1gen,
     perm_compose,
@@ -25,10 +26,11 @@ from fslat.algebras import (
 from fslat.groups import (
     Element,
     GroupSpec,
+    InfiniteGroupError,
     NotASubgroupError,
     Subgroup,
-    _closure,
     elementary,
+    format_element,
     identity,
     inv,
     mul,
@@ -400,6 +402,177 @@ def reference_is_minimal_free(algebra: FSemilattice, a: int) -> MinimalityVerdic
         if not ok:
             return MinimalityVerdict(False, b, checked)
     return MinimalityVerdict(True, None, checked)
+
+
+# Verbatim copies of the tuple routines that integer codes added through one
+# addition table per call replaced, kept as references for ``subgroups``,
+# ``subgroup_from_elements``, ``cosets``, ``maroti`` and ``stabilizer``.
+
+
+def _join(current, g, add) -> set:
+    """Coset-union join <S, g> = S u (S + g) u (S + 2g) u ... of a subgroup S
+    and an element g, stopping at the first multiple of g that lies in S."""
+    joined = set(current)
+    step = g
+    while step not in current:
+        joined.update(add(step, s) for s in current)
+        step = add(step, g)
+    return joined
+
+
+def _closure(group: GroupSpec, seed) -> set[Element]:
+    """Subgroup generated by ``seed``: the identity joined with one seed
+    element at a time."""
+    out = {identity(group)}
+    for g in seed:
+        out = _join(out, reduce_element(group, g), lambda a, b: mul(group, a, b))
+    return out
+
+
+def _minimal_generators(
+    group: GroupSpec, elems: set[Element]
+) -> tuple[tuple[Element, ...], set[Element]]:
+    """Generators of <elems>, and <elems> itself.
+
+    The greedy pass takes each element of sorted ``elems`` that the subgroup
+    found so far misses, so it ends with <elems>.  Only when that is
+    ``elems`` does the second pass drop each generator the others already
+    generate, comparing sizes inside a subgroup.  ``elems`` must have a
+    finite closure.
+    """
+    gens: list[Element] = []
+    have = {identity(group)}
+    for g in sorted(elems):
+        if g not in have:
+            gens.append(g)
+            have = _join(have, g, lambda a, b: mul(group, a, b))
+    if have == elems:
+        for g in list(gens):
+            rest = [h for h in gens if h != g]
+            if len(_closure(group, rest)) == len(elems):
+                gens = rest
+    return tuple(gens), have
+
+
+def reference_closure_subgroup_from_elements(group: GroupSpec, elems) -> Subgroup:
+    """Validate an element set as a subgroup and put it in canonical form.
+
+    The set is a subgroup exactly when it equals the subgroup it generates,
+    which the generator search computes anyway.  Only a set that fails is
+    walked pair by pair, to name the missing inverse or product.  A set with
+    a nonzero coordinate on an infinite factor is never a finite subgroup;
+    it skips the search, whose closure would not end.
+    """
+    elems = {reduce_element(group, e) for e in elems}
+    if not elems:
+        raise NotASubgroupError("a subgroup is nonempty")
+    if identity(group) not in elems:
+        raise NotASubgroupError("identity element missing")
+    if all(c == 0 for e in elems for c, k in zip(e, group.orders) if k == 0):
+        gens, generated = _minimal_generators(group, elems)
+        if generated == elems:
+            return Subgroup(group, tuple(sorted(elems)), gens)
+    for a in elems:
+        if inv(group, a) not in elems:
+            raise NotASubgroupError(f"not closed under inverse at {a}")
+        for b in elems:
+            if mul(group, a, b) not in elems:
+                raise NotASubgroupError(f"not closed under product at {a}, {b}")
+    raise AssertionError("a set closed under inverse and product generates itself")
+
+
+def _reference_subgroup_sets(group: GroupSpec, universe) -> set[frozenset[Element]]:
+    """All subgroups contained in ``universe`` (itself a subgroup's element set).
+
+    Elements are coded as indices into ``group.elements()`` and added through
+    one table built per call.  Every subgroup S found is extended by each
+    element g outside it with the coset-union join
+    <S, g> = S u (S + g) u (S + 2g) u ... (``_join``).  All members of one
+    coset g + S give the same join, so one element per coset is tried.
+    Coordinate tuples come back only at the return.
+    """
+    elems = group.elements()
+    index = {e: i for i, e in enumerate(elems)}
+    table = [[index[mul(group, a, b)] for b in elems] for a in elems]
+
+    def add(a: int, b: int) -> int:
+        return table[a][b]
+
+    pool = sorted(index[g] for g in universe)
+    seen = {frozenset({index[identity(group)]})}
+    stack = list(seen)
+    while stack:
+        current = stack.pop()
+        tried = set(current)
+        for g in pool:
+            if g in tried:
+                continue
+            tried.update(add(g, s) for s in current)
+            extended = frozenset(_join(current, g, add))
+            if extended not in seen:
+                seen.add(extended)
+                stack.append(extended)
+    return {frozenset(elems[i] for i in s) for s in seen}
+
+
+def reference_subgroups(group: GroupSpec) -> list[Subgroup]:
+    """Every subgroup of a finite group, canonically sorted by (size, elements)."""
+    if not group.is_finite:
+        raise InfiniteGroupError("subgroup enumeration needs a finite group")
+    sets = _reference_subgroup_sets(group, group.elements())
+    ordered = sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
+    return [reference_closure_subgroup_from_elements(group, s) for s in ordered]
+
+
+def reference_cosets(group: GroupSpec, sub: Subgroup) -> list[tuple[Element, ...]]:
+    """The coset partition of a finite group, blocks sorted by least member."""
+    if not group.is_finite:
+        raise InfiniteGroupError("coset enumeration needs a finite group")
+    if sub.parent != group:
+        raise NotASubgroupError("subgroup belongs to a different group")
+    # Elements come in increasing order, so the first one not yet placed is
+    # the least member of a new block and blocks appear already sorted.
+    placed: set[Element] = set()
+    blocks = []
+    for g in group.elements():
+        if g in placed:
+            continue
+        block = tuple(sorted(mul(group, g, h) for h in sub.elements))
+        placed.update(block)
+        blocks.append(block)
+    return blocks
+
+
+def reference_maroti(group: GroupSpec, sub: Subgroup) -> FSemilattice:
+    """Atoms are the cosets of the subgroup, plus a common zero below them.
+
+    The group translates cosets; the zero is fixed.  Atoms are labeled by the
+    lexicographically least coset member, the zero by ``o``.
+    """
+    blocks = reference_cosets(group, sub)
+    block_index = {g: i for i, b in enumerate(blocks) for g in b}
+    n = len(blocks) + 1
+    bottom = n - 1
+    labels = tuple(format_element(b[0]) for b in blocks) + ("o",)
+    meet = [[bottom] * n for _ in range(n)]
+    for i in range(len(blocks)):
+        meet[i][i] = i
+    meet[bottom][bottom] = bottom
+    action = []
+    for i in range(group.rank):
+        step = elementary(group, i)
+        perm = [block_index[mul(group, b[0], step)] for b in blocks] + [bottom]
+        action.append(tuple(perm))
+    return FSemilattice(group=group, carrier=labels, meet=tuple(tuple(r) for r in meet), action=tuple(action))
+
+
+def reference_stabilizer(algebra: FSemilattice, a: int) -> Subgroup:
+    """The subgroup of group elements fixing ``a`` (finite groups only)."""
+    group = algebra.group
+    if not group.is_finite:
+        raise InfiniteGroupError("use stabilizer_image over infinite factors")
+    fixing = [g for g in group.elements() if act(algebra, g, a) == a]
+    return reference_closure_subgroup_from_elements(group, fixing)
 
 
 def _reference_minimal_generators(group: GroupSpec, elems: set[Element]) -> tuple[Element, ...]:

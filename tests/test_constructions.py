@@ -3,6 +3,7 @@ import pytest
 from fslat import algebras as A
 from fslat import constructions as C
 from fslat import groups as G
+from oracles import reference_maroti
 
 Z2 = G.make_group([2])
 Z4 = G.make_group([4])
@@ -173,7 +174,8 @@ def test_twisted_builds_validate_over_small_groups():
 
 
 def test_maroti_distinct_subgroups_not_isomorphic_small():
-    # the full pairwise check that verify_bijection's stabilizer buckets skip
+    # the full pairwise check that verify_bijection's distinct generator
+    # stabilizers stand in for
     for spec in G.all_group_specs(16):
         subs = G.subgroups(spec)
         fans = [C.maroti(spec, s) for s in subs]
@@ -182,6 +184,33 @@ def test_maroti_distinct_subgroups_not_isomorphic_small():
                 if fans[i].size != fans[j].size:
                     continue
                 assert not A.is_isomorphic_1gen(fans[i], 0, fans[j], 0)[0]
+
+
+def test_maroti_matches_reference_up_to_32():
+    # blocks, carrier labels, meet and action tables against the tuple-coded
+    # construction, with and without one table handed in per group
+    for spec in G.all_group_specs(32):
+        table = G.AdditionTable(spec)
+        for sub in G.subgroups(spec, table):
+            want = reference_maroti(spec, sub)
+            assert C.maroti(spec, sub) == want
+            assert C.maroti(spec, sub, table) == want
+
+
+def test_maroti_refuses_a_table_for_another_group():
+    group = G.make_group([6])
+    with pytest.raises(ValueError, match="the addition table codes C4, not C6"):
+        C.maroti(group, G.trivial_subgroup(group), G.AdditionTable(G.make_group([4])))
+
+
+def test_free_one_generated_translates_subsets():
+    for spec in G.all_group_specs(8):
+        free = C.free_one_generated(spec)
+        members = [frozenset(G.parse_element(e) for e in free.label(x)[1:-1].split(";")) for x in range(free.size)]
+        index = {m: x for x, m in enumerate(members)}
+        for i, perm in enumerate(free.action):
+            step = G.elementary(spec, i)
+            assert list(perm) == [index[frozenset(G.mul(spec, g, step) for g in m)] for m in members]
 
 
 def test_counterexample_a7_shape():

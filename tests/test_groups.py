@@ -1,12 +1,20 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fslat import groups as G
-from oracles import brute_force_subgroups, reference_subgroup_from_elements
+from oracles import (
+    _closure,
+    brute_force_subgroups,
+    reference_closure_subgroup_from_elements,
+    reference_cosets,
+    reference_subgroup_from_elements,
+    reference_subgroups,
+)
 
 Z4 = G.make_group([4])
 Z6 = G.make_group([6])
@@ -117,7 +125,7 @@ def test_subgroups_closed_and_lagrange():
                 for b in members:
                     assert G.mul(spec, a, G.inv(spec, b)) in members
             assert order % len(members) == 0
-            assert set(G._closure(spec, sub.generators)) == members
+            assert set(_closure(spec, sub.generators)) == members
 
 
 def test_subgroups_rejects_infinite():
@@ -184,14 +192,24 @@ def _candidate_sets(rng, group):
 
 
 def test_subgroup_from_elements_matches_reference():
+    # against the pair-by-pair version and the tuple-coded closure version,
+    # with and without an addition table handed in; over infinite factors
+    # only the torsion part is coded
     rng = random.Random(1789)
     outcomes = []
-    for orders in ([1], [2], [4], [6], [2, 2], [2, 4], [2, 2, 2], [3, 3], [0], [0, 2], [2, 0, 3]):
+    for orders in (
+        [1], [2], [4], [6], [2, 2], [2, 4], [2, 2, 2], [3, 3], [0], [0, 2], [2, 0, 3],
+        [8], [2, 6], [0, 0], [4, 0],
+    ):
         group = G.make_group(orders)
+        table = G.AdditionTable(group)
         for elems in _candidate_sets(rng, group):
             got = _subgroup_outcome(G.subgroup_from_elements, group, elems)
             want = _subgroup_outcome(reference_subgroup_from_elements, group, elems)
             assert got == want, (orders, elems)
+            assert _subgroup_outcome(reference_closure_subgroup_from_elements, group, elems) == want
+            with_table = _subgroup_outcome(lambda g, e: G.subgroup_from_elements(g, e, table), group, elems)
+            assert with_table == want, (orders, elems)
             outcomes.append(got if isinstance(got, str) else "subgroup")
     kinds = {o.split(" at ")[0] for o in outcomes}
     assert kinds == {
@@ -201,6 +219,67 @@ def test_subgroup_from_elements_matches_reference():
         "not closed under inverse",
         "not closed under product",
     }
+
+
+def test_addition_table_matches_mul_up_to_64():
+    specs = G.all_group_specs(64) + [G.make_group(o) for o in ([0], [0, 2], [2, 0, 3], [0, 0], [4, 0])]
+    for spec in specs:
+        table = G.AdditionTable(spec)
+        elems = table.elements
+        torsion = G.make_group([k or 1 for k in spec.orders]).elements()
+        assert elems == torsion
+        assert all(table.index[e] == i for i, e in enumerate(elems))
+        for a, x in enumerate(elems):
+            row = table[a]
+            assert [elems[c] for c in row] == [G.mul(spec, x, y) for y in elems], spec
+
+
+def test_span_table_codes_a_subgroup_holding_the_span():
+    rng = random.Random(64)
+    for spec in G.all_group_specs(64):
+        pool = spec.elements()
+        for _ in range(3):
+            span = rng.sample(pool, min(2, len(pool)))
+            table = G.AdditionTable(spec, span)
+            elems = table.elements
+            assert elems == sorted(elems) and set(span) <= set(elems), (spec, span)
+            assert all(table.index[e] == i for i, e in enumerate(elems))
+            for a, x in enumerate(elems):
+                assert [elems[c] for c in table[a]] == [G.mul(spec, x, y) for y in elems], (spec, span)
+
+
+def test_subgroup_from_elements_codes_only_the_span():
+    # without a table handed in, the search and the presentation code the
+    # span of a two-element subgroup, a few kilobytes; coding all of
+    # C_100000 or of C_300 x C_300 would take megabytes
+    for orders, elems in (([10**5], [(0,), (50000,)]), ([300, 300], [(0, 0), (150, 150)])):
+        group = G.make_group(orders)
+        tracemalloc.start()
+        try:
+            sub = G.subgroup_from_elements(group, elems)
+            pres = G.presentation(group, sub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sub.elements == tuple(elems) and pres.spec == G.make_group([2])
+        assert peak < 100_000, (orders, peak)
+
+
+def test_table_for_another_group_is_refused():
+    table = G.AdditionTable(Z4)
+    with pytest.raises(ValueError, match="the addition table codes C4, not C6"):
+        G.subgroups(Z6, table)
+    with pytest.raises(ValueError, match="the addition table codes C4, not C6"):
+        G.subgroup_from_elements(Z6, [(0,), (3,)], table)
+
+
+def test_subgroups_and_cosets_match_reference_up_to_32():
+    for spec in G.all_group_specs(32):
+        subs = G.subgroups(spec)
+        want = reference_subgroups(spec)
+        assert [(s.elements, s.generators) for s in subs] == [(s.elements, s.generators) for s in want]
+        for sub in subs:
+            assert G.cosets(spec, sub) == reference_cosets(spec, sub)
 
 
 def test_subgroup_validation_compares_sets_not_sizes():
@@ -263,7 +342,7 @@ def test_presentation_generates_and_sizes_agree():
         for sub in G.subgroups(spec):
             pres = G.presentation(spec, sub)
             assert pres.spec.order() == len(sub.elements)
-            closed = G._closure(spec, pres.generators)
+            closed = _closure(spec, pres.generators)
             assert closed == set(sub.elements)
             for gen, order in zip(pres.generators, pres.spec.orders):
                 assert G.element_order(spec, gen) == order

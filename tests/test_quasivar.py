@@ -15,6 +15,7 @@ from oracles import (
     reference_closure,
     reference_holds_quasi_identity,
     reference_is_minimal_free,
+    reference_stabilizer,
     reference_stabilizer_image,
 )
 from tables import invariant_tables, random_tables
@@ -204,8 +205,8 @@ def test_stabilizer_image_examples():
 
 
 def test_generator_preserving_isomorphism_preserves_stabilizer():
-    # the invariant verify_bijection relies on to test isomorphism only
-    # between fans with equal stabilizers
+    # the invariant behind verify_bijection's pairwise_distinct: fans whose
+    # generator stabilizers differ are not isomorphic
     a7 = C.counterexample_a7()
     distinct_isomorphic_pairs = 0
     for spec in G.all_group_specs(8):
@@ -532,6 +533,52 @@ def test_stabilizer_image_matches_reference():
         assert A.validate_axioms(algebra).ok
         for a in range(algebra.size):
             assert Q.stabilizer_image(algebra, a) == reference_stabilizer_image(algebra, a)
+
+
+def _stabilizer_outcome(build, algebra, a):
+    try:
+        sub = build(algebra, a)
+    except G.NotASubgroupError as exc:
+        return str(exc)
+    return sub.elements, sub.generators
+
+
+def test_stabilizer_matches_reference_on_non_commuting_tables():
+    # random shape-valid tables: the generator permutations mostly do not
+    # commute, nor does their order divide the factor's, so the fixing set
+    # is often not a subgroup and the exact message must match
+    rng = random.Random(5150)
+    cases = []
+    for orders in ([2], [4], [6], [2, 2], [2, 3], [3, 4], [2, 2, 2]):
+        cases += random_tables(rng, G.make_group(orders), 40)
+    cases += [t for _, t in invariant_tables(rng, 90) if t.group.is_finite]
+    non_commuting = messages = 0
+    for algebra in cases:
+        ps = algebra.action
+        non_commuting += any(A.perm_compose(p, q) != A.perm_compose(q, p) for p in ps for q in ps)
+        table = G.AdditionTable(algebra.group)
+        for a in range(algebra.size):
+            want = _stabilizer_outcome(reference_stabilizer, algebra, a)
+            assert _stabilizer_outcome(Q.stabilizer, algebra, a) == want, (algebra, a)
+            got = _stabilizer_outcome(lambda alg, x: Q.stabilizer(alg, x, table), algebra, a)
+            assert got == want, (algebra, a)
+            messages += isinstance(want, str)
+    assert non_commuting > 50 and messages > 50
+
+
+def test_stabilizer_refuses_a_table_for_another_group():
+    group = G.make_group([6])
+    fan = C.maroti(group, G.trivial_subgroup(group))
+    with pytest.raises(ValueError, match="the addition table codes C2xC2, not C6"):
+        Q.stabilizer(fan, 0, G.AdditionTable(G.make_group([2, 2])))
+
+
+def test_stabilizer_matches_reference_on_fans_up_to_16():
+    for spec in G.all_group_specs(16):
+        for sub in G.subgroups(spec):
+            fan = C.maroti(spec, sub)
+            for a in range(fan.size):
+                assert Q.stabilizer(fan, a) == reference_stabilizer(fan, a)
 
 
 def test_generated_by_matches_reference_closure():
