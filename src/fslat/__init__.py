@@ -21,6 +21,7 @@ from .algebras import (
     Congruence,
     FSemilattice,
     Homomorphism,
+    Term,
     act,
     atoms,
     congruences,
@@ -49,7 +50,6 @@ from .constructions import (
 )
 from .quasivar import (
     QuasiIdentity,
-    Term,
     decompose_ku,
     delta_map,
     eval_term,

@@ -31,11 +31,6 @@ Perm = tuple[int, ...]
 # before it is built.
 MAX_ACTION_TABLE = 1 << 22
 
-# A unary term in normal form: x |-> meet of g(x) over a nonempty set of
-# group elements.  Meets of terms are set unions, translation multiplies
-# every member.
-UnaryTerm = frozenset[Element]
-
 
 class ShapeError(ValueError):
     """Tables are not well-shaped (wrong sizes, bad indices, non-permutations)."""
@@ -47,6 +42,36 @@ class NotGeneratedError(ValueError):
 
 class CarrierLimitError(ValueError):
     """Carrier exceeds the configured size limit of an enumeration."""
+
+
+@dataclass(frozen=True)
+class Term:
+    """A term in normal form: the meet of the translates g(v) over a nonempty
+    set of (group element g, variable v) pairs.  The form is closed under
+    meet (set union) and translation, and set semantics absorbs idempotence."""
+
+    pairs: frozenset[tuple[Element, str]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", frozenset(self.pairs))
+        if not self.pairs:
+            raise ValueError("a term is a meet over a nonempty set of translated variables")
+
+    @property
+    def variables(self) -> tuple[str, ...]:
+        return tuple(sorted({v for _, v in self.pairs}))
+
+
+def var(name: str, group: GroupSpec) -> Term:
+    return Term(frozenset({(identity(group), name)}))
+
+
+def translate_term(group: GroupSpec, g: Element, term: Term) -> Term:
+    return Term(frozenset((mul(group, g, h), v) for h, v in term.pairs))
+
+
+def meet_terms(one: Term, two: Term) -> Term:
+    return Term(one.pairs | two.pairs)
 
 
 def perm_identity(n: int) -> Perm:
@@ -364,9 +389,6 @@ class Homomorphism:
     target: FSemilattice
     map: tuple[int, ...]
 
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
     @property
     def is_bijective(self) -> bool:
         return len(self.source.carrier) == len(self.target.carrier) and sorted(self.map) == list(
@@ -411,7 +433,7 @@ def _automorphic_generators(algebra: FSemilattice) -> list[Perm]:
 @dataclass(frozen=True)
 class HomExtendResult:
     hom: Homomorphism | None
-    conflict: tuple[UnaryTerm, UnaryTerm] | None
+    conflict: tuple[Term, Term] | None
 
     @property
     def ok(self) -> bool:
@@ -419,16 +441,16 @@ class HomExtendResult:
 
 
 def _derivation_term(
-    group: GroupSpec, steps: list[Element], terms: dict[int, UnaryTerm], how: tuple
-) -> UnaryTerm:
-    """The unary term of one ``hom_extend`` derivation, given the terms of the
-    earlier elements it points at; move k multiplies by ``steps[k]``."""
+    group: GroupSpec, steps: list[Element], terms: dict[int, Term], how: tuple
+) -> Term:
+    """The term in ``x`` of one ``hom_extend`` derivation, given the terms of
+    the earlier elements it points at; move k translates by ``steps[k]``."""
     kind, u, v = how
     if kind == "seed":
-        return frozenset({identity(group)})
+        return var("x", group)
     if kind == "move":
-        return frozenset(mul(group, steps[v], h) for h in terms[u])
-    return terms[u] | terms[v]
+        return translate_term(group, steps[v], terms[u])
+    return meet_terms(terms[u], terms[v])
 
 
 def hom_extend(
@@ -441,9 +463,9 @@ def hom_extend(
     source element how it was first reached: the seed, a generator move from
     an earlier element, or the meet of two earlier elements.  If two
     derivations of the same source element disagree on the target side, the
-    map is not well-defined; the unary terms of the two derivations are
+    map is not well-defined; the terms in ``x`` of the two derivations are
     rebuilt from the records and returned as the witness: they agree at
-    ``a`` but not at ``b``.  Otherwise the closure is the unique
+    x = ``a`` but not at x = ``b``.  Otherwise the closure is the unique
     homomorphism sending ``a`` to ``b``, and it is surjective onto the
     subalgebra generated by ``b``.
     """
@@ -465,7 +487,7 @@ def hom_extend(
         if not generates(source, a):
             raise NotGeneratedError(f"element {source.label(a)!r} does not generate the source")
         steps = [elementary(source.group, i, e) for i, e, _, _ in moves]
-        terms: dict[int, UnaryTerm] = {}
+        terms: dict[int, Term] = {}
         for x in order:
             terms[x] = _derivation_term(source.group, steps, terms, how[x])
         term = _derivation_term(source.group, steps, terms, derivation)

@@ -236,11 +236,15 @@ def _cmd_simplicity(args) -> int:
 
 
 def _cmd_balpha(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be at least 0, got {args.samples}")
+    if (args.p is None) != (args.q is None):
+        raise ValueError("--p and --q go together")
     alpha = irrationals.parse_irrational(args.alpha)
     beta = irrationals.parse_irrational(args.beta)
     if irrationals.compare_values(alpha, beta) >= 0:
         raise ValueError("need alpha < beta")
-    if args.p is not None and args.q is not None:
+    if args.p is not None:
         p, q = args.p, args.q
     else:
         p, q = irrationals.rational_between(alpha, beta)
@@ -329,9 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_balpha = sub.add_parser("balpha", help="exact separating-identity demo on {m+n*alpha}")
     p_balpha.add_argument("--alpha", required=True, help="sqrt:D or (P+Q*sqrt:D)/R")
     p_balpha.add_argument("--beta", required=True)
-    p_balpha.add_argument("--p", type=int, help="numerator of a rational between (default: search)")
-    p_balpha.add_argument("--q", type=int, help="denominator of a rational between")
-    p_balpha.add_argument("--samples", type=int, default=25)
+    p_balpha.add_argument("--p", type=int,
+                          help="numerator of a rational between, with --q (default: search)")
+    p_balpha.add_argument("--q", type=int, help="denominator of a rational between, with --p")
+    p_balpha.add_argument("--samples", type=int, default=25, help="sample points to trace, >= 0")
     common(p_balpha)
     p_balpha.set_defaults(func=_cmd_balpha)
 

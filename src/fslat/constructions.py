@@ -27,12 +27,10 @@ from .groups import (
     NotASubgroupError,
     Subgroup,
     Transversal,
-    format_element,
-    identity,
-    inv,
     elementary,
-    mul,
+    format_element,
     presentation,
+    reduce_element,
     transversal,
 )
 
@@ -148,13 +146,7 @@ def trivial_factor(group: GroupSpec, sub: Subgroup) -> tuple[FSemilattice, tuple
 def chain2_factor(group: GroupSpec, sub: Subgroup) -> tuple[FSemilattice, tuple[Element, ...]]:
     """Two-element chain over the abstract form of the subgroup, trivial action."""
     pres = presentation(group, sub)
-    algebra = FSemilattice(
-        group=pres.spec,
-        carrier=("0", "1"),
-        meet=((0, 0), (0, 1)),
-        action=tuple(perm_identity(2) for _ in range(pres.spec.rank)),
-    )
-    return algebra, pres.generators
+    return two_element(pres.spec), pres.generators
 
 
 @dataclass(frozen=True)
@@ -166,28 +158,40 @@ class TwistedSpec:
     factor_generators: tuple[Element, ...]
 
 
-def _factor_exponent_table(spec: TwistedSpec) -> dict[Element, Element]:
-    """Map each subgroup element to its exponent vector over the supplied
-    generators, verifying on the way that the correspondence is an isomorphism
-    onto the subgroup.  Mismatches are an error, never coerced."""
+def _factor_exponent_table(spec: TwistedSpec, table: AdditionTable) -> dict[int, Element]:
+    """Map the code of each subgroup element to its exponent vector over the
+    supplied generators, verifying on the way that the correspondence is an
+    isomorphism onto the subgroup.  Mismatches are an error, never coerced."""
     fgroup = spec.factor.group
     if not fgroup.is_finite:
         raise NotASubgroupError("factor algebra must live over a finite group")
     if len(spec.factor_generators) != fgroup.rank:
         raise NotASubgroupError("need one subgroup generator per factor-group coordinate")
-    parent = spec.group
-    table: dict[Element, Element] = {}
-    for exponents in fgroup.elements():
-        value = identity(parent)
-        for g, e in zip(spec.factor_generators, exponents):
+    gens = [table.index[reduce_element(spec.group, g)] for g in spec.factor_generators]
+    exponents: dict[int, Element] = {}
+    for vector in fgroup.elements():
+        value = 0
+        for g, e in zip(gens, vector):
             for _ in range(e):
-                value = mul(parent, value, g)
-        if value in table:
+                value = table[value][g]
+        if value in exponents:
             raise NotASubgroupError("generator correspondence is not injective")
-        table[value] = exponents
-    if set(table) != set(spec.subgroup.elements):
+        exponents[value] = vector
+    if set(exponents) != {table.index.get(h) for h in spec.subgroup.elements}:
         raise NotASubgroupError("generator correspondence does not present the subgroup")
-    return table
+    return exponents
+
+
+def _coset_split(table: AdditionTable, reps: Transversal) -> dict[int, tuple[int, int]]:
+    """Every element as t + h, with t a representative and h in the subgroup:
+    code(t + h) -> (position of t in ``reps``, code of h)."""
+    members = [table.index[h] for h in reps.subgroup.elements]
+    split = {}
+    for pos, t in enumerate(reps.reps):
+        row = table[table.index[t]]
+        for h in members:
+            split[row[h]] = (pos, h)
+    return split
 
 
 def twisted_spec(
@@ -223,7 +227,7 @@ def twisted_spec(
             )
         factor_generators = pres.generators
     spec = TwistedSpec(group, sub, reps, factor, tuple(factor_generators))
-    _factor_exponent_table(spec)
+    _factor_exponent_table(spec, AdditionTable(group))
     return spec
 
 
@@ -231,45 +235,32 @@ def twisted_multiple(spec: TwistedSpec) -> FSemilattice:
     """Glue one shifted copy of the factor algebra per coset above a zero.
 
     Carrier: pairs (u, t) for u in the factor and t a coset representative,
-    ordered by (representative, u), plus a final zero.  Pairs over the same
+    (u, t) at index (position of t) * |factor| + u, plus a final zero.  Pairs over the same
     representative meet inside the factor; over different representatives
-    they meet at zero.  A group element g sends (u, t) to (k(u), f) where f
-    is the representative of g t's coset and k = g t f^{-1} lies in the
-    subgroup, acting on u through the factor's own action.
+    they meet at zero.  A group element g sends (u, t) to (k(u), f) where
+    g t = f k with f a representative and k in the subgroup, acting on u
+    through the factor's own action.
     """
     group = spec.group
-    exponents = _factor_exponent_table(spec)
-    rep_of: dict[Element, Element] = {}
-    for r in spec.transversal.reps:
-        for h in spec.subgroup.elements:
-            rep_of[mul(group, r, h)] = r
-    reps = list(spec.transversal.reps)
-    u_size = spec.factor.size
-    pairs = [(u, t) for t in range(len(reps)) for u in range(u_size)]
-    pair_index = {p: i for i, p in enumerate(pairs)}
-    n = len(pairs) + 1
-    bottom = n - 1
-    labels = tuple(
-        f"{spec.factor.carrier[u]}@{format_element(reps[t])}" for u, t in pairs
-    ) + ("o",)
-    meet = [[bottom] * n for _ in range(n)]
-    meet[bottom][bottom] = bottom
-    for i, (u1, t1) in enumerate(pairs):
-        for j, (u2, t2) in enumerate(pairs):
-            if t1 == t2:
-                meet[i][j] = pair_index[(spec.factor.meet[u1][u2], t1)]
+    table = AdditionTable(group)
+    exponents = _factor_exponent_table(spec, table)
+    split = _coset_split(table, spec.transversal)
+    reps, factor = spec.transversal.reps, spec.factor
+    u_size = factor.size
+    bottom = len(reps) * u_size
+    labels = tuple(f"{u}@{format_element(t)}" for t in reps for u in factor.carrier) + ("o",)
+    meet = [[bottom] * (bottom + 1) for _ in range(bottom + 1)]
+    for i in range(bottom):
+        base = i - i % u_size
+        meet[i][base : base + u_size] = [base + v for v in factor.meet[i % u_size]]
     action = []
     for gi in range(group.rank):
-        g = elementary(group, gi)
+        shift = table[table.index[elementary(group, gi)]]
         perm = []
-        for u, t in pairs:
-            gt = mul(group, g, reps[t])
-            f = rep_of[gt]
-            k = mul(group, gt, inv(group, f))
-            u2 = act(spec.factor, exponents[k], u)
-            perm.append(pair_index[(u2, reps.index(f))])
-        perm.append(bottom)
-        action.append(tuple(perm))
+        for t in reps:
+            f, k = split[shift[table.index[t]]]
+            perm += [f * u_size + act(factor, exponents[k], u) for u in range(u_size)]
+        action.append(tuple(perm) + (bottom,))
     return FSemilattice(
         group=group, carrier=labels, meet=tuple(tuple(r) for r in meet), action=tuple(action)
     )
@@ -300,20 +291,14 @@ def transversal_independence_check(
     spec2 = twisted_spec(group, sub, factor, second, factor_generators)
     left = twisted_multiple(spec1)
     right = twisted_multiple(spec2)
-    exponents = _factor_exponent_table(spec1)
+    table = AdditionTable(group)
+    exponents = _factor_exponent_table(spec1, table)
+    split = _coset_split(table, second)
     u_size = spec1.factor.size
-    coset_of = {}
-    for idx, r in enumerate(second.reps):
-        for h in sub.elements:
-            coset_of[mul(group, r, h)] = idx
     mapping = []
-    for i in range(left.size - 1):
-        t_pos, u = divmod(i, u_size)
-        t = first.reps[t_pos]
-        t2_pos = coset_of[t]
-        t2 = second.reps[t2_pos]
-        k = mul(group, inv(group, t2), t)
-        mapping.append(t2_pos * u_size + act(spec1.factor, exponents[k], u))
+    for t in first.reps:
+        t2, k = split[table.index[t]]
+        mapping += [t2 * u_size + act(spec1.factor, exponents[k], u) for u in range(u_size)]
     mapping.append(right.size - 1)
     hom = Homomorphism(left, right, tuple(mapping))
     if not is_isomorphism(hom):

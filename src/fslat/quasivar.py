@@ -1,10 +1,8 @@
-"""Terms, quasi-identities, and the quasivariety-level decision procedures.
+"""Quasi-identities over terms, and the quasivariety-level decision procedures.
 
-A term is a nonempty set of (group element, variable) pairs and denotes the
-meet of the translated variables; this normal form is closed under meet
-(set union) and translation, and set semantics absorbs idempotence.  A
-quasi-identity is a Horn formula: finitely many equational premises and one
-equational conclusion, checked by exhaustive valuation over finite carriers.
+A quasi-identity is a Horn formula over terms (``algebras.Term``): finitely
+many equational premises and one equational conclusion, checked by
+exhaustive valuation over finite carriers.
 
 The decision procedures implemented here: the free-minimality test (every
 nonzero element must generate an isomorphic copy), the stabilizer map from
@@ -20,9 +18,11 @@ import re
 from dataclasses import dataclass
 
 from .algebras import (
+    CarrierLimitError,
     FSemilattice,
     Homomorphism,
     NotGeneratedError,
+    Term,
     _automorphic_generators,
     act,
     congruences,
@@ -31,8 +31,11 @@ from .algebras import (
     generates,
     is_isomorphic_1gen,
     is_isomorphism,
+    meet_terms,
     quotient,
     subalgebra_generated,
+    translate_term,
+    var,
     zero,
 )
 from .constructions import VerificationError, maroti, twisted_multiple, twisted_spec
@@ -43,39 +46,11 @@ from .groups import (
     InfiniteGroupError,
     Subgroup,
     format_element,
-    identity,
-    mul,
     presentation,
     reduce_element,
     subgroup_from_elements,
     subgroups,
 )
-
-
-@dataclass(frozen=True)
-class Term:
-    pairs: frozenset[tuple[Element, str]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
-        if not self.pairs:
-            raise ValueError("a term is a meet over a nonempty set of translated variables")
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(sorted({v for _, v in self.pairs}))
-
-
-def var(name: str, group: GroupSpec) -> Term:
-    return Term(frozenset({(identity(group), name)}))
-
-
-def translate_term(group: GroupSpec, g: Element, term: Term) -> Term:
-    return Term(frozenset((mul(group, g, h), v) for h, v in term.pairs))
-
-
-def meet_terms(one: Term, two: Term) -> Term:
-    return Term(one.pairs | two.pairs)
 
 
 @dataclass(frozen=True)
@@ -104,11 +79,17 @@ def eval_term(algebra: FSemilattice, term: Term, valuation: dict[str, int]) -> i
     return value
 
 
+# Most valuations (carrier size to the number of variables) the exhaustive
+# quasi-identity check accepts; a larger scan is refused before it starts.
+MAX_VALUATIONS = 10**6
+
+
 def holds_quasi_identity(
     algebra: FSemilattice, qi: QuasiIdentity
 ) -> tuple[bool, dict[str, int] | None]:
     """Exhaustive check; on failure, the first failing valuation in canonical
     order (variables sorted by name, carrier indices counted lexicographically).
+    More than ``MAX_VALUATIONS`` valuations raise ``CarrierLimitError``.
 
     Each term is compiled once to (carrier permutation, variable slot) pairs
     in ``sorted(term.pairs)`` order, the order ``eval_term`` folds the meet
@@ -119,6 +100,8 @@ def holds_quasi_identity(
     therefore the first failing one.
     """
     names = qi.variables
+    if algebra.size ** len(names) > MAX_VALUATIONS:
+        raise CarrierLimitError(f"{algebra.size}^{len(names)} valuations exceed {MAX_VALUATIONS}")
     slot = {v: i for i, v in enumerate(names)}
     perms: dict[Element, tuple[int, ...]] = {}
 
@@ -179,6 +162,9 @@ def separating_quasi_identity(algebra: FSemilattice, a: int) -> QuasiIdentity:
     """The canonically first unary-term pair disagreeing at the generator,
     packaged as (s(x) = t(x)) -> (x = x ^ y).
 
+    Candidates are the translates g(x) in ``_image_elements`` order, the
+    identity first, so the first pair is x and the first g(x) with g(a) != a.
+
     For a free-minimal algebra the result holds in the algebra and fails in
     the two-element algebra with trivial action, which is what separates the
     generated quasivariety from the trivially-acted one.
@@ -188,14 +174,10 @@ def separating_quasi_identity(algebra: FSemilattice, a: int) -> QuasiIdentity:
     if not generates(algebra, a):
         raise NotGeneratedError(f"{algebra.label(a)!r} does not generate the algebra")
     group = algebra.group
-    candidates = [Term(frozenset({(g, "x")})) for g in _image_elements(algebra)]
-    for j in range(1, len(candidates)):
-        for i in range(j):
-            s, t = candidates[i], candidates[j]
-            if eval_term(algebra, s, {"x": a}) != eval_term(algebra, t, {"x": a}):
-                x = var("x", group)
-                y = var("y", group)
-                return make_quasi_identity([(s, t)], (x, meet_terms(x, y)))
+    x, y = var("x", group), var("y", group)
+    for g in _image_elements(algebra):
+        if act(algebra, g, a) != a:
+            return make_quasi_identity([(x, translate_term(group, g, x))], (x, meet_terms(x, y)))
     raise ValueError("no separating term pair found; the algebra is trivially acted on")
 
 
@@ -371,9 +353,11 @@ class DecompositionResult:
     iso: Homomorphism
 
 
-def decompose_ku(
-    algebra: FSemilattice, a: int, max_translates: int = 3
-) -> DecompositionResult:
+# Most translates whose meets ``decompose_ku`` checks for the block condition.
+MAX_TRANSLATES = 3
+
+
+def decompose_ku(algebra: FSemilattice, a: int) -> DecompositionResult:
     """Split a free-minimal algebra at its generator.
 
     K collects the group elements g with a ^ g(a) above zero; the factor is
@@ -381,7 +365,7 @@ def decompose_ku(
     rebuilt and the explicit isomorphism (u, t) -> t(u) is verified.  The
     block condition -- a meet of translates is nonzero exactly when all the
     translating elements share a K-coset -- is checked on meets of up to
-    ``max_translates`` translates.
+    ``MAX_TRANSLATES`` translates.
     """
     group = algebra.group
     if not group.is_finite:
@@ -401,7 +385,7 @@ def decompose_ku(
     k_elems = [g for g in elements if algebra.meet[a][translate[g]] != bottom]
     sub = subgroup_from_elements(group, k_elems, table)  # failure here would be a bug
     coset_id = {table.elements[g]: i for i, b in enumerate(table.cosets(sub)) for g in b}
-    for size in range(1, max_translates + 1):
+    for size in range(1, MAX_TRANSLATES + 1):
         for combo in itertools.combinations_with_replacement(elements, size):
             value = None
             for g in combo:

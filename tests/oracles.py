@@ -12,23 +12,28 @@ from fslat.algebras import (
     HomExtendResult,
     Homomorphism,
     NotGeneratedError,
-    UnaryTerm,
+    Term,
     act,
     generates,
     is_isomorphic_1gen,
+    is_isomorphism,
+    meet_terms,
     perm_compose,
     perm_identity,
     perm_inverse,
     perm_order,
     subalgebra_generated,
+    var,
     zero,
 )
+from fslat.constructions import TwistedSpec, VerificationError, twisted_spec
 from fslat.groups import (
     Element,
     GroupSpec,
     InfiniteGroupError,
     NotASubgroupError,
     Subgroup,
+    Transversal,
     elementary,
     format_element,
     identity,
@@ -37,7 +42,14 @@ from fslat.groups import (
     reduce_element,
 )
 from fslat.irrationals import QuadraticIrrational, compare_values, compare_with_rational
-from fslat.quasivar import MinimalityVerdict, QuasiIdentity, StabilizerImage, eval_term
+from fslat.quasivar import (
+    MinimalityVerdict,
+    QuasiIdentity,
+    StabilizerImage,
+    _image_elements,
+    eval_term,
+    make_quasi_identity,
+)
 
 
 def _close_mul(group: GroupSpec, seed):
@@ -224,10 +236,10 @@ def reference_hom_extend(
 
     The relation {(a, b)} is closed under generator application (both
     directions) and meet-pairing while tracking, for each reached source
-    element, one unary term that produced it.  If two derivations of the same
-    source element disagree on the target side, the map is not well-defined
-    and the two terms form the returned witness: they agree at ``a`` but not
-    at ``b``.  Otherwise the closure is the unique homomorphism sending
+    element, one term in ``x`` that produced it.  If two derivations of the
+    same source element disagree on the target side, the map is not
+    well-defined and the two terms form the returned witness: they agree at
+    x = ``a`` but not at x = ``b``.  Otherwise the closure is the unique homomorphism sending
     ``a`` to ``b``, and it is surjective onto the subalgebra generated by ``b``.
     """
     if source.group != target.group:
@@ -240,11 +252,11 @@ def reference_hom_extend(
         (g, p, q)
         for (g, p), (_, q) in zip(_generator_moves(source), _generator_moves(target))
     ]
-    image: dict[int, tuple[int, UnaryTerm]] = {a: (b, frozenset({id_el}))}
+    image: dict[int, tuple[int, Term]] = {a: (b, Term(frozenset({(id_el, "x")})))}
     processed: list[int] = []
     queue = [a]
 
-    def record(x2: int, y2: int, term: UnaryTerm):
+    def record(x2: int, y2: int, term: Term):
         known = image.get(x2)
         if known is None:
             image[x2] = (y2, term)
@@ -258,13 +270,13 @@ def reference_hom_extend(
         x = queue.pop(0)
         y, term_x = image[x]
         for g, p, q in moves:
-            translated = frozenset(mul(group, g, h) for h in term_x)
+            translated = Term(frozenset((mul(group, g, h), v) for h, v in term_x.pairs))
             clash = record(p[x], q[y], translated)
             if clash:
                 return HomExtendResult(None, clash)
         for x1 in processed + [x]:
             y1, term_1 = image[x1]
-            clash = record(source.meet[x][x1], target.meet[y][y1], term_x | term_1)
+            clash = record(source.meet[x][x1], target.meet[y][y1], Term(term_x.pairs | term_1.pairs))
             if clash:
                 return HomExtendResult(None, clash)
         processed.append(x)
@@ -687,3 +699,138 @@ def reference_congruences(algebra: FSemilattice) -> list[Congruence]:
         frontier = fresh
     ordered = sorted(found, key=lambda blocks: (-len(blocks), blocks))
     return [Congruence(algebra, blocks) for blocks in ordered]
+
+
+# Verbatim copies of the tuple-coded twisted multiple and its transversal
+# check, kept as references for the coset split over one addition table.
+
+
+def _reference_factor_exponent_table(spec: TwistedSpec) -> dict[Element, Element]:
+    """Map each subgroup element to its exponent vector over the supplied
+    generators, verifying on the way that the correspondence is an isomorphism
+    onto the subgroup.  Mismatches are an error, never coerced."""
+    fgroup = spec.factor.group
+    if not fgroup.is_finite:
+        raise NotASubgroupError("factor algebra must live over a finite group")
+    if len(spec.factor_generators) != fgroup.rank:
+        raise NotASubgroupError("need one subgroup generator per factor-group coordinate")
+    parent = spec.group
+    table: dict[Element, Element] = {}
+    for exponents in fgroup.elements():
+        value = identity(parent)
+        for g, e in zip(spec.factor_generators, exponents):
+            for _ in range(e):
+                value = mul(parent, value, g)
+        if value in table:
+            raise NotASubgroupError("generator correspondence is not injective")
+        table[value] = exponents
+    if set(table) != set(spec.subgroup.elements):
+        raise NotASubgroupError("generator correspondence does not present the subgroup")
+    return table
+
+
+def reference_twisted_multiple(spec: TwistedSpec) -> FSemilattice:
+    """Glue one shifted copy of the factor algebra per coset above a zero.
+
+    Carrier: pairs (u, t) for u in the factor and t a coset representative,
+    ordered by (representative, u), plus a final zero.  Pairs over the same
+    representative meet inside the factor; over different representatives
+    they meet at zero.  A group element g sends (u, t) to (k(u), f) where f
+    is the representative of g t's coset and k = g t f^{-1} lies in the
+    subgroup, acting on u through the factor's own action.
+    """
+    group = spec.group
+    exponents = _reference_factor_exponent_table(spec)
+    rep_of: dict[Element, Element] = {}
+    for r in spec.transversal.reps:
+        for h in spec.subgroup.elements:
+            rep_of[mul(group, r, h)] = r
+    reps = list(spec.transversal.reps)
+    u_size = spec.factor.size
+    pairs = [(u, t) for t in range(len(reps)) for u in range(u_size)]
+    pair_index = {p: i for i, p in enumerate(pairs)}
+    n = len(pairs) + 1
+    bottom = n - 1
+    labels = tuple(
+        f"{spec.factor.carrier[u]}@{format_element(reps[t])}" for u, t in pairs
+    ) + ("o",)
+    meet = [[bottom] * n for _ in range(n)]
+    meet[bottom][bottom] = bottom
+    for i, (u1, t1) in enumerate(pairs):
+        for j, (u2, t2) in enumerate(pairs):
+            if t1 == t2:
+                meet[i][j] = pair_index[(spec.factor.meet[u1][u2], t1)]
+    action = []
+    for gi in range(group.rank):
+        g = elementary(group, gi)
+        perm = []
+        for u, t in pairs:
+            gt = mul(group, g, reps[t])
+            f = rep_of[gt]
+            k = mul(group, gt, inv(group, f))
+            u2 = act(spec.factor, exponents[k], u)
+            perm.append(pair_index[(u2, reps.index(f))])
+        perm.append(bottom)
+        action.append(tuple(perm))
+    return FSemilattice(
+        group=group, carrier=labels, meet=tuple(tuple(r) for r in meet), action=tuple(action)
+    )
+
+
+def reference_transversal_independence_check(
+    group: GroupSpec,
+    sub: Subgroup,
+    factor: FSemilattice | None,
+    first: Transversal,
+    second: Transversal,
+    factor_generators: tuple[Element, ...] | None = None,
+) -> Homomorphism:
+    """Build the twisted multiple with two different transversals and verify
+    the explicit isomorphism (u, t) -> (t'^{-1} t (u), t') between them, where
+    t' represents t's coset in the second transversal."""
+    spec1 = twisted_spec(group, sub, factor, first, factor_generators)
+    spec2 = twisted_spec(group, sub, factor, second, factor_generators)
+    left = reference_twisted_multiple(spec1)
+    right = reference_twisted_multiple(spec2)
+    exponents = _reference_factor_exponent_table(spec1)
+    u_size = spec1.factor.size
+    coset_of = {}
+    for idx, r in enumerate(second.reps):
+        for h in sub.elements:
+            coset_of[mul(group, r, h)] = idx
+    mapping = []
+    for i in range(left.size - 1):
+        t_pos, u = divmod(i, u_size)
+        t = first.reps[t_pos]
+        t2_pos = coset_of[t]
+        t2 = second.reps[t2_pos]
+        k = mul(group, inv(group, t2), t)
+        mapping.append(t2_pos * u_size + act(spec1.factor, exponents[k], u))
+    mapping.append(right.size - 1)
+    hom = Homomorphism(left, right, tuple(mapping))
+    if not is_isomorphism(hom):
+        raise VerificationError("transversal-independence map failed verification")
+    return hom
+
+
+def reference_separating_quasi_identity(algebra: FSemilattice, a: int) -> QuasiIdentity:
+    """The pairwise candidate search kept as a reference for the one-pass
+    scan: same quasi-identity, same errors.
+
+    The canonically first unary-term pair disagreeing at the generator,
+    packaged as (s(x) = t(x)) -> (x = x ^ y).
+    """
+    if algebra.size == 1:
+        raise ValueError("the one-element algebra admits no separating quasi-identity")
+    if not generates(algebra, a):
+        raise NotGeneratedError(f"{algebra.label(a)!r} does not generate the algebra")
+    group = algebra.group
+    candidates = [Term(frozenset({(g, "x")})) for g in _image_elements(algebra)]
+    for j in range(1, len(candidates)):
+        for i in range(j):
+            s, t = candidates[i], candidates[j]
+            if eval_term(algebra, s, {"x": a}) != eval_term(algebra, t, {"x": a}):
+                x = var("x", group)
+                y = var("y", group)
+                return make_quasi_identity([(s, t)], (x, meet_terms(x, y)))
+    raise ValueError("no separating term pair found; the algebra is trivially acted on")

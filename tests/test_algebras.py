@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from fslat import algebras as A
 from fslat import constructions as C
 from fslat import groups as G
+from fslat.quasivar import eval_term
 from oracles import (
     congruences_by_exhaustion,
     is_congruence_direct,
@@ -222,17 +223,10 @@ def test_hom_extend_not_well_defined_with_term_witness():
     result = A.hom_extend(sub, sub.index("p"), a7, 0)
     assert not result.ok
     s, t = result.conflict
-    p_idx, a0_idx = sub.index("p"), 0
-
-    def evaluate(algebra, term, x):
-        value = None
-        for g in sorted(term):
-            y = A.act(algebra, g, x)
-            value = y if value is None else algebra.meet[value][y]
-        return value
-
-    assert evaluate(sub, s, p_idx) == evaluate(sub, t, p_idx)
-    assert evaluate(a7, s, a0_idx) != evaluate(a7, t, a0_idx)
+    assert s.variables == t.variables == ("x",)
+    p_at = {"x": sub.index("p")}
+    assert eval_term(sub, s, p_at) == eval_term(sub, t, p_at)
+    assert eval_term(a7, s, {"x": 0}) != eval_term(a7, t, {"x": 0})
 
 
 def test_hom_extend_requires_generator():
@@ -250,18 +244,9 @@ def test_hom_extend_commutes_with_terms(data):
     assert result.ok
     hom = result.hom
     elems = Z4.elements()
-    term = data.draw(
-        st.frozensets(st.sampled_from(elems), min_size=1, max_size=3)
-    )
-
-    def evaluate(x):
-        value = None
-        for g in sorted(term):
-            y = A.act(fan, g, x)
-            value = y if value is None else fan.meet[value][y]
-        return value
-
-    assert hom.map[evaluate(0)] == evaluate(1)
+    members = data.draw(st.frozensets(st.sampled_from(elems), min_size=1, max_size=3))
+    term = A.Term(frozenset((g, "x") for g in members))
+    assert hom.map[eval_term(fan, term, {"x": 0})] == eval_term(fan, term, {"x": 1})
 
 
 def test_is_isomorphic_examples():

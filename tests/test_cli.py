@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +169,33 @@ def test_balpha(capsys):
 def test_balpha_equal_inputs_usage_error(capsys):
     code, _ = invoke(capsys, ["balpha", "--alpha", "sqrt:2", "--beta", "sqrt:2"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--samples", "-1"], ["--p", "3"], ["--q", "2"]],
+    ids=["negative-samples", "p-without-q", "q-without-p"],
+)
+def test_balpha_bad_flags_are_usage_errors(capsys, flags):
+    assert run(["balpha", "--alpha", "sqrt:2", "--beta", "sqrt:3"] + flags) == 2
+    captured = capsys.readouterr()
+    assert_usage_error(captured.out, captured.err)
+
+
+def test_quasi_refuses_too_many_valuations(capsys, tmp_path):
+    c24 = G.make_group([24])
+    path = write_algebra(tmp_path, C.maroti(c24, G.trivial_subgroup(c24)))
+    names = "uvwxyz"
+    qi = f"-> {'^'.join(names)} = {'^'.join(reversed(names))}"
+    start = time.perf_counter()
+    assert run(["quasi", "--algebra", path, "--qi", qi]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert_usage_error(captured.out, captured.err)
+    assert "25^6 valuations" in captured.err
+    # three variables, as in every benchmark request, still scan
+    assert run(["quasi", "--algebra", path, "--qi", "-> x^y^z = z^y^x"]) == 0
+    capsys.readouterr()
 
 
 def test_usage_errors(capsys, tmp_path):

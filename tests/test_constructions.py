@@ -3,7 +3,7 @@ import pytest
 from fslat import algebras as A
 from fslat import constructions as C
 from fslat import groups as G
-from oracles import reference_maroti
+from oracles import reference_maroti, reference_transversal_independence_check
 
 Z2 = G.make_group([2])
 Z4 = G.make_group([4])
@@ -171,6 +171,32 @@ def test_twisted_builds_validate_over_small_groups():
                 built = C.twisted(spec, sub, factor, factor_generators=gens)
                 assert A.validate_axioms(built).ok
                 assert built.size == factor.size * (order // sub.size) + 1
+
+
+def test_twisted_matches_reference_up_to_16():
+    # carrier, meet and action tables and the transversal-independence map
+    # against the tuple-coded construction, over every proper subgroup with
+    # both transversal kinds; the trivial and chain factors are acted on
+    # trivially, so the subgroup's own fan is added to make k(u) move u
+    builds = 0
+    for spec in G.all_group_specs(16):
+        for sub in G.subgroups(spec):
+            if not sub.is_proper:
+                continue
+            kinds = [G.transversal(spec, sub, normalized) for normalized in (True, False)]
+            pres = G.presentation(spec, sub)
+            fan = C.maroti(pres.spec, G.trivial_subgroup(pres.spec))
+            factors = [C.trivial_factor(spec, sub), C.chain2_factor(spec, sub)]
+            for factor, gens in factors + [(fan, pres.generators)]:
+                for reps, other in zip(kinds, kinds[::-1]):
+                    got = C.transversal_independence_check(spec, sub, factor, reps, other, gens)
+                    want = reference_transversal_independence_check(
+                        spec, sub, factor, reps, other, gens
+                    )
+                    # source and target are the twisted multiples on reps and other
+                    assert got == want
+                    builds += 1
+    assert builds == 1296
 
 
 def test_maroti_distinct_subgroups_not_isomorphic_small():

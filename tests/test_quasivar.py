@@ -15,6 +15,7 @@ from oracles import (
     reference_closure,
     reference_holds_quasi_identity,
     reference_is_minimal_free,
+    reference_separating_quasi_identity,
     reference_stabilizer,
     reference_stabilizer_image,
 )
@@ -137,19 +138,13 @@ def test_zero_annihilation():
             if algebra.group.is_finite
             else [(k,) for k in range(4)]
         )
-        import itertools
-
         for size in (1, 2, 3):
-            for term in itertools.combinations(elems, size):
-                def evaluate(x):
-                    value = None
-                    for g in term:
-                        y = A.act(algebra, g, x)
-                        value = y if value is None else algebra.meet[value][y]
-                    return value
-
-                if evaluate(gen) == z:
-                    assert all(evaluate(b) == z for b in range(algebra.size))
+            for combo in itertools.combinations(elems, size):
+                term = A.Term(frozenset((g, "x") for g in combo))
+                if Q.eval_term(algebra, term, {"x": gen}) == z:
+                    assert all(
+                        Q.eval_term(algebra, term, {"x": b}) == z for b in range(algebra.size)
+                    )
 
 
 @given(st.data())
@@ -161,18 +156,18 @@ def test_unary_term_composition_commutes(data):
         if algebra.group.is_finite
         else [(k,) for k in range(-4, 5)]
     )
-    s = data.draw(st.frozensets(st.sampled_from(elems), min_size=1, max_size=3))
-    t = data.draw(st.frozensets(st.sampled_from(elems), min_size=1, max_size=3))
+
+    def unary_term():
+        members = data.draw(st.frozensets(st.sampled_from(elems), min_size=1, max_size=3))
+        return A.Term(frozenset((g, "x") for g in members))
+
+    s, t = unary_term(), unary_term()
     x = data.draw(st.integers(min_value=0, max_value=algebra.size - 1))
 
-    def evaluate(term, v):
-        value = None
-        for g in sorted(term):
-            y = A.act(algebra, g, v)
-            value = y if value is None else algebra.meet[value][y]
-        return value
+    def compose(outer, inner):
+        return Q.eval_term(algebra, outer, {"x": Q.eval_term(algebra, inner, {"x": x})})
 
-    assert evaluate(s, evaluate(t, x)) == evaluate(t, evaluate(s, x))
+    assert compose(s, t) == compose(t, s)
 
 
 def test_stabilizer_examples():
@@ -665,3 +660,23 @@ def test_is_minimal_free_matches_reference(monkeypatch):
         if len(A._automorphic_generators(algebra)) < algebra.group.rank
     ]
     assert rejected.count(1) > 40 and rejected.count(2) > 40
+
+
+def test_separating_quasi_identity_matches_reference():
+    # the one-pass scan returns the pair the pairwise search returns, and
+    # raises its errors with the same messages
+    rng = random.Random(1618)
+    cases = [C.a_k(3)] + [algebra for _, algebra in invariant_tables(rng, 600)]
+    for orders in ([1], [2], [4], [2, 2], [0], [2, 3], [0, 2]):
+        cases += random_tables(rng, G.make_group(orders), 200)
+    outcomes = []
+    for algebra in cases:
+        for a in range(algebra.size):
+            got = _minimality_outcome(Q.separating_quasi_identity, algebra, a)
+            assert got == _minimality_outcome(reference_separating_quasi_identity, algebra, a)
+            outcomes.append(got[0] if isinstance(got, tuple) else Q.QuasiIdentity)
+    kinds = {kind: outcomes.count(kind) for kind in set(outcomes)}
+    # found pairs, trivially acted algebras, one-element algebras,
+    # non-generators and closures that leave a non-commutative table
+    assert set(kinds) == {Q.QuasiIdentity, ValueError, A.NotGeneratedError, A.ShapeError}
+    assert min(kinds.values()) > 20 and len(outcomes) > 6000, kinds
