@@ -15,17 +15,28 @@ import argparse
 from fslat import irrationals as I
 
 
+def sample_count(text: str) -> int:
+    """A trace length in [0, MAX_SAMPLES], the window ``fslat balpha`` traces."""
+    value = int(text)
+    if not 0 <= value <= I.MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be between 0 and {I.MAX_SAMPLES}, got {value}")
+    return value
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("alpha")
     parser.add_argument("beta")
-    parser.add_argument("--samples", type=int, default=12)
+    parser.add_argument("--samples", type=sample_count, default=12)
     args = parser.parse_args()
 
-    alpha = I.parse_irrational(args.alpha)
-    beta = I.parse_irrational(args.beta)
-    if I.compare_values(alpha, beta) >= 0:
-        raise SystemExit("need alpha < beta")
+    try:
+        alpha = I.parse_irrational(args.alpha)
+        beta = I.parse_irrational(args.beta)
+        if I.compare_values(alpha, beta) >= 0:
+            raise ValueError("need alpha < beta")
+    except ValueError as exc:
+        parser.exit(2, f"error: {exc}\n")
     p, q = I.rational_between(alpha, beta)
     print(f"simplest rational between: {p}/{q}")
     report = I.check_separating_identity(alpha, beta, p, q, args.samples)

@@ -90,20 +90,22 @@ def perm_inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def perm_order(p: Perm) -> int:
-    seen = [False] * len(p)
-    n = 1
+def cycle_lengths(p: Perm) -> list[int]:
+    """The length of each point's cycle under p."""
+    lengths = [0] * len(p)
     for start in range(len(p)):
-        if seen[start]:
+        if lengths[start]:
             continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = p[x]
-            length += 1
-        n = lcm(n, length)
-    return n
+        cycle = [start]
+        while p[cycle[-1]] != start:
+            cycle.append(p[cycle[-1]])
+        for x in cycle:
+            lengths[x] = len(cycle)
+    return lengths
+
+
+def perm_order(p: Perm) -> int:
+    return lcm(*set(cycle_lengths(p)))
 
 
 @dataclass(frozen=True)
@@ -251,11 +253,10 @@ def validate_axioms(algebra: FSemilattice) -> ValidationReport:
                     )
     for i, (p, k) in enumerate(zip(algebra.action, algebra.group.orders)):
         if k >= 1:
-            pk = perm_identity(n)
-            for _ in range(k % perm_order(p)):
-                pk = perm_compose(p, pk)
+            # p^k fixes x exactly when the length of x's cycle divides k
+            lengths = cycle_lengths(p)
             for x in range(n):
-                if pk[x] != x:
+                if k % lengths[x]:
                     return ValidationReport(
                         False,
                         "action-order",

@@ -19,17 +19,22 @@ from . import algebras, constructions, groups, irrationals, quasivar
 from .algebras import FSemilattice
 
 
-# Largest product of the finite factor orders ``--orders`` accepts, and the
-# most atoms ``build ak`` builds; larger requests are usage errors, refused
-# before anything is built.
+# Largest product of the finite factor orders ``--orders`` and an
+# ``--algebra`` file's group accept, and the most atoms ``build ak`` builds;
+# larger requests are usage errors, refused before anything is built.
 MAX_GROUP_ORDER = 64
 MAX_AK_ATOMS = 256
 
 
+def _check_orders(orders) -> None:
+    if math.prod(k for k in orders if k >= 1) > MAX_GROUP_ORDER:
+        shown = ",".join(map(str, orders))
+        raise ValueError(f"finite factor orders {shown} multiply to more than {MAX_GROUP_ORDER}")
+
+
 def _parse_orders(text: str) -> groups.GroupSpec:
     orders = [int(p) for p in text.split(",")]
-    if math.prod(k for k in orders if k >= 1) > MAX_GROUP_ORDER:
-        raise ValueError(f"finite factor orders {text} multiply to more than {MAX_GROUP_ORDER}")
+    _check_orders(orders)
     return groups.make_group(orders)
 
 
@@ -40,7 +45,9 @@ def _parse_subgroup(group: groups.GroupSpec, text: str) -> groups.Subgroup:
 
 def _load_algebra(path: str) -> FSemilattice:
     with open(path, "r", encoding="utf-8") as fh:
-        return algebras.algebra_from_dict(json.load(fh))
+        algebra = algebras.algebra_from_dict(json.load(fh))
+    _check_orders(algebra.group.orders)
+    return algebra
 
 
 def _emit(payload: dict, args) -> None:
@@ -236,8 +243,6 @@ def _cmd_simplicity(args) -> int:
 
 
 def _cmd_balpha(args) -> int:
-    if args.samples < 0:
-        raise ValueError(f"--samples must be at least 0, got {args.samples}")
     if (args.p is None) != (args.q is None):
         raise ValueError("--p and --q go together")
     alpha = irrationals.parse_irrational(args.alpha)
@@ -336,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_balpha.add_argument("--p", type=int,
                           help="numerator of a rational between, with --q (default: search)")
     p_balpha.add_argument("--q", type=int, help="denominator of a rational between, with --p")
-    p_balpha.add_argument("--samples", type=int, default=25, help="sample points to trace, >= 0")
+    p_balpha.add_argument("--samples", type=int, default=25,
+                          help=f"sample points to trace, 0..{irrationals.MAX_SAMPLES}")
     common(p_balpha)
     p_balpha.set_defaults(func=_cmd_balpha)
 

@@ -226,16 +226,22 @@ def _run_length(
     return k
 
 
-def _sample_points(count: int, window: int = 8) -> list[BAlphaElement]:
-    """Deterministic sample order: expanding square shells around the origin."""
-    points = sorted(
-        (
-            (max(abs(m), abs(n)), m, n)
-            for m in range(-window, window + 1)
-            for n in range(-window, window + 1)
-        ),
+# The sample window: every m + n*alpha with |m|, |n| <= 8, in expanding square
+# shells around the origin, ordered by (shell, m, n); built once at import.
+_SAMPLE_POINTS = tuple(
+    BAlphaElement(m, n)
+    for _, m, n in sorted(
+        (max(abs(m), abs(n)), m, n) for m in range(-8, 9) for n in range(-8, 9)
     )
-    return [BAlphaElement(m, n) for _, m, n in points[:count]]
+)
+MAX_SAMPLES = len(_SAMPLE_POINTS)
+
+
+def _sample_points(count: int) -> tuple[BAlphaElement, ...]:
+    """The first ``count`` points of the sample window."""
+    if not 0 <= count <= MAX_SAMPLES:
+        raise ValueError(f"sample count must be between 0 and {MAX_SAMPLES}, got {count}")
+    return _SAMPLE_POINTS[:count]
 
 
 @dataclass(frozen=True)
@@ -332,7 +338,9 @@ def check_separating_identity(
     and fails in the beta-algebra, given alpha < p/q < beta.
 
     The universal verdict is the exact sign of p - q*alpha (the identity never
-    depends on x); the samples are an illustrative trace on a finite window.
+    depends on x); the samples are an illustrative trace on a finite window
+    of ``MAX_SAMPLES`` points, and a count outside 0..``MAX_SAMPLES`` raises
+    ``ValueError``.
     """
     if q <= 0:
         raise ValueError("q must be positive")

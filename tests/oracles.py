@@ -4,7 +4,7 @@ library's own algorithms so the two sides can disagree."""
 from __future__ import annotations
 
 import itertools
-from math import ceil, log2
+from math import ceil, lcm, log2
 
 from fslat.algebras import (
     Congruence,
@@ -13,7 +13,11 @@ from fslat.algebras import (
     Homomorphism,
     NotGeneratedError,
     Term,
+    ValidationReport,
     act,
+    check_shape,
+    element_action,
+    generated_by,
     generates,
     is_isomorphic_1gen,
     is_isomorphism,
@@ -26,8 +30,9 @@ from fslat.algebras import (
     var,
     zero,
 )
-from fslat.constructions import TwistedSpec, VerificationError, twisted_spec
+from fslat.constructions import TwistedSpec, VerificationError, twisted_multiple, twisted_spec
 from fslat.groups import (
+    AdditionTable,
     Element,
     GroupSpec,
     InfiniteGroupError,
@@ -39,15 +44,19 @@ from fslat.groups import (
     identity,
     inv,
     mul,
+    presentation,
     reduce_element,
+    subgroup_from_elements,
 )
 from fslat.irrationals import QuadraticIrrational, compare_values, compare_with_rational
 from fslat.quasivar import (
+    DecompositionResult,
     MinimalityVerdict,
     QuasiIdentity,
     StabilizerImage,
     _image_elements,
     eval_term,
+    is_minimal_free,
     make_quasi_identity,
 )
 
@@ -834,3 +843,158 @@ def reference_separating_quasi_identity(algebra: FSemilattice, a: int) -> QuasiI
                 y = var("y", group)
                 return make_quasi_identity([(s, t)], (x, meet_terms(x, y)))
     raise ValueError("no separating term pair found; the algebra is trivially acted on")
+
+
+# Verbatim copy of ``decompose_ku`` with its scan of meets of up to three
+# translates, kept as a reference for the version that relies on the
+# verified isomorphism alone.
+
+MAX_TRANSLATES = 3
+
+
+def reference_decompose_ku(algebra: FSemilattice, a: int) -> DecompositionResult:
+    """Split a free-minimal algebra at its generator.
+
+    K collects the group elements g with a ^ g(a) above zero; the factor is
+    the K-closure of the generator.  The twisted multiple over (K, factor) is
+    rebuilt and the explicit isomorphism (u, t) -> t(u) is verified.  The
+    block condition -- a meet of translates is nonzero exactly when all the
+    translating elements share a K-coset -- is checked on meets of up to
+    ``MAX_TRANSLATES`` translates.
+    """
+    group = algebra.group
+    if not group.is_finite:
+        raise InfiniteGroupError("decomposition is implemented for finite groups")
+    if algebra.size == 1:
+        raise ValueError("decomposition needs a nontrivial algebra")
+    verdict = is_minimal_free(algebra, a)
+    if not verdict.minimal:
+        raise ValueError(
+            f"decomposition needs a free-minimal algebra; counterexample "
+            f"{algebra.label(verdict.counterexample)!r}"
+        )
+    bottom = zero(algebra)
+    table = AdditionTable(group)
+    elements = table.elements
+    translate = {g: act(algebra, g, a) for g in elements}
+    k_elems = [g for g in elements if algebra.meet[a][translate[g]] != bottom]
+    sub = subgroup_from_elements(group, k_elems, table)  # failure here would be a bug
+    coset_id = {table.elements[g]: i for i, b in enumerate(table.cosets(sub)) for g in b}
+    for size in range(1, MAX_TRANSLATES + 1):
+        for combo in itertools.combinations_with_replacement(elements, size):
+            value = None
+            for g in combo:
+                translated = translate[g]
+                value = translated if value is None else algebra.meet[value][translated]
+            same_coset = len({coset_id[g] for g in combo}) == 1
+            if (value != bottom) != same_coset:
+                raise VerificationError(
+                    f"block condition fails for translates {[format_element(g) for g in combo]}"
+                )
+    pres = presentation(group, sub)
+    factor, closure = generated_by(
+        algebra, a, pres.spec, [element_action(algebra, g) for g in pres.generators]
+    )
+    spec = twisted_spec(group, sub, factor, factor_generators=pres.generators)
+    rebuilt = twisted_multiple(spec)
+    u_size = factor.size
+    mapping = []
+    for i in range(rebuilt.size - 1):
+        t_pos, u = divmod(i, u_size)
+        t = spec.transversal.reps[t_pos]
+        mapping.append(act(algebra, t, closure[u]))
+    mapping.append(bottom)
+    iso = Homomorphism(rebuilt, algebra, tuple(mapping))
+    if not is_isomorphism(iso):
+        raise VerificationError("reconstruction map failed verification")
+    return DecompositionResult(sub, factor, pres.generators, rebuilt, iso)
+
+
+# Verbatim copies of ``validate_axioms`` and the ``perm_order`` it calls,
+# kept as references for the action-order check by cycle lengths; the
+# check composes p^(k mod ord p) one factor at a time.
+
+
+def reference_perm_order(p) -> int:
+    seen = [False] * len(p)
+    n = 1
+    for start in range(len(p)):
+        if seen[start]:
+            continue
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
+            length += 1
+        n = lcm(n, length)
+    return n
+
+
+def reference_validate_axioms(algebra: FSemilattice) -> ValidationReport:
+    """Check the defining identities, returning the first violation with a witness.
+
+    Checked in order: idempotence, commutativity, and associativity of the
+    meet; each generator permutation a meet-automorphism; generator
+    permutations pairwise commuting; the permutation of a finite factor of
+    order k having order dividing k.  The last two make exponentiation of
+    generator permutations a genuine group action.
+    """
+    check_shape(algebra)
+    n = algebra.size
+    meet = algebra.meet
+    lab = algebra.label
+    for x in range(n):
+        if meet[x][x] != x:
+            return ValidationReport(False, "meet-idempotence", (x,), f"{lab(x)} ^ {lab(x)} != {lab(x)}")
+    for x in range(n):
+        for y in range(x + 1, n):
+            if meet[x][y] != meet[y][x]:
+                return ValidationReport(
+                    False, "meet-commutativity", (x, y), f"{lab(x)} ^ {lab(y)} != {lab(y)} ^ {lab(x)}"
+                )
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if meet[meet[x][y]][z] != meet[x][meet[y][z]]:
+                    return ValidationReport(
+                        False,
+                        "meet-associativity",
+                        (x, y, z),
+                        f"({lab(x)} ^ {lab(y)}) ^ {lab(z)} != {lab(x)} ^ ({lab(y)} ^ {lab(z)})",
+                    )
+    for i, p in enumerate(algebra.action):
+        for x in range(n):
+            for y in range(x, n):
+                if p[meet[x][y]] != meet[p[x]][p[y]]:
+                    return ValidationReport(
+                        False,
+                        "action-automorphism",
+                        (i, x, y),
+                        f"g{i}({lab(x)} ^ {lab(y)}) != g{i}({lab(x)}) ^ g{i}({lab(y)})",
+                    )
+    for i in range(len(algebra.action)):
+        for j in range(i + 1, len(algebra.action)):
+            p, q = algebra.action[i], algebra.action[j]
+            for x in range(n):
+                if p[q[x]] != q[p[x]]:
+                    return ValidationReport(
+                        False,
+                        "action-commutation",
+                        (i, j, x),
+                        f"g{i}(g{j}({lab(x)})) != g{j}(g{i}({lab(x)}))",
+                    )
+    for i, (p, k) in enumerate(zip(algebra.action, algebra.group.orders)):
+        if k >= 1:
+            pk = perm_identity(n)
+            for _ in range(k % reference_perm_order(p)):
+                pk = perm_compose(p, pk)
+            for x in range(n):
+                if pk[x] != x:
+                    return ValidationReport(
+                        False,
+                        "action-order",
+                        (i, x),
+                        f"g{i} applied {k} times moves {lab(x)}; factor order {k}",
+                    )
+    return ValidationReport(True)

@@ -14,7 +14,9 @@ from oracles import (
     normal_form_subalgebra,
     reference_congruences,
     reference_hom_extend,
+    reference_perm_order,
     reference_principal_congruence,
+    reference_validate_axioms,
     witness_violates,
 )
 from tables import invariant_meet, invariant_tables, powers_of, random_tables
@@ -71,7 +73,7 @@ def test_validate_non_automorphism_action():
 
 
 def test_validate_huge_factor_order():
-    # the order check reduces the factor order modulo the permutation's order
+    # the order check reads cycle lengths, so the factor order's size costs nothing
     swap = ((1, 0, 2),)
     meet = [[0, 2, 2], [2, 1, 2], [2, 2, 2]]
     even = A.FSemilattice(G.make_group([10**12]), ("a", "b", "o"), meet, swap)
@@ -79,6 +81,52 @@ def test_validate_huge_factor_order():
     odd = A.FSemilattice(G.make_group([10**12 + 1]), ("a", "b", "o"), meet, swap)
     report = A.validate_axioms(odd)
     assert (report.ok, report.axiom, report.witness) == (False, "action-order", (0, 0))
+
+
+def cycle_fan(lengths, order):
+    """Atoms above a zero, over the cyclic group of the given order, with
+    the generator permuting the atoms in cycles of the given lengths."""
+    atoms = sum(lengths)
+    perm, start = [], 0
+    for length in lengths:
+        perm += [start + (i + 1) % length for i in range(length)]
+        start += length
+    meet = [[x if x == y else atoms for y in range(atoms + 1)] for x in range(atoms + 1)]
+    carrier = [f"a{i}" for i in range(atoms)] + ["o"]
+    return A.FSemilattice(G.make_group([order]), carrier, meet, [perm + [atoms]])
+
+
+def test_validate_matches_reference():
+    # the action-order check by cycle lengths returns the report of the loop
+    # that composes p^(k mod ord p), and perm_order, the lcm of the cycle
+    # lengths, the order the cycle walk finds; cycle fans and fans over a
+    # group of the wrong order reach that check, the random tables mostly
+    # stop earlier
+    rng = random.Random(4242)
+    cases = [t for _, t in invariant_tables(rng, 300)]
+    for orders in ([1], [2], [3], [4], [2, 2], [0], [6], [0, 2]):
+        cases += random_tables(rng, G.make_group(orders), 60)
+    for lengths in ([2, 3], [3, 2], [4, 6, 1], [1, 5, 3, 2]):
+        cases += [cycle_fan(lengths, order) for order in range(1, 31)]
+    cases += [cycle_fan([2, 17], order) for order in (17, 34, 51, 68)]
+    for spec in G.all_group_specs(8):
+        for sub in G.subgroups(spec):
+            fan = C.maroti(spec, sub)
+            for shift in (-1, 1, 2):
+                orders = [max(k + shift, 0) for k in spec.orders]
+                cases.append(A.FSemilattice(G.make_group(orders), fan.carrier, fan.meet, fan.action))
+    # atoms in cycles of lengths 2, 3, ..., 17 over a group of order their
+    # lcm minus 1: the loop composes 510,509 permutations
+    cases.append(cycle_fan([2, 3, 5, 7, 11, 13, 17], 510509))
+    axioms = []
+    for algebra in cases:
+        report = A.validate_axioms(algebra)
+        assert report == reference_validate_axioms(algebra), algebra
+        assert [A.perm_order(p) for p in algebra.action] == [
+            reference_perm_order(p) for p in algebra.action
+        ]
+        axioms.append(report.axiom)
+    assert axioms.count("action-order") > 50 and axioms.count(None) > 50
 
 
 def test_shape_errors_are_separate():

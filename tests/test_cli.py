@@ -173,13 +173,22 @@ def test_balpha_equal_inputs_usage_error(capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--samples", "-1"], ["--p", "3"], ["--q", "2"]],
-    ids=["negative-samples", "p-without-q", "q-without-p"],
+    [["--samples", "-1"], ["--samples", "290"], ["--p", "3"], ["--q", "2"]],
+    ids=["negative-samples", "samples-beyond-window", "p-without-q", "q-without-p"],
 )
 def test_balpha_bad_flags_are_usage_errors(capsys, flags):
     assert run(["balpha", "--alpha", "sqrt:2", "--beta", "sqrt:3"] + flags) == 2
     captured = capsys.readouterr()
     assert_usage_error(captured.out, captured.err)
+
+
+def test_balpha_traces_the_whole_window(capsys):
+    argv = ["balpha", "--alpha", "sqrt:2", "--beta", "sqrt:3", "--samples", "289"]
+    code, payload = invoke_json(capsys, argv)
+    assert code == 0
+    points = [(m, n) for m, n, _ in payload["report"]["alpha_samples"]]
+    assert len(points) == len(set(points)) == 289
+    assert [(m, n) for m, n, _ in payload["report"]["beta_samples"]] == points
 
 
 def test_quasi_refuses_too_many_valuations(capsys, tmp_path):
@@ -384,7 +393,8 @@ def assert_usage_error(out, err):
 
 
 def test_decompose_verification_error_is_usage_error(capsys, tmp_path):
-    # a shape-valid table whose block condition fails once e1 is the generator
+    # a shape-valid table whose block condition fails once e1 is the generator,
+    # so no twisted multiple maps onto it
     path = tmp_path / "bad.json"
     path.write_text(
         json.dumps({"group": {"orders": [2]}, "carrier": ["e0", "e1"],
@@ -393,7 +403,7 @@ def test_decompose_verification_error_is_usage_error(capsys, tmp_path):
     assert run(["decompose", "--algebra", str(path), "--generator", "e1"]) == 2
     captured = capsys.readouterr()
     assert_usage_error(captured.out, captured.err)
-    assert "block condition fails" in captured.err
+    assert "reconstruction map failed verification" in captured.err
 
 
 @pytest.mark.parametrize("command", ["check-minimal", "decompose", "simplicity"])
@@ -426,15 +436,21 @@ def test_meet_leaving_the_closure_is_a_named_usage_error(capsys, tmp_path, comma
             ["balpha", "--alpha", "sqrt:2", "--beta", "sqrt:1000000000000000003"],
             ["balpha", "--alpha", "sqrt:2", "--beta", "sqrt:999999937"],
         ),
+        (["validate", "--algebra", "{C65}"], ["validate", "--algebra", "{C64}"]),
     ],
-    ids=["orders", "ak", "radicand"],
+    ids=["orders", "ak", "radicand", "algebra-group"],
 )
-def test_hostile_sizes_are_usage_errors(capsys, argv, accepted):
-    assert run(argv) == 2
+def test_hostile_sizes_are_usage_errors(capsys, tmp_path, argv, accepted):
+    # "{Cn}" names a file holding the two-element algebra over Cn
+    paths = {
+        f"C{n}": write_algebra(tmp_path, C.two_element(G.make_group([n])), f"C{n}.json")
+        for n in (64, 65)
+    }
+    assert run([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert_usage_error(captured.out, captured.err)
     # a size at the cap, above every size the tests and the benchmark use
-    assert run(accepted) == 0
+    assert run([arg.format(**paths) for arg in accepted]) == 0
     capsys.readouterr()
 
 

@@ -149,6 +149,16 @@ def test_check_separating_identity_preconditions():
         I.check_separating_identity(SQRT2, SQRT3, 3, -2)
 
 
+def test_sample_counts_outside_the_window_are_refused():
+    # the window holds every m + n*alpha with |m|, |n| <= 8
+    assert I.MAX_SAMPLES == 17 * 17
+    report = I.check_separating_identity(SQRT2, SQRT3, 3, 2, I.MAX_SAMPLES)
+    assert len({line.x for line in report.alpha_samples}) == I.MAX_SAMPLES
+    for count in (-5, -1, I.MAX_SAMPLES + 1, 1000):
+        with pytest.raises(ValueError, match="sample count must be between 0 and 289"):
+            I.check_separating_identity(SQRT2, SQRT3, 3, 2, count)
+
+
 def test_identity_holds_iff_q_alpha_below_p():
     # the universal certificate agrees with direct sampling for assorted p/q
     cases = [(SQRT2, 3, 2), (SQRT2, 1, 1), (SQRT3, 7, 4), (I.sqrt_of(5), 9, 4)]

@@ -13,6 +13,7 @@ from fslat import quasivar as Q
 from oracles import (
     reference_act,
     reference_closure,
+    reference_decompose_ku,
     reference_holds_quasi_identity,
     reference_is_minimal_free,
     reference_separating_quasi_identity,
@@ -258,6 +259,43 @@ def test_decompose_factor_trivial_over_finite_groups():
             res = Q.decompose_ku(fan, 0)
             assert res.factor.size == 1
             assert res.subgroup.elements == sub.elements
+
+
+def test_decompose_matches_reference():
+    # without the scan of meets of up to three translates, the verified
+    # isomorphism alone gives the same decompositions and the same errors;
+    # where the scan found the block condition failing, the map fails
+    # verification instead
+    rng = random.Random(3141)
+    cases = []
+    for spec in G.all_group_specs(16):
+        for sub in G.subgroups(spec):
+            if sub.is_proper:
+                factor, gens = C.chain2_factor(spec, sub)
+                cases += [C.maroti(spec, sub), C.twisted(spec, sub)]
+                cases.append(C.twisted(spec, sub, factor, factor_generators=gens))
+    for orders in ([1], [2], [3], [4], [2, 2], [6], [2, 3], [8]):
+        cases += random_tables(rng, G.make_group(orders), 60)
+    cases += [t for _, t in invariant_tables(rng, 400) if t.group.is_finite]
+
+    def outcome(decompose, algebra, a):
+        try:
+            return decompose(algebra, a)
+        except (ValueError, C.VerificationError) as exc:
+            return type(exc), str(exc)
+
+    decompositions = block_failures = 0
+    for algebra in cases:
+        for a in range(algebra.size):
+            want = outcome(reference_decompose_ku, algebra, a)
+            got = outcome(Q.decompose_ku, algebra, a)
+            if isinstance(want, tuple) and want[1].startswith("block condition fails"):
+                assert got == (C.VerificationError, "reconstruction map failed verification")
+                block_failures += 1
+                continue
+            assert got == want, (algebra, a)
+            decompositions += isinstance(got, Q.DecompositionResult)
+    assert decompositions > 1000 and block_failures > 100
 
 
 def test_decompose_rejects_non_minimal():

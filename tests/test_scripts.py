@@ -8,15 +8,19 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_census(*argv):
+def run_script(name, *argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bijection_census.py"), *argv],
+        [sys.executable, str(ROOT / "scripts" / name), *argv],
         capture_output=True,
         text=True,
         timeout=60,
         env=env,
     )
+
+
+def run_census(*argv):
+    return run_script("bijection_census.py", *argv)
 
 
 @pytest.mark.parametrize("value", ["0", "-5", "65", "200", "four"])
@@ -35,3 +39,41 @@ def test_census_runs_a_small_order():
     # C1, C2, C3, C2xC2 and C4 have 1 + 2 + 2 + 5 + 3 subgroups
     assert [row.split()[0] for row in rows[1:6]] == ["C1", "C2", "C3", "C2xC2", "C4"]
     assert rows[-1].startswith("13 subgroups verified in ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sqrt:4", "sqrt:3"], "error: radicand 4 must be square-free and >= 2\n"),
+        (["sqrt:3", "sqrt:2"], "error: need alpha < beta\n"),
+    ],
+    ids=["square-radicand", "reversed-pair"],
+)
+def test_separating_demo_bad_pairs_are_usage_errors(argv, message):
+    result = run_script("separating_demo.py", *argv)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", message)
+
+
+@pytest.mark.parametrize("value", ["-5", "290", "many"])
+def test_separating_demo_refuses_samples_outside_the_window(value):
+    result = run_script("separating_demo.py", "sqrt:2", "sqrt:3", "--samples", value)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "argument --samples" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_separating_demo_runs_a_pair():
+    result = run_script("separating_demo.py", "sqrt:2", "sqrt:3", "--samples", "3")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "simplest rational between: 3/2",
+        "identity min(x+3, x+2*alpha) = x+2*alpha: holds  [q*alpha < p since 8 < 9]",
+        "identity min(x+3, x+2*beta) = x+2*beta: fails  [q*beta > p since 12 > 9]",
+        "failing witness in the beta algebra: x = 0+0a",
+        "sample trace (x, equal-in-alpha, equal-in-beta):",
+        "      0+0a   True  False",
+        "    -1+-1a   True  False",
+        "     -1+0a   True  False",
+        "verdict: separates",
+    ]
