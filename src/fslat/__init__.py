@@ -27,7 +27,6 @@ from .algebras import (
     congruences,
     cover_edges,
     hom_extend,
-    is_isomorphic_1gen,
     leq,
     opposite,
     quotient,

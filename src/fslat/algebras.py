@@ -522,22 +522,6 @@ def hom_extend(
     return HomExtendResult(Homomorphism(source, target, tuple(image)), None)
 
 
-def is_isomorphic_1gen(
-    first: FSemilattice, a: int, second: FSemilattice, b: int
-) -> tuple[bool, Homomorphism | None]:
-    """Isomorphism test for algebras generated by ``a`` and ``b``: both canonical
-    extensions must be well-defined; the forward one is returned as witness."""
-    if first.size != second.size:
-        return False, None
-    forward = hom_extend(first, a, second, b)
-    if not forward.ok:
-        return False, None
-    backward = hom_extend(second, b, first, a)
-    if not backward.ok:
-        return False, None
-    return True, forward.hom
-
-
 def opposite(algebra: FSemilattice) -> FSemilattice:
     """Same semilattice with every group element acting by its inverse."""
     return FSemilattice(

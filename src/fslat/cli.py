@@ -45,7 +45,11 @@ def _parse_subgroup(group: groups.GroupSpec, text: str) -> groups.Subgroup:
 
 def _load_algebra(path: str) -> FSemilattice:
     with open(path, "r", encoding="utf-8") as fh:
-        algebra = algebras.algebra_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nests too deeply to load") from None
+    algebra = algebras.algebra_from_dict(data)
     _check_orders(algebra.group.orders)
     return algebra
 

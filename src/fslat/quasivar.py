@@ -4,11 +4,11 @@ A quasi-identity is a Horn formula over terms (``algebras.Term``): finitely
 many equational premises and one equational conclusion, checked by
 exhaustive valuation over finite carriers.
 
-The decision procedures implemented here: the free-minimality test (every
-nonzero element must generate an isomorphic copy), the stabilizer map from
-minimal algebras to subgroups with its inverse built from coset fans, and
-the splitting of a free-minimal algebra into a subgroup K and a K-algebra
-whose twisted multiple reconstructs it.
+The decision procedures implemented here: the free-minimality test (the
+map generator -> b must extend injectively for every nonzero b), the
+stabilizer map from minimal algebras to subgroups with its inverse built
+from coset fans, and the splitting of a free-minimal algebra into a
+subgroup K and a K-algebra whose twisted multiple reconstructs it.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ from .algebras import (
     element_action,
     generated_by,
     generates,
-    is_isomorphic_1gen,
+    hom_extend,
     is_isomorphism,
     meet_terms,
     quotient,
-    subalgebra_generated,
     translate_term,
+    validate_axioms,
     var,
     zero,
 )
@@ -44,6 +44,7 @@ from .groups import (
     Element,
     GroupSpec,
     InfiniteGroupError,
+    NotASubgroupError,
     Subgroup,
     presentation,
     reduce_element,
@@ -193,17 +194,20 @@ class MinimalityVerdict:
 
 
 def is_minimal_free(algebra: FSemilattice, a: int) -> MinimalityVerdict:
-    """Decide whether the generated quasivariety is minimal: every nonzero
-    element must generate a subalgebra isomorphic to the whole algebra via
-    the canonical generator-to-generator map.
+    """Decide whether the generated quasivariety is minimal: for every
+    nonzero b, a -> b must extend to an isomorphism onto the subalgebra
+    generated by b.  One ``hom_extend(algebra, a, algebra, b)`` decides b: a
+    well-defined extension is the unique homomorphism with a -> b and maps
+    onto that subalgebra, so it is the isomorphism exactly when it is
+    injective.  This needs a commutative meet table, on which the extension
+    closes every unordered pair.
 
-    An automorphism s of the algebra that commutes with the action maps the
-    subalgebra generated by b onto the one generated by s(b), carrying the
-    canonical maps along, so b and s(b) pass or fail together.  When b
-    passes, its orbit under the generator permutations that are checked
-    automorphisms (``_automorphic_generators``) is marked as passed and the
-    scan skips those elements; the first failing element is the one the
-    element-by-element scan finds.
+    An automorphism s of the algebra that commutes with the action composes
+    the extension a -> b into the one a -> s(b), so b and s(b) pass or fail
+    together.  When b passes, its orbit under the generator permutations
+    that are checked automorphisms (``_automorphic_generators``) is marked
+    as passed and the scan skips those elements; the first failing element
+    is the one the element-by-element scan finds.
     """
     if algebra.size == 1:
         raise ValueError("minimality test needs a nontrivial algebra")
@@ -219,11 +223,8 @@ def is_minimal_free(algebra: FSemilattice, a: int) -> MinimalityVerdict:
         checked += 1
         if passed[b]:
             continue
-        sub, embedding = subalgebra_generated(algebra, b)
-        if sub.size != algebra.size:
-            return MinimalityVerdict(False, b, checked)
-        ok, _ = is_isomorphic_1gen(algebra, a, sub, embedding.index(b))
-        if not ok:
+        extension = hom_extend(algebra, a, algebra, b)
+        if not extension.ok or not extension.hom.is_bijective:
             return MinimalityVerdict(False, b, checked)
         orbit = [b]
         for x in orbit:
@@ -366,7 +367,8 @@ def decompose_ku(algebra: FSemilattice, a: int) -> DecompositionResult:
     the translates of (u_a, e).  The verified map sends (u_a, e) to a and the
     added zero to ``zero(algebra)``; it preserves every pairwise meet and
     commutes with every generator permutation, so it carries the condition
-    to the algebra.
+    to the algebra.  If K is not a subgroup, the first axiom the table fails
+    is raised as a ``ValueError``.
     """
     group = algebra.group
     if not group.is_finite:
@@ -382,7 +384,14 @@ def decompose_ku(algebra: FSemilattice, a: int) -> DecompositionResult:
     bottom = zero(algebra)
     table = AdditionTable(group)
     k_elems = [g for g in table.elements if algebra.meet[a][act(algebra, g, a)] != bottom]
-    sub = subgroup_from_elements(group, k_elems, table)  # failure here would be a bug
+    try:
+        sub = subgroup_from_elements(group, k_elems, table)
+    except NotASubgroupError:
+        report = validate_axioms(algebra)
+        if not report.ok:
+            detail = f"{report.axiom} fails: {report.detail}"
+            raise ValueError(f"decomposition needs an axiom-valid algebra; {detail}") from None
+        raise
     pres = presentation(group, sub)
     factor, closure = generated_by(
         algebra, a, pres.spec, [element_action(algebra, g) for g in pres.generators]

@@ -19,7 +19,7 @@ from fslat.algebras import (
     element_action,
     generated_by,
     generates,
-    is_isomorphic_1gen,
+    hom_extend,
     is_isomorphism,
     meet_terms,
     perm_compose,
@@ -399,6 +399,26 @@ def reference_closure(algebra: FSemilattice, seed: int, perms) -> tuple[int, ...
     return tuple(sorted(members))
 
 
+def reference_is_isomorphic_1gen(
+    first: FSemilattice, a: int, second: FSemilattice, b: int
+) -> tuple[bool, Homomorphism | None]:
+    """The two-extension isomorphism test ``is_minimal_free`` used before it
+    decided each element by one injective extension, kept verbatim as the
+    reference it and the isomorphism tests compare against.
+
+    Isomorphism test for algebras generated by ``a`` and ``b``: both canonical
+    extensions must be well-defined; the forward one is returned as witness."""
+    if first.size != second.size:
+        return False, None
+    forward = hom_extend(first, a, second, b)
+    if not forward.ok:
+        return False, None
+    backward = hom_extend(second, b, first, a)
+    if not backward.ok:
+        return False, None
+    return True, forward.hom
+
+
 def reference_is_minimal_free(algebra: FSemilattice, a: int) -> MinimalityVerdict:
     """The element-by-element ``is_minimal_free`` kept as a reference for the
     orbit skip: it tests every nonzero element up to the first failure.
@@ -419,7 +439,7 @@ def reference_is_minimal_free(algebra: FSemilattice, a: int) -> MinimalityVerdic
         sub, embedding = subalgebra_generated(algebra, b)
         if sub.size != algebra.size:
             return MinimalityVerdict(False, b, checked)
-        ok, _ = is_isomorphic_1gen(algebra, a, sub, embedding.index(b))
+        ok, _ = reference_is_isomorphic_1gen(algebra, a, sub, embedding.index(b))
         if not ok:
             return MinimalityVerdict(False, b, checked)
     return MinimalityVerdict(True, None, checked)

@@ -1,9 +1,11 @@
-"""Random shape-valid tables for differential tests: mostly not semilattices,
-some preserved by a permutation so that orbit reductions have work to do."""
+"""Tables for differential tests: random shape-valid ones, mostly not
+semilattices, some preserved by a permutation so that orbit reductions have
+work to do; and families of axiom-valid algebras built by the library."""
 
 from __future__ import annotations
 
 from fslat import algebras as A
+from fslat import constructions as C
 from fslat import groups as G
 
 
@@ -70,4 +72,32 @@ def invariant_tables(rng, count):
             action = powers_of(s, len(orders))
         group = G.make_group(orders)
         out.append((kind, A.FSemilattice(group, [str(i) for i in range(n)], meet, action)))
+    return out
+
+
+def fans_and_multiples(max_order):
+    """Per group of order at most ``max_order``: the fan over every subgroup,
+    and the trivial and chain2 twisted multiples over every proper
+    subgroup."""
+    out = []
+    for spec in G.all_group_specs(max_order):
+        for sub in G.subgroups(spec):
+            out.append(C.maroti(spec, sub))
+            if sub.is_proper:
+                for factor, gens in (C.trivial_factor(spec, sub), C.chain2_factor(spec, sub)):
+                    out.append(C.twisted(spec, sub, factor, None, gens))
+    return out
+
+
+def free_quotients(max_order):
+    """P+(F) and its quotients other than the one-element one, for every
+    group F of order at most ``max_order``."""
+    out = []
+    for spec in G.all_group_specs(max_order):
+        free = C.free_one_generated(spec)
+        out += [
+            A.quotient(free, cong)
+            for cong in A.congruences(free, limit=free.size)
+            if not cong.is_total
+        ]
     return out

@@ -216,6 +216,22 @@ def test_usage_errors(capsys, tmp_path):
     missing = tmp_path / "missing.json"
     assert run(["validate", "--algebra", str(missing)]) == 2
     capsys.readouterr()
+    # JSON nested past the interpreter's recursion limit, bare or inside an
+    # otherwise valid algebra, is refused with one line
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 200_000 + "]" * 200_000)
+    deep_action = tmp_path / "deep_action.json"
+    algebra = A.algebra_to_dict(C.two_element(G.make_group([2])))
+    deep_action.write_text(
+        json.dumps(algebra).replace('"action": [', '"action": [' + "[" * 5000 + "]" * 5000 + ", ")
+    )
+    for path in (nested, deep_action):
+        for command in ("validate", "hasse", "check-minimal"):
+            assert run([command, "--algebra", str(path)]) == 2
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert captured.out == "" and len(lines) == 1, (path, command)
+            assert lines[0] == f"error: {path}: JSON nests too deeply to load"
 
 
 @pytest.mark.parametrize(
