@@ -21,6 +21,7 @@ from .algebras import (
     Congruence,
     FSemilattice,
     Homomorphism,
+    InvalidAlgebraError,
     Term,
     act,
     atoms,

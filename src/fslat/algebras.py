@@ -14,7 +14,9 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, combinations, compress, product
 from math import lcm
+from operator import eq, itemgetter
 
 from .groups import (
     Element,
@@ -42,6 +44,14 @@ class NotGeneratedError(ValueError):
 
 class CarrierLimitError(ValueError):
     """Carrier exceeds the configured size limit of an enumeration."""
+
+
+class InvalidAlgebraError(ValueError):
+    """An analysis was asked of a table that fails an axiom (``report``)."""
+
+    def __init__(self, report: ValidationReport):
+        super().__init__(f"{report.axiom} fails: {report.detail}")
+        self.report = report
 
 
 @dataclass(frozen=True)
@@ -80,7 +90,7 @@ def perm_identity(n: int) -> Perm:
 
 def perm_compose(p: Perm, q: Perm) -> Perm:
     """(p . q)(x) = p(q(x))."""
-    return tuple(p[q[x]] for x in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def perm_inverse(p: Perm) -> Perm:
@@ -138,8 +148,8 @@ class FSemilattice:
     @cached_property
     def powers(self) -> tuple[tuple[Perm, ...], ...]:
         """The action table: for each generator permutation p, the powers
-        p^0, ..., p^(m-1) with m = ``perm_order(p)``, built on first use."""
-        orders = [perm_order(p) for p in self.action]
+        p^0, ..., p^(m-1) with m its order, built on first use."""
+        orders = self.perm_orders
         if sum(orders) * self.size > MAX_ACTION_TABLE:
             raise CarrierLimitError(
                 f"action table of {sum(orders)} permutations on {self.size} elements "
@@ -149,9 +159,46 @@ class FSemilattice:
         for p, m in zip(self.action, orders):
             row = [perm_identity(self.size)]
             for _ in range(m - 1):
-                row.append(tuple(p[x] for x in row[-1]))
+                row.append(perm_compose(p, row[-1]))
             table.append(tuple(row))
         return tuple(table)
+
+    @cached_property
+    def perm_orders(self) -> tuple[int, ...]:
+        """The order of each generator permutation."""
+        return tuple(map(perm_order, self.action))
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """The ``validate_axioms`` report, computed on first use."""
+        return validate_axioms(self)
+
+    @cached_property
+    def down_sets(self) -> tuple[int, ...]:
+        """For each x, the bitmask of the z with x ^ z = z: the down-set of
+        x once the meet table is commutative."""
+        bits = [1 << z for z in range(self.size)]
+        return tuple(sum(compress(bits, map(eq, row, range(self.size)))) for row in self.meet)
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Edges (lower, upper) of the covering relation of a semilattice: the
+        lower covers of y are the members of dy - {y} below no other member."""
+        down = self.down_sets
+        edges = []
+        for y, dy in enumerate(down):
+            strict = rest = dy ^ 1 << y
+            below = 0
+            while rest:
+                low = rest & -rest
+                below |= down[low.bit_length() - 1] ^ low
+                rest ^= low
+            rest = strict & ~below
+            while rest:
+                low = rest & -rest
+                edges.append((low.bit_length() - 1, y))
+                rest ^= low
+        return tuple(sorted(edges))
 
 
 @dataclass(frozen=True)
@@ -182,8 +229,10 @@ def check_shape(algebra: FSemilattice) -> None:
         raise ShapeError("carrier labels are not unique")
     if len(algebra.meet) != n or any(len(row) != n for row in algebra.meet):
         raise ShapeError("meet table is not square of carrier size")
-    for row in algebra.meet:
-        for v in row:
+    values = set(chain.from_iterable(algebra.meet))
+    types = set(map(type, chain.from_iterable(algebra.meet)))
+    if types != {int} or not 0 <= min(values) <= max(values) < n:
+        for v in chain.from_iterable(algebra.meet):  # name the first bad entry
             if not _is_index(v) or not 0 <= v < n:
                 raise ShapeError(f"meet entry {v!r} is not an index below {n}")
     if len(algebra.action) != algebra.group.rank:
@@ -206,6 +255,14 @@ def validate_axioms(algebra: FSemilattice) -> ValidationReport:
     permutations pairwise commuting; the permutation of a finite factor of
     order k having order dividing k.  The last two make exponentiation of
     generator permutations a genuine group action.
+
+    Associativity is decided by the down-set certificate (``down_sets``): a
+    commutative, idempotent table is a semilattice meet iff dx & dy = d(x ^ y)
+    for all x, y.  That law makes the order transitive (x <= y gives
+    dx = dx & dy) and puts x ^ y, and every common lower bound of x and y, in
+    dx & dy.  The cubic scan runs only when the certificate fails, to name
+    the first witness; the other checks likewise compare whole tables,
+    permutations or covers before an element loop names a witness.
     """
     check_shape(algebra)
     n = algebra.size
@@ -214,56 +271,58 @@ def validate_axioms(algebra: FSemilattice) -> ValidationReport:
     for x in range(n):
         if meet[x][x] != x:
             return ValidationReport(False, "meet-idempotence", (x,), f"{lab(x)} ^ {lab(x)} != {lab(x)}")
-    for x in range(n):
-        for y in range(x + 1, n):
-            if meet[x][y] != meet[y][x]:
-                return ValidationReport(
-                    False, "meet-commutativity", (x, y), f"{lab(x)} ^ {lab(y)} != {lab(y)} ^ {lab(x)}"
-                )
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if meet[meet[x][y]][z] != meet[x][meet[y][z]]:
-                    return ValidationReport(
-                        False,
-                        "meet-associativity",
-                        (x, y, z),
-                        f"({lab(x)} ^ {lab(y)}) ^ {lab(z)} != {lab(x)} ^ ({lab(y)} ^ {lab(z)})",
-                    )
+    if meet != tuple(zip(*meet)):
+        x, y = next((x, y) for x in range(n) for y in range(x + 1, n) if meet[x][y] != meet[y][x])
+        detail = f"{lab(x)} ^ {lab(y)} != {lab(y)} ^ {lab(x)}"
+        return ValidationReport(False, "meet-commutativity", (x, y), detail)
+    # one idempotent element is a semilattice
+    if n > 1 and not _meets_are_intersections(meet, algebra.down_sets):
+        triples = product(range(n), repeat=3)
+        x, y, z = next((x, y, z) for x, y, z in triples if meet[meet[x][y]][z] != meet[x][meet[y][z]])
+        detail = f"({lab(x)} ^ {lab(y)}) ^ {lab(z)} != {lab(x)} ^ ({lab(y)} ^ {lab(z)})"
+        return ValidationReport(False, "meet-associativity", (x, y, z), detail)
     for i, p in enumerate(algebra.action):
-        for x in range(n):
-            for y in range(x, n):
-                if p[meet[x][y]] != meet[p[x]][p[y]]:
-                    return ValidationReport(
-                        False,
-                        "action-automorphism",
-                        (i, x, y),
-                        f"g{i}({lab(x)} ^ {lab(y)}) != g{i}({lab(x)}) ^ g{i}({lab(y)})",
-                    )
-    for i in range(len(algebra.action)):
-        for j in range(i + 1, len(algebra.action)):
-            p, q = algebra.action[i], algebra.action[j]
-            for x in range(n):
-                if p[q[x]] != q[p[x]]:
-                    return ValidationReport(
-                        False,
-                        "action-commutation",
-                        (i, j, x),
-                        f"g{i}(g{j}({lab(x)})) != g{j}(g{i}({lab(x)}))",
-                    )
-    for i, (p, k) in enumerate(zip(algebra.action, algebra.group.orders)):
-        if k >= 1:
+        # a bijection that keeps each cover in order keeps the whole order,
+        # so it preserves greatest lower bounds
+        if not all(meet[p[x]][p[y]] == p[x] for x, y in algebra.covers):
+            pairs = ((x, y) for x in range(n) for y in range(x, n))
+            x, y = next((x, y) for x, y in pairs if p[meet[x][y]] != meet[p[x]][p[y]])
+            detail = f"g{i}({lab(x)} ^ {lab(y)}) != g{i}({lab(x)}) ^ g{i}({lab(y)})"
+            return ValidationReport(False, "action-automorphism", (i, x, y), detail)
+    for i, j in combinations(range(len(algebra.action)), 2):
+        p, q = algebra.action[i], algebra.action[j]
+        if itemgetter(*q)(p) != itemgetter(*p)(q):  # p(q(x)) against q(p(x)), every x
+            x = next(x for x in range(n) if p[q[x]] != q[p[x]])
+            detail = f"g{i}(g{j}({lab(x)})) != g{j}(g{i}({lab(x)}))"
+            return ValidationReport(False, "action-commutation", (i, j, x), detail)
+    for i, (m, k) in enumerate(zip(algebra.perm_orders, algebra.group.orders)):
+        if k >= 1 and k % m:
             # p^k fixes x exactly when the length of x's cycle divides k
-            lengths = cycle_lengths(p)
-            for x in range(n):
-                if k % lengths[x]:
-                    return ValidationReport(
-                        False,
-                        "action-order",
-                        (i, x),
-                        f"g{i} applied {k} times moves {lab(x)}; factor order {k}",
-                    )
+            lengths = cycle_lengths(algebra.action[i])
+            x = next(x for x in range(n) if k % lengths[x])
+            detail = f"g{i} applied {k} times moves {lab(x)}; factor order {k}"
+            return ValidationReport(False, "action-order", (i, x), detail)
     return ValidationReport(True)
+
+
+def _meets_are_intersections(meet, down) -> bool:
+    """Whether dx & dy = d(x ^ y) for all x, y: per row x, all down-sets side by
+    side in one integer, ANDed with dx in every slot, against those row x names."""
+    n = len(down)
+    width = (n + 7) // 8
+    blocks = [d.to_bytes(width, "little") for d in down]
+    packed = int.from_bytes(b"".join(blocks), "little")
+    slots = int.from_bytes((b"\1" + bytes(width - 1)) * n, "little")
+    return all(
+        (packed & dx * slots).to_bytes(n * width, "little") == b"".join(itemgetter(*row)(blocks))
+        for dx, row in zip(down, meet)
+    )
+
+
+def require_valid(algebra: FSemilattice) -> None:
+    """Raise ``InvalidAlgebraError`` unless the algebra passes ``validate_axioms``."""
+    if not algebra.validation.ok:
+        raise InvalidAlgebraError(algebra.validation)
 
 
 def act(algebra: FSemilattice, g: Element, x: int) -> int:
@@ -278,8 +337,14 @@ def act(algebra: FSemilattice, g: Element, x: int) -> int:
 
 
 def element_action(algebra: FSemilattice, g: Element) -> Perm:
-    """The full carrier permutation induced by one group element."""
-    return tuple(act(algebra, g, x) for x in range(algebra.size))
+    """The full carrier permutation induced by one group element: ``act`` on
+    every element at once, one power of each generator composed in turn."""
+    if len(g) != algebra.group.rank:
+        raise ValueError("coordinate length mismatch")
+    perm = perm_identity(algebra.size)
+    for row, c in zip(algebra.powers, g):
+        perm = perm_compose(row[c % len(row)], perm)
+    return perm
 
 
 def zero(algebra: FSemilattice) -> int:
@@ -297,51 +362,30 @@ def leq(algebra: FSemilattice, x: int, y: int) -> bool:
 def atoms(algebra: FSemilattice) -> tuple[int, ...]:
     """Elements covering the least element."""
     z = zero(algebra)
-    out = []
-    for x in range(algebra.size):
-        if x == z:
-            continue
-        if all(not (leq(algebra, y, x) and y not in (x, z)) for y in range(algebra.size)):
-            out.append(x)
-    return tuple(out)
+    return tuple(y for x, y in cover_edges(algebra) if x == z)
 
 
 def cover_edges(algebra: FSemilattice) -> tuple[tuple[int, int], ...]:
     """Edges (lower, upper) of the covering relation of the induced order."""
-    n = algebra.size
-    edges = []
-    for x in range(n):
-        for y in range(n):
-            if x == y or not leq(algebra, x, y):
-                continue
-            if any(z not in (x, y) and leq(algebra, x, z) and leq(algebra, z, y) for z in range(n)):
-                continue
-            edges.append((x, y))
-    return tuple(edges)
+    require_valid(algebra)
+    return algebra.covers
 
 
-def generated_by(
-    algebra: FSemilattice, seed: int, group: GroupSpec, perms: Sequence[Perm]
-) -> tuple[FSemilattice, tuple[int, ...]]:
-    """Least subset containing ``seed`` closed under meet and the carrier
-    permutations ``perms`` (one per generator of ``group``) and their
-    inverses, returned as an algebra over ``group`` acting by the restricted
-    permutations, plus the index embedding into ``algebra``.
+def subalgebra_generated(algebra: FSemilattice, seed: int) -> tuple[FSemilattice, tuple[int, ...]]:
+    """The subalgebra generated by ``seed`` under meet and the whole group,
+    plus its index embedding into the parent.
 
-    The moves are each permutation followed by its inverse.  Each dequeued
-    element is met with the members found so far on one side only, so on a
-    meet table that is not commutative the subset returned depends on the
-    order elements are queued in; a meet that leaves the subset is then
-    reported as a ``ShapeError`` naming the pair.
+    Each dequeued element is moved by every generator permutation (a
+    permutation of finite order, so its inverse is one of its powers) and met
+    with the members found so far, which closes every unordered pair on a
+    commutative meet table.
     """
-    moves = []
-    for p in perms:
-        moves += [p, perm_inverse(p)]
+    require_valid(algebra)
     members = {seed}
     queue = [seed]
     while queue:
         x = queue.pop()
-        for p in moves:
+        for p in algebra.action:
             y = p[x]
             if y not in members:
                 members.add(y)
@@ -353,30 +397,13 @@ def generated_by(
                 queue.append(z)
     embedding = tuple(sorted(members))
     pos = {v: i for i, v in enumerate(embedding)}
-    try:
-        meet = tuple(tuple(pos[algebra.meet[u][v]] for v in embedding) for u in embedding)
-    except KeyError:
-        u, v = next(
-            (u, v) for u in embedding for v in embedding if algebra.meet[u][v] not in pos
-        )
-        lab = algebra.label
-        raise ShapeError(
-            f"meet table is not commutative: {lab(u)} ^ {lab(v)} = "
-            f"{lab(algebra.meet[u][v])} lies outside the subset generated by {lab(seed)}"
-        ) from None
     sub = FSemilattice(
-        group=group,
+        group=algebra.group,
         carrier=tuple(algebra.carrier[v] for v in embedding),
-        meet=meet,
-        action=tuple(tuple(pos[p[v]] for v in embedding) for p in perms),
+        meet=tuple(tuple(pos[algebra.meet[u][v]] for v in embedding) for u in embedding),
+        action=tuple(tuple(pos[p[v]] for v in embedding) for p in algebra.action),
     )
     return sub, embedding
-
-
-def subalgebra_generated(algebra: FSemilattice, seed: int) -> tuple[FSemilattice, tuple[int, ...]]:
-    """The subalgebra generated by ``seed`` under meet and the whole group,
-    plus its index embedding into the parent."""
-    return generated_by(algebra, seed, algebra.group, algebra.action)
 
 
 def generates(algebra: FSemilattice, x: int) -> bool:
@@ -419,18 +446,6 @@ def is_isomorphism(hom: Homomorphism) -> bool:
     return hom.is_bijective and is_homomorphism(hom)
 
 
-def _automorphic_generators(algebra: FSemilattice) -> list[Perm]:
-    """The generator permutations that are checked automorphisms: bijective,
-    meet-preserving and commuting with every generator.  Empty when the
-    meet table is not commutative: closures then depend on visiting order,
-    so automorphisms need not carry one onto another."""
-    n = algebra.size
-    meet = algebra.meet
-    if any(meet[x][y] != meet[y][x] for x in range(n) for y in range(x + 1, n)):
-        return []
-    return [p for p in algebra.action if is_isomorphism(Homomorphism(algebra, algebra, p))]
-
-
 @dataclass(frozen=True)
 class HomExtendResult:
     hom: Homomorphism | None
@@ -470,6 +485,8 @@ def hom_extend(
     homomorphism sending ``a`` to ``b``, and it is surjective onto the
     subalgebra generated by ``b``.
     """
+    require_valid(source)
+    require_valid(target)
     if source.group != target.group:
         raise ValueError("algebras live over different groups")
     # Each generator, then its inverse: (generator index, exponent, source
@@ -620,23 +637,14 @@ def _join(roots: tuple[int, ...], blocks: Blocks) -> tuple[int, ...]:
 def _principal_basis(algebra: FSemilattice) -> set[Blocks]:
     """Principal congruences whose joins give every congruence.
 
-    On a commutative, idempotent meet table the pairs (x, x ^ y) suffice:
-    Cg(x, y) = Cg(x, x ^ y) v Cg(y, x ^ y), because x ~ y forces
-    x ^ y ~ y ^ y = y and x = x ^ x ~ y ^ x = x ^ y, which uses only those
-    two laws.  Any other table gets every pair.  A congruence is closed
-    under each generator permutation p, and p has finite order, so
-    Cg(p x, p y) = Cg(x, y) on every table: one closure serves the whole
+    The pairs (x, x ^ y) suffice: Cg(x, y) = Cg(x, x ^ y) v Cg(y, x ^ y),
+    because x ~ y forces x ^ y ~ y ^ y = y and x = x ^ x ~ y ^ x = x ^ y.
+    A congruence is closed under each generator permutation p, and p has
+    finite order, so Cg(p x, p y) = Cg(x, y): one closure serves the whole
     orbit of a pair under the generator permutations.
     """
     n = algebra.size
-    meet = algebra.meet
-    commutative_idempotent = all(meet[x][x] == x for x in range(n)) and all(
-        meet[x][y] == meet[y][x] for x in range(n) for y in range(x + 1, n)
-    )
-    if commutative_idempotent:
-        pairs = {(min(x, m), max(x, m)) for x in range(n) for m in meet[x] if m != x}
-    else:
-        pairs = {(x, y) for x in range(n) for y in range(x + 1, n)}
+    pairs = {(min(x, m), max(x, m)) for x in range(n) for m in algebra.meet[x] if m != x}
     basis = set()
     for pair in sorted(pairs):
         if pair not in pairs:
@@ -669,6 +677,7 @@ def congruences(algebra: FSemilattice, limit: int = 24) -> list[Congruence]:
     principal congruences make up the basis and how few closures compute
     them.
     """
+    require_valid(algebra)
     n = algebra.size
     if n > limit:
         raise CarrierLimitError(f"carrier size {n} exceeds congruence limit {limit}")
@@ -704,6 +713,7 @@ def algebra_to_dict(algebra: FSemilattice) -> dict:
 
 
 def algebra_from_dict(data: dict) -> FSemilattice:
+    """The algebra of a payload, shape-checked once, its axiom report cached."""
     try:
         algebra = FSemilattice(
             group=GroupSpec(tuple(data["group"]["orders"])),
@@ -713,5 +723,5 @@ def algebra_from_dict(data: dict) -> FSemilattice:
         )
     except (KeyError, TypeError) as exc:
         raise ShapeError(f"malformed algebra payload: {exc}") from exc
-    check_shape(algebra)
+    algebra.validation  # raises ShapeError before the axioms are checked
     return algebra

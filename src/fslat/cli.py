@@ -3,7 +3,9 @@
 Every subcommand is deterministic given identical inputs and flags; payloads
 carry no timestamps, so identical invocations emit identical bytes.  Exit
 codes: 0 success/verified, 1 property failure (with a certificate in the
-payload), 2 usage error.
+payload), 2 usage error.  Every command that reads ``--algebra`` validates
+it on load: a table that fails an axiom gets the ``validate`` payload and
+exit 1 before anything else runs.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ def _parse_subgroup(group: groups.GroupSpec, text: str) -> groups.Subgroup:
 
 
 def _load_algebra(path: str) -> FSemilattice:
+    """The algebra in ``path``; ``InvalidAlgebraError`` if it fails an axiom."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -51,6 +54,7 @@ def _load_algebra(path: str) -> FSemilattice:
             raise ValueError(f"{path}: JSON nests too deeply to load") from None
     algebra = algebras.algebra_from_dict(data)
     _check_orders(algebra.group.orders)
+    algebras.require_valid(algebra)
     return algebra
 
 
@@ -153,9 +157,8 @@ def _cmd_build(args) -> int:
 
 def _cmd_validate(args) -> int:
     algebra = _load_algebra(args.algebra)
-    report = algebras.validate_axioms(algebra)
-    _emit(report.to_dict(), args)
-    return 0 if report.ok else 1
+    _emit(algebra.validation.to_dict(), args)
+    return 0
 
 
 def _cmd_hasse(args) -> int:
@@ -367,6 +370,9 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
+    except algebras.InvalidAlgebraError as exc:
+        _emit(exc.report.to_dict(), args)
+        return 1
     except (
         ValueError,
         KeyError,

@@ -130,13 +130,15 @@ def free_one_generated(group: GroupSpec) -> FSemilattice:
     return FSemilattice(group=group, carrier=labels, meet=meet, action=tuple(action))
 
 
-def trivial_factor(group: GroupSpec, sub: Subgroup) -> tuple[FSemilattice, tuple[Element, ...]]:
-    """One-element algebra over the abstract form of the subgroup, with the
-    natural generator correspondence."""
+def trivial_factor(
+    group: GroupSpec, sub: Subgroup, label: str = "u"
+) -> tuple[FSemilattice, tuple[Element, ...]]:
+    """One-element algebra over the abstract form of the subgroup, its
+    element labeled ``label``, with the natural generator correspondence."""
     pres = presentation(group, sub)
     algebra = FSemilattice(
         group=pres.spec,
-        carrier=("u",),
+        carrier=(label,),
         meet=((0,),),
         action=tuple((0,) for _ in range(pres.spec.rank)),
     )

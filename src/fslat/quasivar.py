@@ -8,7 +8,9 @@ The decision procedures implemented here: the free-minimality test (the
 map generator -> b must extend injectively for every nonzero b), the
 stabilizer map from minimal algebras to subgroups with its inverse built
 from coset fans, and the splitting of a free-minimal algebra into a
-subgroup K and a K-algebra whose twisted multiple reconstructs it.
+subgroup K and a K-algebra whose twisted multiple reconstructs it.  Each
+refuses an algebra that fails ``validate_axioms`` with
+``InvalidAlgebraError``.
 """
 
 from __future__ import annotations
@@ -23,30 +25,26 @@ from .algebras import (
     Homomorphism,
     NotGeneratedError,
     Term,
-    _automorphic_generators,
     act,
     congruences,
     element_action,
-    generated_by,
     generates,
     hom_extend,
     is_isomorphism,
     meet_terms,
     quotient,
+    require_valid,
     translate_term,
-    validate_axioms,
     var,
     zero,
 )
-from .constructions import VerificationError, maroti, twisted_multiple, twisted_spec
+from .constructions import VerificationError, maroti, trivial_factor, twisted_multiple, twisted_spec
 from .groups import (
     AdditionTable,
     Element,
     GroupSpec,
     InfiniteGroupError,
-    NotASubgroupError,
     Subgroup,
-    presentation,
     reduce_element,
     subgroup_from_elements,
     subgroups,
@@ -99,6 +97,7 @@ def holds_quasi_identity(
     of the partial valuation.  A full valuation that passes every check is
     therefore the first failing one.
     """
+    require_valid(algebra)
     names = qi.variables
     if algebra.size ** len(names) > MAX_VALUATIONS:
         raise CarrierLimitError(f"{algebra.size}^{len(names)} valuations exceed {MAX_VALUATIONS}")
@@ -199,49 +198,53 @@ def is_minimal_free(algebra: FSemilattice, a: int) -> MinimalityVerdict:
     generated by b.  One ``hom_extend(algebra, a, algebra, b)`` decides b: a
     well-defined extension is the unique homomorphism with a -> b and maps
     onto that subalgebra, so it is the isomorphism exactly when it is
-    injective.  This needs a commutative meet table, on which the extension
-    closes every unordered pair.
+    injective.  The first extension raises ``NotGeneratedError`` when ``a``
+    does not generate the algebra.
 
-    An automorphism s of the algebra that commutes with the action composes
-    the extension a -> b into the one a -> s(b), so b and s(b) pass or fail
-    together.  When b passes, its orbit under the generator permutations
-    that are checked automorphisms (``_automorphic_generators``) is marked
-    as passed and the scan skips those elements; the first failing element
-    is the one the element-by-element scan finds.
+    Each generator permutation s is an automorphism that commutes with the
+    action, so b and s(b) pass or fail together: when b passes, its orbit is
+    marked as passed and skipped, and the first failing element is the one
+    the element-by-element scan finds.
     """
     if algebra.size == 1:
         raise ValueError("minimality test needs a nontrivial algebra")
-    if not generates(algebra, a):
-        raise NotGeneratedError(f"{algebra.label(a)!r} does not generate the algebra")
-    automorphisms = _automorphic_generators(algebra)
     bottom = zero(algebra)
     passed = [False] * algebra.size
     checked = 0
-    for b in range(algebra.size):
-        if b == bottom:
-            continue
-        checked += 1
-        if passed[b]:
-            continue
-        extension = hom_extend(algebra, a, algebra, b)
-        if not extension.ok or not extension.hom.is_bijective:
-            return MinimalityVerdict(False, b, checked)
-        orbit = [b]
-        for x in orbit:
-            for p in automorphisms:
-                if not passed[p[x]]:
-                    passed[p[x]] = True
-                    orbit.append(p[x])
+    try:
+        for b in range(algebra.size):
+            if b == bottom:
+                continue
+            checked += 1
+            if passed[b]:
+                continue
+            extension = hom_extend(algebra, a, algebra, b)
+            if not extension.ok or not extension.hom.is_bijective:
+                return MinimalityVerdict(False, b, checked)
+            orbit = [b]
+            for x in orbit:
+                for p in algebra.action:
+                    if not passed[p[x]]:
+                        passed[p[x]] = True
+                        orbit.append(p[x])
+    except NotGeneratedError:
+        raise NotGeneratedError(f"{algebra.label(a)!r} does not generate the algebra") from None
     return MinimalityVerdict(True, None, checked)
 
 
 def stabilizer(algebra: FSemilattice, a: int, table: AdditionTable | None = None) -> Subgroup:
-    """The subgroup of group elements fixing ``a`` (finite groups only)."""
+    """The subgroup of group elements fixing ``a`` (finite groups only).  The
+    images g(a) are listed in ``table.elements`` order one coordinate at a
+    time, each moved by every power of the next generator, as ``act`` does."""
+    require_valid(algebra)
     group = algebra.group
     if not group.is_finite:
         raise InfiniteGroupError("use stabilizer_image over infinite factors")
     table = AdditionTable.of(group, table)
-    fixing = [g for g in table.elements if act(algebra, g, a) == a]
+    images = [a]
+    for row, (r, d) in zip(algebra.powers, table.digits):
+        images = [row[c % len(row)][x] for x in images for c in range(0, r * d, d)]
+    fixing = [g for g, x in zip(table.elements, images) if x == a]
     return subgroup_from_elements(group, fixing, table)
 
 
@@ -264,12 +267,10 @@ class StabilizerImage:
 
 def stabilizer_image(algebra: FSemilattice, a: int) -> StabilizerImage:
     """The action image as the carrier permutations of every product of
-    generator powers, and the ones among them fixing ``a``.
-
-    Precondition: the generator permutations commute, as in every algebra
-    that passes ``validate_axioms``; only then do these products form the
-    group the permutations generate.
-    """
+    generator powers, and the ones among them fixing ``a``.  The generator
+    permutations of a valid algebra commute, so these products form the
+    group they generate."""
+    require_valid(algebra)
     powers = itertools.product(*(range(len(row)) for row in algebra.powers))
     image = tuple(sorted({element_action(algebra, c) for c in powers}))
     return StabilizerImage(image, tuple(p for p in image if p[a] == a))
@@ -356,20 +357,17 @@ class DecompositionResult:
 def decompose_ku(algebra: FSemilattice, a: int) -> DecompositionResult:
     """Split a free-minimal algebra at its generator.
 
-    K collects the group elements g with a ^ g(a) above zero; the factor is
-    the K-closure of the generator.  The twisted multiple over (K, factor) is
-    rebuilt and the explicit isomorphism (u, t) -> t(u) is verified, and that
-    check is the whole certificate.  It implies the block condition -- a meet
-    of translates of a is nonzero exactly when the translating elements share
-    a K-coset -- for any number of translates.  In the rebuilt multiple,
-    copies over different representatives meet only at the added zero, and
-    meets inside one copy never reach that zero, so the condition holds for
-    the translates of (u_a, e).  The verified map sends (u_a, e) to a and the
-    added zero to ``zero(algebra)``; it preserves every pairwise meet and
-    commutes with every generator permutation, so it carries the condition
-    to the algebra.  If K is not a subgroup, the first axiom the table fails
-    is raised as a ``ValueError``.
+    The fan lemma: a free-minimal finite A = <a> is the coset fan over
+    K = Stab(a).  Each nonzero b generates a copy of A, so all of A.  If
+    b = a ^ g(a) is nonzero, a is then a meet of translates of b, so
+    a <= h(b) <= h(a) for some h; h has finite order, so h(a) = a, b = a,
+    and g(a) = a in the same way.  So every nonzero element is one translate
+    of a.  The factor is the one-element algebra over K that carries a's
+    label, and the map (u, t) -> t(a), zero -> zero from the twisted
+    multiple onto the algebra is verified as an isomorphism: that check is
+    the whole certificate, and it does not rest on the lemma.
     """
+    require_valid(algebra)
     group = algebra.group
     if not group.is_finite:
         raise InfiniteGroupError("decomposition is implemented for finite groups")
@@ -381,34 +379,15 @@ def decompose_ku(algebra: FSemilattice, a: int) -> DecompositionResult:
             f"decomposition needs a free-minimal algebra; counterexample "
             f"{algebra.label(verdict.counterexample)!r}"
         )
-    bottom = zero(algebra)
-    table = AdditionTable(group)
-    k_elems = [g for g in table.elements if algebra.meet[a][act(algebra, g, a)] != bottom]
-    try:
-        sub = subgroup_from_elements(group, k_elems, table)
-    except NotASubgroupError:
-        report = validate_axioms(algebra)
-        if not report.ok:
-            detail = f"{report.axiom} fails: {report.detail}"
-            raise ValueError(f"decomposition needs an axiom-valid algebra; {detail}") from None
-        raise
-    pres = presentation(group, sub)
-    factor, closure = generated_by(
-        algebra, a, pres.spec, [element_action(algebra, g) for g in pres.generators]
-    )
-    spec = twisted_spec(group, sub, factor, factor_generators=pres.generators)
+    sub = stabilizer(algebra, a)
+    factor, generators = trivial_factor(group, sub, algebra.label(a))
+    spec = twisted_spec(group, sub, factor, factor_generators=generators)
     rebuilt = twisted_multiple(spec)
-    u_size = factor.size
-    mapping = []
-    for i in range(rebuilt.size - 1):
-        t_pos, u = divmod(i, u_size)
-        t = spec.transversal.reps[t_pos]
-        mapping.append(act(algebra, t, closure[u]))
-    mapping.append(bottom)
+    mapping = [act(algebra, t, a) for t in spec.transversal.reps] + [zero(algebra)]
     iso = Homomorphism(rebuilt, algebra, tuple(mapping))
     if not is_isomorphism(iso):
         raise VerificationError("reconstruction map failed verification")
-    return DecompositionResult(sub, factor, pres.generators, rebuilt, iso)
+    return DecompositionResult(sub, factor, generators, rebuilt, iso)
 
 
 def delta_map(

@@ -4,6 +4,7 @@ library's own algorithms so the two sides can disagree."""
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from math import ceil, lcm, log2
 
 from fslat.algebras import (
@@ -15,12 +16,13 @@ from fslat.algebras import (
     Term,
     ValidationReport,
     act,
+    ShapeError,
     check_shape,
     element_action,
-    generated_by,
     generates,
     hom_extend,
     is_isomorphism,
+    leq,
     meet_terms,
     perm_compose,
     perm_identity,
@@ -397,6 +399,78 @@ def reference_closure(algebra: FSemilattice, seed: int, perms) -> tuple[int, ...
                 members.add(m)
                 queue.append(m)
     return tuple(sorted(members))
+
+
+# Verbatim copies of ``generated_by``, which ``subalgebra_generated`` folded
+# in once the closure ran only on valid algebras, and of the cubic
+# ``cover_edges`` that the down-sets replaced.
+
+
+def reference_generated_by(
+    algebra: FSemilattice, seed: int, group: GroupSpec, perms: Sequence[Perm]
+) -> tuple[FSemilattice, tuple[int, ...]]:
+    """Least subset containing ``seed`` closed under meet and the carrier
+    permutations ``perms`` (one per generator of ``group``) and their
+    inverses, returned as an algebra over ``group`` acting by the restricted
+    permutations, plus the index embedding into ``algebra``.
+
+    The moves are each permutation followed by its inverse.  Each dequeued
+    element is met with the members found so far on one side only, so on a
+    meet table that is not commutative the subset returned depends on the
+    order elements are queued in; a meet that leaves the subset is then
+    reported as a ``ShapeError`` naming the pair.
+    """
+    moves = []
+    for p in perms:
+        moves += [p, perm_inverse(p)]
+    members = {seed}
+    queue = [seed]
+    while queue:
+        x = queue.pop()
+        for p in moves:
+            y = p[x]
+            if y not in members:
+                members.add(y)
+                queue.append(y)
+        for y in list(members):
+            z = algebra.meet[x][y]
+            if z not in members:
+                members.add(z)
+                queue.append(z)
+    embedding = tuple(sorted(members))
+    pos = {v: i for i, v in enumerate(embedding)}
+    try:
+        meet = tuple(tuple(pos[algebra.meet[u][v]] for v in embedding) for u in embedding)
+    except KeyError:
+        u, v = next(
+            (u, v) for u in embedding for v in embedding if algebra.meet[u][v] not in pos
+        )
+        lab = algebra.label
+        raise ShapeError(
+            f"meet table is not commutative: {lab(u)} ^ {lab(v)} = "
+            f"{lab(algebra.meet[u][v])} lies outside the subset generated by {lab(seed)}"
+        ) from None
+    sub = FSemilattice(
+        group=group,
+        carrier=tuple(algebra.carrier[v] for v in embedding),
+        meet=meet,
+        action=tuple(tuple(pos[p[v]] for v in embedding) for p in perms),
+    )
+    return sub, embedding
+
+
+def reference_cover_edges(algebra: FSemilattice) -> tuple[tuple[int, int], ...]:
+    """Edges (lower, upper) of the covering relation of the induced order."""
+    n = algebra.size
+    edges = []
+    for x in range(n):
+        for y in range(n):
+            if x == y or not leq(algebra, x, y):
+                continue
+            if any(z not in (x, y) and leq(algebra, x, z) and leq(algebra, z, y) for z in range(n)):
+                continue
+            edges.append((x, y))
+    return tuple(edges)
 
 
 def reference_is_isomorphic_1gen(
@@ -912,7 +986,7 @@ def reference_decompose_ku(algebra: FSemilattice, a: int) -> DecompositionResult
                     f"block condition fails for translates {[format_element(g) for g in combo]}"
                 )
     pres = presentation(group, sub)
-    factor, closure = generated_by(
+    factor, closure = reference_generated_by(
         algebra, a, pres.spec, [element_action(algebra, g) for g in pres.generators]
     )
     spec = twisted_spec(group, sub, factor, factor_generators=pres.generators)

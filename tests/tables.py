@@ -1,6 +1,7 @@
 """Tables for differential tests: random shape-valid ones, mostly not
 semilattices, some preserved by a permutation so that orbit reductions have
-work to do; and families of axiom-valid algebras built by the library."""
+work to do; random semilattices, valid by construction; and families of
+axiom-valid algebras built by the library."""
 
 from __future__ import annotations
 
@@ -18,6 +19,69 @@ def random_tables(rng, group, count):
         meet = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
         action = [rng.sample(range(n), n) for _ in range(group.rank)]
         out.append(A.FSemilattice(group, [str(i) for i in range(n)], meet, action))
+    return out
+
+
+def refusal(algebra):
+    """The (error type, message) every analysis entry point raises on an
+    algebra that fails an axiom, or None for a valid one; the report is the
+    algebra's cached ``validate_axioms`` report."""
+    report = algebra.validation
+    return None if report.ok else (A.InvalidAlgebraError, f"{report.axiom} fails: {report.detail}")
+
+
+def commutative_idempotent_tables(rng, count):
+    """Random commutative, idempotent tables with at most five elements and
+    random permutations over small groups: associative or not, so that the
+    associativity certificate both passes and fails."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 5)
+        meet = [[x] * n for x in range(n)]
+        for x in range(n):
+            for y in range(x + 1, n):
+                meet[x][y] = meet[y][x] = rng.randrange(n)
+        group = G.make_group(rng.choice([[1], [2], [3], [0], [2, 2]]))
+        action = [rng.sample(range(n), n) for _ in range(group.rank)]
+        out.append(A.FSemilattice(group, [str(i) for i in range(n)], meet, action))
+    return out
+
+
+def random_semilattices(rng, group, count, max_size=16):
+    """Random axiom-valid algebras over a finite group F: the family of
+    subsets of F x {0..k}, k at most 1, generated by one or two random
+    subsets under translation by F and union, with union as the meet and
+    translation as the action.  A family closed under both is a semilattice
+    that F acts on by automorphisms, so each is valid by construction; one
+    subset generates its family.  Each subset is a union of cosets of a
+    random subgroup of index at most 4, which keeps the family small; one
+    past ``max_size`` is drawn again, and the carrier order is shuffled."""
+    table = G.AdditionTable(group)
+    codes = range(len(table.elements))
+    steps = [table[table.index[G.elementary(group, i)]] for i in range(group.rank)]
+    subs = [h for h in G.subgroups(group, table) if len(codes) <= 4 * h.size]
+    out = []
+    while len(out) < count:
+        blocks = table.cosets(rng.choice(subs))
+        points = [(b, i) for b in blocks for i in range(rng.randint(1, 2))]
+        seeds = [rng.sample(points, rng.randint(1, len(points))) for _ in range(rng.randint(1, 2))]
+        seeds = [[(g, i) for b, i in seed for g in b] for seed in seeds]
+        family = {frozenset((table[g][h], i) for h, i in seed) for seed in seeds for g in codes}
+        queue = list(family)
+        while queue and len(family) <= max_size:
+            one = queue.pop()
+            for two in list(family):
+                if one | two not in family:
+                    family.add(one | two)
+                    queue.append(one | two)
+        if len(family) > max_size:
+            continue
+        carrier = sorted(family, key=sorted)
+        rng.shuffle(carrier)
+        index = {s: x for x, s in enumerate(carrier)}
+        meet = [[index[s | t] for t in carrier] for s in carrier]
+        action = [[index[frozenset((step[h], i) for h, i in s)] for s in carrier] for step in steps]
+        out.append(A.FSemilattice(group, [str(x) for x in range(len(carrier))], meet, action))
     return out
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from oracles import (
     is_congruence_direct,
     normal_form_subalgebra,
     reference_congruences,
+    reference_cover_edges,
     reference_hom_extend,
     reference_is_isomorphic_1gen,
     reference_perm_order,
@@ -21,12 +23,15 @@ from oracles import (
     witness_violates,
 )
 from tables import (
+    commutative_idempotent_tables,
     fans_and_multiples,
     free_quotients,
     invariant_meet,
     invariant_tables,
     powers_of,
+    random_semilattices,
     random_tables,
+    refusal,
 )
 
 Z2 = G.make_group([2])
@@ -105,11 +110,14 @@ def cycle_fan(lengths, order):
 
 
 def test_validate_matches_reference():
-    # the action-order check by cycle lengths returns the report of the loop
-    # that composes p^(k mod ord p), and perm_order, the lcm of the cycle
-    # lengths, the order the cycle walk finds; cycle fans and fans over a
-    # group of the wrong order reach that check, the random tables mostly
-    # stop earlier
+    # the associativity certificate, and the row and cover checks before
+    # each element loop, return the report of the plain scans: 5,000
+    # commutative idempotent tables reach the certificate and make it both
+    # pass and fail.  The action-order check by cycle lengths returns the
+    # report of the loop that composes p^(k mod ord p), and perm_order, the
+    # lcm of the cycle lengths, the order the cycle walk finds; cycle fans
+    # and fans over a group of the wrong order reach that check, the random
+    # tables mostly stop earlier
     rng = random.Random(4242)
     cases = [t for _, t in invariant_tables(rng, 300)]
     for orders in ([1], [2], [3], [4], [2, 2], [0], [6], [0, 2]):
@@ -126,8 +134,9 @@ def test_validate_matches_reference():
     # atoms in cycles of lengths 2, 3, ..., 17 over a group of order their
     # lcm minus 1: the loop composes 510,509 permutations
     cases.append(cycle_fan([2, 3, 5, 7, 11, 13, 17], 510509))
+    lattice_tables = commutative_idempotent_tables(rng, 5000)
     axioms = []
-    for algebra in cases:
+    for algebra in cases + lattice_tables:
         report = A.validate_axioms(algebra)
         assert report == reference_validate_axioms(algebra), algebra
         assert [A.perm_order(p) for p in algebra.action] == [
@@ -135,6 +144,8 @@ def test_validate_matches_reference():
         ]
         axioms.append(report.axiom)
     assert axioms.count("action-order") > 50 and axioms.count(None) > 50
+    certificate = [A.validate_axioms(t).axiom == "meet-associativity" for t in lattice_tables]
+    assert certificate.count(True) > 1000 and certificate.count(False) > 1000
 
 
 def test_shape_errors_are_separate():
@@ -149,6 +160,12 @@ def test_shape_errors_are_separate():
         A.validate_axioms(
             A.FSemilattice(base.group, ("x", "x", "o"), base.meet, base.action)
         )
+    # the first entry out of range or not an int is named
+    for bad, named in ((3, "3"), (-1, "-1"), (True, "True"), (1.0, "1.0")):
+        meet = [list(row) for row in base.meet]
+        meet[1][2] = bad
+        with pytest.raises(A.ShapeError, match=f"meet entry {re.escape(named)} is not an index below 3"):
+            A.validate_axioms(A.FSemilattice(base.group, base.carrier, meet, base.action))
 
 
 def test_zero_atoms_leq():
@@ -159,6 +176,24 @@ def test_zero_atoms_leq():
     a7 = C.counterexample_a7()
     assert {a7.carrier[x] for x in A.atoms(a7)} == {"p", "q"}
     assert all(A.leq(fan, A.zero(fan), x) for x in range(fan.size))
+
+
+def test_cover_edges_match_reference():
+    # the covers read off the down-sets are the edges of the cubic scan on
+    # every valid algebra, and an invalid table is refused
+    rng = random.Random(1729)
+    a7 = C.counterexample_a7()
+    cases = fans_and_multiples(16) + free_quotients(4) + [C.a_k(k) for k in range(1, 7)]
+    cases += [a7] + [A.subalgebra_generated(a7, x)[0] for x in range(a7.size)]
+    for orders in ([2], [3], [4], [2, 2], [6], [8]):
+        cases += random_semilattices(rng, G.make_group(orders), 40)
+    for algebra in cases:
+        assert A.cover_edges(algebra) == reference_cover_edges(algebra), algebra
+    invalid = [t for t in random_tables(rng, Z2, 40) if refusal(t)]
+    for table in invalid:
+        with pytest.raises(A.InvalidAlgebraError, match=re.escape(refusal(table)[1])):
+            A.cover_edges(table)
+    assert len(cases) > 800 and len(invalid) > 20
 
 
 def test_cover_edges():
@@ -365,7 +400,8 @@ def test_congruence_method_matches_oracle_on_carriers_up_to_7():
 
 def test_congruences_match_join_with_everything_closure():
     # joining with the principal congruences only reaches the same set as
-    # joining every pair found, and every partition the plain scan accepts
+    # joining every pair found, and every partition the plain scan accepts;
+    # random tables that fail an axiom are refused
     rng = random.Random(8128)
     atoms8 = A.FSemilattice(
         G.make_group([1]),
@@ -381,14 +417,22 @@ def test_congruences_match_join_with_everything_closure():
             meet = [[rng.randrange(n) for _ in range(n)] for _ in range(n)]
             action = [rng.sample(range(n), n) for _ in orders]
             cases.append(A.FSemilattice(G.make_group(orders), [str(i) for i in range(n)], meet, action))
+        if orders != [0]:
+            cases += random_semilattices(rng, G.make_group(orders), 25, max_size=12)
     sizes = set()
+    refused = 0
     for algebra in cases:
+        if refusal(algebra):
+            with pytest.raises(A.InvalidAlgebraError, match=re.escape(refusal(algebra)[1])):
+                A.congruences(algebra)
+            refused += 1
+            continue
         congs = A.congruences(algebra)
         assert congs == reference_congruences(algebra)
         if algebra.size <= 7:
             assert sorted(c.blocks for c in congs) == sorted(congruences_by_exhaustion(algebra))
         sizes.add(len(congs))
-    assert {1, 2, 3, 4, 256} <= sizes
+    assert {1, 2, 3, 4, 256} <= sizes and refused > 80
 
 
 def _assert_congruences_match(algebra):
@@ -454,15 +498,14 @@ def _commutative_idempotent_tables(rng, count):
 
 
 def test_congruences_match_reference_on_random_tables(monkeypatch):
-    # shape-valid tables of five kinds: arbitrary; commutative and
-    # idempotent but not associative, where the (x, x ^ y) basis applies
-    # although its order-theoretic reading does not; and the three kinds of
-    # ``invariant_tables``: commutative with automorphic generators, mostly
-    # not idempotent, so every pair is a basis pair; commutative with random
-    # permutations; non-commutative with automorphic permutations.  The
-    # orbit reduction needs no guard, so it runs on every kind; ``closures``
-    # counts the principal congruences computed, to show that the basis and
-    # the orbits skip some pairs on every kind
+    # random semilattices, valid by construction, match the reference, and
+    # ``closures`` counts the principal congruences computed, to show that
+    # the (x, x ^ y) basis and the orbits skip pairs on them.  Shape-valid
+    # tables of five kinds -- arbitrary; commutative and idempotent but not
+    # associative; and the three kinds of ``invariant_tables``: commutative
+    # with automorphic generators, mostly not idempotent; commutative with
+    # random permutations; non-commutative with automorphic permutations --
+    # are refused with the axiom they fail, and the few valid ones match
     closures = []
     principal = A.principal_congruence
     monkeypatch.setattr(A, "principal_congruence", lambda alg, x, y: closures.append(x) or principal(alg, x, y))
@@ -472,9 +515,18 @@ def test_congruences_match_reference_on_random_tables(monkeypatch):
         cases["arbitrary"] += random_tables(rng, G.make_group(orders), 40)
     for kind, table in invariant_tables(rng, 900):
         cases[kind].append(table)
+    cases["valid"] = []
+    for orders in ([2], [3], [4], [2, 2], [6], [2, 3]):
+        cases["valid"] += random_semilattices(rng, G.make_group(orders), 50, max_size=12)
     skipping = dict.fromkeys(cases, 0)
+    refused = dict.fromkeys(cases, 0)
     for name, tables in cases.items():
         for table in tables:
+            if refusal(table):
+                with pytest.raises(A.InvalidAlgebraError, match=re.escape(refusal(table)[1])):
+                    A.congruences(table, limit=table.size)
+                refused[name] += 1
+                continue
             closures.clear()
             _assert_congruences_match(table)
             pairs = table.size * (table.size - 1) // 2
@@ -482,7 +534,9 @@ def test_congruences_match_reference_on_random_tables(monkeypatch):
     assert all(_is_lattice_table(t) for t in cases["lattice"])
     assert sum(not _is_commutative(t) for t in cases["arbitrary"] + cases[2]) > 300
     assert sum(not _is_lattice_table(t) for t in cases[0] + cases[1]) > 300
-    assert all(count > 100 for count in skipping.values()), skipping
+    assert refused["lattice"] == len(cases["lattice"]) and refused["valid"] == 0
+    assert all(refused[name] > 100 for name in ("arbitrary", 0, 1, 2)), refused
+    assert skipping["valid"] > 150, skipping
 
 
 def test_principal_congruence_matches_reference():
@@ -579,28 +633,38 @@ def test_hom_extend_matches_reference_on_small_groups():
 
 
 def test_extension_from_a_generator_maps_onto_the_generated_subalgebra():
-    # what one-extension free-minimality rests on: on a commutative meet
-    # table, a well-defined extension of a -> b from a generating a has the
+    # what one-extension free-minimality rests on: on a valid algebra, a
+    # well-defined extension of a -> b from a generating a has the
     # subalgebra generated by b as its image, so it is injective exactly
-    # when b generates the whole algebra
+    # when b generates the whole algebra.  b is a unary term u(a), and unary
+    # terms commute, so every extension from a generator is well-defined;
+    # many images are proper subalgebras.  The commutative kinds of
+    # ``invariant_tables`` that fail an axiom are refused
     rng = random.Random(6196)
     a7 = C.counterexample_a7()
     cases = fans_and_multiples(16) + free_quotients(5) + [C.a_k(k) for k in range(1, 7)]
     cases += [a7] + [A.subalgebra_generated(a7, x)[0] for x in range(a7.size)]
     cases += [table for kind, table in invariant_tables(rng, 300) if kind < 2]
-    pairs = extensions = 0
+    for orders in ([2], [3], [4], [2, 2], [6], [8]):
+        cases += random_semilattices(rng, G.make_group(orders), 40)
+    pairs = proper = refused = 0
     for algebra in cases:
+        if refusal(algebra):
+            with pytest.raises(A.InvalidAlgebraError, match=re.escape(refusal(algebra)[1])):
+                A.hom_extend(algebra, 0, algebra, 0)
+            refused += 1
+            continue
         for a in range(algebra.size):
             if not A.generates(algebra, a):
                 continue
             for b in range(algebra.size):
                 pairs += 1
                 result = A.hom_extend(algebra, a, algebra, b)
-                if result.ok:
-                    extensions += 1
-                    _, embedding = A.subalgebra_generated(algebra, b)
-                    assert tuple(sorted(set(result.hom.map))) == embedding, (algebra, a, b)
-    assert pairs > 20000 and pairs - extensions > 500
+                assert result.ok, (algebra, a, b)
+                _, embedding = A.subalgebra_generated(algebra, b)
+                assert tuple(sorted(set(result.hom.map))) == embedding, (algebra, a, b)
+                proper += len(embedding) < algebra.size
+    assert pairs > 20000 and proper > 500 and refused > 150
 
 
 def test_a7_congruence_and_quotient():

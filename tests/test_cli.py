@@ -408,15 +408,42 @@ def assert_usage_error(out, err):
     assert "Traceback" not in err
 
 
-def test_decompose_verification_error_is_usage_error(capsys, tmp_path):
-    # a shape-valid table whose block condition fails once e1 is the generator,
-    # so no twisted multiple maps onto it
+def validate_output(path):
+    """Exit code and stdout of ``fslat validate`` on the algebra file."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(["validate", "--algebra", path])
+    return code, out.getvalue()
+
+
+def assert_refused_at_the_door(argv, path, code, out, err):
+    """A table that fails an axiom gets exit 1 and the ``validate`` payload
+    from every command that loads it, and nothing on stderr."""
+    assert (code, out) == validate_output(path), argv
+    assert code == 1 and err == "", argv
+
+
+def test_decompose_verification_error_is_usage_error(capsys, tmp_path, monkeypatch):
+    # a shape-valid table whose generator permutation is not an automorphism
+    # is refused at the door; a reconstruction that failed verification, a
+    # bug on a valid algebra, would still be a usage error
     path = tmp_path / "bad.json"
     path.write_text(
         json.dumps({"group": {"orders": [2]}, "carrier": ["e0", "e1"],
                     "meet": [[0, 0], [0, 1]], "action": [[1, 0]]})
     )
-    assert run(["decompose", "--algebra", str(path), "--generator", "e1"]) == 2
+    argv = ["decompose", "--algebra", str(path), "--generator", "e1"]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert_refused_at_the_door(argv, str(path), code, captured.out, captured.err)
+    assert json.loads(captured.out)["axiom"] == "action-automorphism"
+
+    def failing(algebra, a):
+        raise C.VerificationError("reconstruction map failed verification")
+
+    monkeypatch.setattr(cli.quasivar, "decompose_ku", failing)
+    fan = C.maroti(G.make_group([2]), G.trivial_subgroup(G.make_group([2])))
+    assert run(["decompose", "--algebra", write_algebra(tmp_path, fan, "fan.json")]) == 2
     captured = capsys.readouterr()
     assert_usage_error(captured.out, captured.err)
     assert "reconstruction map failed verification" in captured.err
@@ -424,20 +451,20 @@ def test_decompose_verification_error_is_usage_error(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["check-minimal", "decompose", "simplicity"])
 def test_meet_leaving_the_closure_is_a_named_usage_error(capsys, tmp_path, command):
-    # a ^ b = c but b ^ a = a: the closure of a is {a, b}, which is not closed
-    # under meet in the order a ^ b
+    # a ^ b = c but b ^ a = a: a table whose one-sided closure of a would
+    # leave the closure; it fails idempotence first (a ^ a = b), and the
+    # door refuses it with that axiom before any closure runs
     path = tmp_path / "lopsided.json"
     path.write_text(
         json.dumps({"group": {"orders": [1]}, "carrier": ["a", "b", "c"],
                     "meet": [[1, 2, 0], [0, 0, 0], [0, 0, 0]], "action": [[0, 1, 2]]})
     )
-    assert run([command, "--algebra", str(path)]) == 2
+    code = run([command, "--algebra", str(path)])
     captured = capsys.readouterr()
-    assert_usage_error(captured.out, captured.err)
-    assert captured.err == (
-        "error: meet table is not commutative: "
-        "a ^ b = c lies outside the subset generated by a\n"
-    )
+    assert_refused_at_the_door(command, str(path), code, captured.out, captured.err)
+    assert json.loads(captured.out) == {
+        "valid": False, "axiom": "meet-idempotence", "witness": [0], "detail": "a ^ a != a"
+    }
 
 
 @pytest.mark.parametrize(
@@ -483,24 +510,54 @@ def shape_valid_tables(draw):
             "meet": meet, "action": action}
 
 
-@given(shape_valid_tables(), st.data())
-@settings(max_examples=200, deadline=None)
-def test_cli_exit_code_contract_on_random_tables(table, data):
-    generator = data.draw(st.sampled_from([None] + table["carrier"]))
+_DOOR_COMMANDS = ("check-minimal", "decompose", "simplicity", "hasse")
+
+
+def check_exit_code_contract(table, generator):
+    """Every door command on the table: exit 0 or 1 with its payload, or a
+    one-line usage error, on a valid table; exit 1 with the ``validate``
+    payload on a table that ``validate_axioms`` rejects."""
     with tempfile.TemporaryDirectory() as tmp:
         path = f"{tmp}/algebra.json"
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(table, fh)
+        valid = A.validate_axioms(A.algebra_from_dict(table)).ok
         requests = [["quasi", "--algebra", path, "--qi", qi] for qi in _FUZZ_QIS]
-        for command in ("check-minimal", "decompose", "simplicity"):
-            flags = [] if generator is None else ["--generator", generator]
+        for command in _DOOR_COMMANDS:
+            flags = [] if generator is None or command == "hasse" else ["--generator", generator]
             requests.append([command, "--algebra", path] + flags)
         for argv in requests:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = run(argv)
-            assert code in (0, 1, 2), argv
-            if code == 2:
+            if not valid:
+                assert_refused_at_the_door(argv, path, code, out.getvalue(), err.getvalue())
+            elif code == 2:
                 assert_usage_error(out.getvalue(), err.getvalue())
             else:
-                json.loads(out.getvalue())
+                assert code in (0, 1), argv
+                if argv[0] != "hasse":
+                    json.loads(out.getvalue())
+        return valid
+
+
+@given(shape_valid_tables(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_cli_exit_code_contract_on_random_tables(table, data):
+    check_exit_code_contract(table, data.draw(st.sampled_from([None] + table["carrier"])))
+
+
+def test_door_refuses_a_table_whose_closures_disagree():
+    # the 5-element table on which ``check-minimal --generator 0`` once
+    # accepted 0 as a generator and then raised ``NotGeneratedError``: its
+    # meet is not idempotent, so every command refuses it at the door
+    table = {
+        "group": {"orders": [0]},
+        "carrier": ["0", "1", "2", "3", "4"],
+        "meet": [[4, 2, 4, 0, 4], [1, 4, 4, 4, 0], [1, 3, 0, 0, 3], [2, 3, 1, 2, 1], [4, 1, 4, 3, 0]],
+        "action": [[2, 0, 4, 3, 1]],
+    }
+    report = A.validate_axioms(A.algebra_from_dict(table))
+    assert (report.axiom, report.witness) == ("meet-idempotence", (0,))
+    for generator in [None] + table["carrier"]:
+        assert not check_exit_code_contract(table, generator)
