@@ -2,12 +2,16 @@
 """Census of the subgroup / minimal-quasivariety correspondence.
 
 Runs the bijection verification over every abelian group up to a given
-order and prints one summary row per factor multiset.
+order and prints one summary row per factor multiset.  With ``--json`` it
+prints instead one canonical JSON document, the list of every group's
+``BijectionReport.to_dict()`` with no timings, so that two runs can be
+compared byte for byte.  Either way the exit code is 1 when a group fails.
 
-Usage: python scripts/bijection_census.py [--max-order 16]
+Usage: python scripts/bijection_census.py [--max-order 16] [--json]
 """
 
 import argparse
+import json
 import time
 
 from fslat import groups as G
@@ -26,7 +30,15 @@ def max_order(text: str) -> int:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-order", type=max_order, default=16)
+    parser.add_argument("--json", action="store_true", help="print the reports as one JSON document")
     args = parser.parse_args()
+
+    if args.json:
+        reports = [Q.verify_bijection(spec) for spec in G.all_group_specs(args.max_order)]
+        print(json.dumps([report.to_dict() for report in reports], indent=2))
+        if not all(report.ok for report in reports):
+            raise SystemExit(1)
+        return
 
     grand_total = 0
     start = time.perf_counter()

@@ -115,7 +115,18 @@ def cycle_lengths(p: Perm) -> list[int]:
 
 
 def perm_order(p: Perm) -> int:
-    return lcm(*set(cycle_lengths(p)))
+    """The lcm of p's cycle lengths, each cycle walked once."""
+    seen = [False] * len(p)
+    lengths = set()
+    for start in range(len(p)):
+        if not seen[start]:
+            x, length = start, 0
+            while not seen[x]:
+                seen[x] = True
+                x = p[x]
+                length += 1
+            lengths.add(length)
+    return lcm(*lengths)
 
 
 @dataclass(frozen=True)
@@ -218,27 +229,36 @@ class ValidationReport:
 
 
 def check_shape(algebra: FSemilattice) -> None:
-    """Structural well-formedness; raised errors are distinct from axiom failures."""
+    """Structural well-formedness; raised errors are distinct from axiom failures.
+
+    Labels, meet rows and permutations are tested whole, by the set of
+    their types and values; a per-entry loop runs only when that test
+    fails, to name the offender or to pass a subclass."""
     n = algebra.size
     if n == 0:
         raise ShapeError("empty carrier")
-    for label in algebra.carrier:
-        if not isinstance(label, str):
-            raise ShapeError(f"carrier label {label!r} is not a string")
+    if set(map(type, algebra.carrier)) != {str}:
+        for label in algebra.carrier:
+            if not isinstance(label, str):
+                raise ShapeError(f"carrier label {label!r} is not a string")
     if len(set(algebra.carrier)) != n:
         raise ShapeError("carrier labels are not unique")
-    if len(algebra.meet) != n or any(len(row) != n for row in algebra.meet):
+    if len(algebra.meet) != n or set(map(len, algebra.meet)) != {n}:
         raise ShapeError("meet table is not square of carrier size")
-    values = set(chain.from_iterable(algebra.meet))
     types = set(map(type, chain.from_iterable(algebra.meet)))
-    if types != {int} or not 0 <= min(values) <= max(values) < n:
+    if types != {int} or not 0 <= min(map(min, algebra.meet)) <= max(map(max, algebra.meet)) < n:
         for v in chain.from_iterable(algebra.meet):  # name the first bad entry
             if not _is_index(v) or not 0 <= v < n:
                 raise ShapeError(f"meet entry {v!r} is not an index below {n}")
     if len(algebra.action) != algebra.group.rank:
         raise ShapeError("need one action permutation per group generator")
+    points = list(range(n))
     for p in algebra.action:
-        if len(p) != n or not all(map(_is_index, p)) or sorted(p) != list(range(n)):
+        if (
+            len(p) != n
+            or (set(map(type, p)) != {int} and not all(map(_is_index, p)))
+            or sorted(p) != points
+        ):
             raise ShapeError("action table is not a carrier permutation")
 
 

@@ -40,9 +40,9 @@ def _parse_orders(text: str) -> groups.GroupSpec:
     return groups.make_group(orders)
 
 
-def _parse_subgroup(group: groups.GroupSpec, text: str) -> groups.Subgroup:
-    elems = [groups.parse_element(part) for part in text.split(";") if part.strip()]
-    return groups.subgroup_from_elements(group, elems)
+def _parse_elements(text: str) -> list[groups.Element]:
+    """The ';'-separated elements of ``text``; blank parts are skipped."""
+    return [groups.parse_element(part) for part in text.split(";") if part.strip()]
 
 
 def _load_algebra(path: str) -> FSemilattice:
@@ -134,14 +134,12 @@ def _build_algebra(args) -> FSemilattice:
         return constructions.two_element(_parse_orders(args.orders))
     _require(args, "orders", "subgroup")
     group = _parse_orders(args.orders)
-    sub = _parse_subgroup(group, args.subgroup)
+    sub = groups.subgroup_from_elements(group, _parse_elements(args.subgroup))
     if args.kind == "maroti":
         return constructions.maroti(group, sub)
     reps = None
-    if args.transversal:
-        reps = groups.make_transversal(
-            group, sub, [groups.parse_element(p) for p in args.transversal.split(";")]
-        )
+    if args.transversal is not None:
+        reps = groups.make_transversal(group, sub, _parse_elements(args.transversal))
     factor = None
     gens = None
     if args.u == "chain2":

@@ -27,7 +27,6 @@ from .groups import (
     NotASubgroupError,
     Subgroup,
     Transversal,
-    elementary,
     format_element,
     presentation,
     reduce_element,
@@ -51,19 +50,18 @@ def maroti(group: GroupSpec, sub: Subgroup, table: AdditionTable | None = None) 
     """
     table = AdditionTable.of(group, table)
     blocks = table.cosets(sub)
-    block_of = {g: i for i, b in enumerate(blocks) for g in b}
-    n = len(blocks) + 1
-    bottom = n - 1
+    block_of = [0] * len(table.elements)
+    for i, b in enumerate(blocks):
+        for g in b:
+            block_of[g] = i
+    bottom = len(blocks)
     labels = tuple(format_element(table.elements[b[0]]) for b in blocks) + ("o",)
-    meet = [[bottom] * n for _ in range(n)]
-    for i in range(len(blocks)):
-        meet[i][i] = i
-    meet[bottom][bottom] = bottom
+    meet = tuple((bottom,) * i + (i,) + (bottom,) * (bottom - i) for i in range(bottom + 1))
     action = []
     for i in range(group.rank):
-        row = table[table.index[elementary(group, i)]]
+        row = table[table.generator_codes[i]]
         action.append(tuple(block_of[row[b[0]]] for b in blocks) + (bottom,))
-    return FSemilattice(group=group, carrier=labels, meet=tuple(tuple(r) for r in meet), action=tuple(action))
+    return FSemilattice(group=group, carrier=labels, meet=meet, action=tuple(action))
 
 
 def two_element(group: GroupSpec) -> FSemilattice:
@@ -121,7 +119,7 @@ def free_one_generated(group: GroupSpec) -> FSemilattice:
     meet = tuple(tuple((m | k) - 1 for k in masks) for m in masks)
     action = []
     for gi in range(group.rank):
-        shift = table[table.index[elementary(group, gi)]]
+        shift = table[table.generator_codes[gi]]
         image = [0] * (n + 1)
         for m in masks:
             low = (m & -m).bit_length() - 1
@@ -257,7 +255,7 @@ def twisted_multiple(spec: TwistedSpec) -> FSemilattice:
         meet[i][base : base + u_size] = [base + v for v in factor.meet[i % u_size]]
     action = []
     for gi in range(group.rank):
-        shift = table[table.index[elementary(group, gi)]]
+        shift = table[table.generator_codes[gi]]
         perm = []
         for t in reps:
             f, k = split[shift[table.index[t]]]

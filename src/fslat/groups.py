@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, prod
 
 Element = tuple[int, ...]
@@ -112,7 +113,7 @@ def element_order(group: GroupSpec, a: Element) -> int:
 
 
 def format_element(a: Element) -> str:
-    return ",".join(str(c) for c in a)
+    return ",".join(map(str, a))
 
 
 def parse_element(text: str) -> Element:
@@ -125,9 +126,11 @@ class AdditionTable(dict):
     Code i is ``elements[i]``, the i-th torsion element in lexicographic
     order, so sorting codes sorts elements; code 0 is the identity, ``index``
     maps back, and ``table[a][b]`` codes the sum, each row filled on first
-    use.  Built per top-level call and handed down, never kept past it.
-    Given ``span``, only the product over factors of the cyclic subgroups
-    that the elements' coordinates generate is coded; it holds <span>.
+    use.  ``subgroup_memo`` holds each ``subgroup`` answer by its code set.
+    Built per top-level call and handed down, never kept past it, so
+    neither memo outlives the call.  Given ``span``, only the product over
+    factors of the cyclic subgroups that the elements' coordinates generate
+    is coded; it holds <span>.
     """
 
     def __init__(self, group: GroupSpec, span=None):
@@ -137,6 +140,12 @@ class AdditionTable(dict):
         self.digits = [((k or 1) // d, d) for k, d in zip(group.orders, steps)]
         self.elements = list(itertools.product(*(range(0, r * d, d) for r, d in self.digits)))
         self.index = {e: i for i, e in enumerate(self.elements)}
+        self.subgroup_memo: dict[frozenset[int], Subgroup | None] = {}
+
+    @cached_property
+    def generator_codes(self) -> tuple[int, ...]:
+        """The code of each coordinate generator, in a table that codes them."""
+        return tuple(self.index[elementary(self.group, i)] for i in range(self.group.rank))
 
     @staticmethod
     def of(group: GroupSpec, table: AdditionTable | None) -> AdditionTable:
@@ -152,14 +161,23 @@ class AdditionTable(dict):
         self[a] = row
         return row
 
-    def subgroup(self, codes: set[int]) -> Subgroup | None:
-        """The subgroup coded by ``codes``, or None when they are not closed.
+    def subgroup(self, codes) -> Subgroup | None:
+        """The subgroup coded by ``codes``, or None when they are not closed;
+        the answer is kept, so a code set asked for again gets the same one.
 
         The greedy pass takes each code of sorted ``codes`` that the subgroup
         found so far misses, so it ends with <codes>.  Only when that is
         ``codes`` does the second pass drop each generator the others
         already generate, comparing sizes inside a subgroup.
         """
+        codes = frozenset(codes)
+        try:
+            return self.subgroup_memo[codes]
+        except KeyError:
+            sub = self.subgroup_memo[codes] = self._subgroup(codes)
+            return sub
+
+    def _subgroup(self, codes: frozenset[int]) -> Subgroup | None:
         gens: list[int] = []
         have = {0}
         for g in sorted(codes):

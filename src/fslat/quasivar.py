@@ -32,6 +32,7 @@ from .algebras import (
     hom_extend,
     is_isomorphism,
     meet_terms,
+    perm_compose,
     quotient,
     require_valid,
     translate_term,
@@ -44,9 +45,9 @@ from .groups import (
     Element,
     GroupSpec,
     InfiniteGroupError,
+    NotASubgroupError,
     Subgroup,
     reduce_element,
-    subgroup_from_elements,
     subgroups,
 )
 
@@ -233,19 +234,37 @@ def is_minimal_free(algebra: FSemilattice, a: int) -> MinimalityVerdict:
 
 
 def stabilizer(algebra: FSemilattice, a: int, table: AdditionTable | None = None) -> Subgroup:
-    """The subgroup of group elements fixing ``a`` (finite groups only).  The
-    images g(a) are listed in ``table.elements`` order one coordinate at a
-    time, each moved by every power of the next generator, as ``act`` does."""
+    """The subgroup of group elements fixing ``a`` (finite groups only).
+
+    The images g(a) are listed in ``table.elements`` order one coordinate
+    at a time: each image so far is followed round its cycle under the next
+    generator's step (the generator itself, or its power d on a coarser
+    digit), and the cycle is repeated up to the digit's range, which its
+    length divides on a valid algebra.  So the position of an image is the
+    code of its g, and the codes fixing ``a`` go to ``table.subgroup`` as
+    they are: a table whose subgroups are enumerated answers from its memo.
+    """
     require_valid(algebra)
     group = algebra.group
     if not group.is_finite:
         raise InfiniteGroupError("use stabilizer_image over infinite factors")
     table = AdditionTable.of(group, table)
     images = [a]
-    for row, (r, d) in zip(algebra.powers, table.digits):
-        images = [row[c % len(row)][x] for x in images for c in range(0, r * d, d)]
-    fixing = [g for g, x in zip(table.elements, images) if x == a]
-    return subgroup_from_elements(group, fixing, table)
+    for p, (r, d) in zip(algebra.action, table.digits):
+        step = p
+        for _ in range(d - 1):
+            step = perm_compose(p, step)
+        moved = []
+        for x in images:
+            cycle = [x]
+            while step[cycle[-1]] != x:
+                cycle.append(step[cycle[-1]])
+            moved += cycle * (r // len(cycle))
+        images = moved
+    sub = table.subgroup({c for c, x in enumerate(images) if x == a})
+    if sub is None:  # the action of a valid algebra is a group action
+        raise NotASubgroupError(f"the elements fixing {algebra.label(a)!r} are not closed")
+    return sub
 
 
 @dataclass(frozen=True)
@@ -332,7 +351,11 @@ def verify_bijection(group: GroupSpec) -> BijectionReport:
     An isomorphism that sends one generator to the other commutes with the
     action, so it preserves the generator's stabilizer: ``pairwise_distinct``
     reports that the generator stabilizers are pairwise distinct.  One
-    addition table serves the subgroups, every fan and every stabilizer.
+    addition table serves the subgroups, every fan and every stabilizer:
+    each stabilizer is read off the fan's action as a set of codes, and
+    the table's subgroup memo, filled by the enumeration, turns that set
+    into its ``Subgroup`` without a second generator search.  Every fan is
+    still validated before its stabilizer is read.
     """
     table = AdditionTable(group)
     entries, stabilizers = [], set()

@@ -161,11 +161,41 @@ def test_shape_errors_are_separate():
             A.FSemilattice(base.group, ("x", "x", "o"), base.meet, base.action)
         )
     # the first entry out of range or not an int is named
-    for bad, named in ((3, "3"), (-1, "-1"), (True, "True"), (1.0, "1.0")):
+    for bad, named in ((3, "3"), (-1, "-1"), (True, "True"), (1.0, "1.0"), ([1], "[1]")):
         meet = [list(row) for row in base.meet]
         meet[1][2] = bad
         with pytest.raises(A.ShapeError, match=f"meet entry {re.escape(named)} is not an index below 3"):
             A.validate_axioms(A.FSemilattice(base.group, base.carrier, meet, base.action))
+    # labels and permutations are tested whole by their type sets: a bool,
+    # a float or a string in a permutation fails it, and the first label
+    # that is not a string is named; str and int subclasses other than bool pass
+    for entry in (True, 1.0, "1"):
+        with pytest.raises(A.ShapeError, match="^action table is not a carrier permutation$"):
+            A.check_shape(A.FSemilattice(base.group, base.carrier, base.meet, ((entry, 0, 2),)))
+    for label in (1, None, True):
+        with pytest.raises(A.ShapeError, match=f"^carrier label {label!r} is not a string$"):
+            A.check_shape(A.FSemilattice(base.group, ("a", label, label), base.meet, base.action))
+
+    class Label(str):
+        pass
+
+    class Index(int):
+        pass
+
+    carrier = tuple(map(Label, base.carrier))
+    A.check_shape(A.FSemilattice(base.group, carrier, base.meet, (tuple(map(Index, base.action[0])),)))
+
+
+def test_perm_order_matches_reference_on_random_permutations():
+    rng = random.Random(6464)
+    perms = []
+    for n in range(65):
+        perms += [tuple(range(n)), tuple((i + 1) % n for i in range(n))]
+        perms += [tuple(rng.sample(range(n), n)) for _ in range(5)]
+    orders = [A.perm_order(p) for p in perms]
+    assert orders == [reference_perm_order(p) for p in perms]
+    # identities have order 1 and a single n-cycle has order n
+    assert orders[::7] == [1] * 65 and orders[1::7] == [max(n, 1) for n in range(65)]
 
 
 def test_zero_atoms_leq():

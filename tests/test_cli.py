@@ -287,6 +287,24 @@ def test_build_twisted_custom_transversal(capsys):
     assert "u@3" in payload["carrier"]
 
 
+@pytest.mark.parametrize("text", ["", " ", ";", " ; "], ids=["empty", "space", "semicolon", "spaced"])
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        ("--subgroup", "error: a subgroup is nonempty\n"),
+        ("--transversal", "error: representatives do not meet every coset exactly once\n"),
+    ],
+    ids=["subgroup", "transversal"],
+)
+def test_build_twisted_blank_element_list_is_usage_error(capsys, option, message, text):
+    # a blank list names no element: the subgroup and the transversal are
+    # refused alike, neither falling back to a default nor leaking a parse error
+    argv = ["build", "twisted", "--orders", "4", "--subgroup", "0;2", "--transversal", "0;1"]
+    argv[argv.index(option) + 1] = text
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 def test_meta_wraps_canonical_payload(capsys):
     code, payload = invoke_json(capsys, ["group", "subgroups", "--orders", "2", "--meta"])
     assert code == 0
@@ -356,7 +374,42 @@ def _shape_cases():
     int_labels["carrier"] = list(range(len(fan["carrier"])))
     list_label = json.loads(json.dumps(fan))
     list_label["carrier"][0] = ["a"]
-    return [bool_meet, bool_action, int_labels, list_label]
+    cases = [bool_meet, bool_action, int_labels, list_label]
+    for entry in (True, 1.0, "1"):
+        case = json.loads(json.dumps(fan))
+        case["action"][0][0] = entry
+        cases.append(case)
+    for label in (1, None, True):
+        case = json.loads(json.dumps(fan))
+        case["carrier"][1] = label
+        cases.append(case)
+    list_entry = json.loads(json.dumps(fan))
+    list_entry["meet"][0][1] = [1]
+    cases.append(list_entry)
+    return cases
+
+
+def test_shape_error_messages_name_the_offender(capsys, tmp_path):
+    # the whole-row type tests fall back to the per-entry loop, which names
+    # the first label that is not a string and the first bad meet entry,
+    # unhashable ones included; a bad permutation entry is reported for the
+    # whole permutation
+    messages = [
+        "meet entry False is not an index below 2",
+        "action table is not a carrier permutation",
+        "carrier label 0 is not a string",
+        "carrier label ['a'] is not a string",
+        *["action table is not a carrier permutation"] * 3,
+        "carrier label 1 is not a string",
+        "carrier label None is not a string",
+        "carrier label True is not a string",
+        "meet entry [1] is not an index below 3",
+    ]
+    path = tmp_path / "bad.json"
+    for payload, message in zip(_shape_cases(), messages, strict=True):
+        path.write_text(json.dumps(payload))
+        assert run(["validate", "--algebra", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("payload", _shape_cases())

@@ -282,6 +282,36 @@ def test_subgroups_and_cosets_match_reference_up_to_32():
             assert G.cosets(spec, sub) == reference_cosets(spec, sub)
 
 
+def test_subgroup_memo_matches_a_fresh_table_up_to_32():
+    # the memo that ``subgroups`` fills answers every code set as a fresh
+    # table does: the reference's subgroup for a closed set, None for any
+    # other, and the identical object when the same set is asked again
+    rng = random.Random(3232)
+    closed = not_closed = 0
+    for spec in G.all_group_specs(32):
+        table = G.AdditionTable(spec)
+        subs = G.subgroups(spec, table)
+        codes = range(len(table.elements))
+        sets = [{table.index[e] for e in sub.elements} for sub in subs]
+        for _ in range(6):
+            sets.append({0, *rng.sample(codes, rng.randint(0, len(codes) - 1))})
+            sets.append(set(rng.sample(codes, rng.randint(1, len(codes)))))
+            sets.append(set(rng.choice(sets[: len(subs)])) | {rng.choice(codes)})
+        for case in sets:
+            got = table.subgroup(case)
+            assert table.subgroup(frozenset(case)) is got and table.subgroup(sorted(case)) is got
+            assert got == G.AdditionTable(spec).subgroup(case), (spec, case)
+            elems = {table.elements[c] for c in case}
+            if _closure(spec, elems) == elems:
+                want = reference_closure_subgroup_from_elements(spec, elems)
+                assert (got.elements, got.generators) == (want.elements, want.generators)
+                closed += 1
+            else:
+                assert got is None, (spec, case)
+                not_closed += 1
+    assert closed > 1400 and not_closed > 1000, (closed, not_closed)
+
+
 def test_subgroup_validation_compares_sets_not_sizes():
     # {0, e1, e2, e3} has four elements, the size of a subgroup of C2^3, but
     # generates all eight

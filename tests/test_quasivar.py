@@ -628,12 +628,27 @@ def test_stabilizer_refuses_a_table_for_another_group():
         Q.stabilizer(fan, 0, G.AdditionTable(G.make_group([2, 2])))
 
 
-def test_stabilizer_matches_reference_on_fans_up_to_16():
-    for spec in G.all_group_specs(16):
-        for sub in G.subgroups(spec):
-            fan = C.maroti(spec, sub)
-            for a in range(fan.size):
-                assert Q.stabilizer(fan, a) == reference_stabilizer(fan, a)
+def test_stabilizer_matches_reference_on_fans_and_random_semilattices_up_to_32():
+    # every element of every fan over a group of order <= 32, and of random
+    # semilattices: the coded stabilizer is the reference's with a fresh
+    # table, and the same object from the memo of a table whose subgroups
+    # are enumerated, as ``verify_bijection`` reads it
+    rng = random.Random(3271)
+    compared = 0
+    for spec in G.all_group_specs(32):
+        table = G.AdditionTable(spec)
+        subs = G.subgroups(spec, table)
+        cases = [C.maroti(spec, sub, table) for sub in subs]
+        cases += random_semilattices(rng, spec, 2, max_size=12)
+        for algebra in cases:
+            for a in range(algebra.size):
+                want = reference_stabilizer(algebra, a)
+                got = Q.stabilizer(algebra, a)
+                assert (got.elements, got.generators) == (want.elements, want.generators)
+                from_memo = Q.stabilizer(algebra, a, table)
+                assert from_memo == got and any(from_memo is sub for sub in subs)
+                compared += 1
+    assert compared > 9000, compared
 
 
 def test_generated_by_matches_reference_closure():

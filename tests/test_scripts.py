@@ -1,9 +1,13 @@
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from fslat import groups as G
+from fslat import quasivar as Q
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -39,6 +43,17 @@ def test_census_runs_a_small_order():
     # C1, C2, C3, C2xC2 and C4 have 1 + 2 + 2 + 5 + 3 subgroups
     assert [row.split()[0] for row in rows[1:6]] == ["C1", "C2", "C3", "C2xC2", "C4"]
     assert rows[-1].startswith("13 subgroups verified in ")
+
+
+def test_census_json_is_one_canonical_document():
+    # the reports of every group up to order 8 in the in-process payload
+    # form, with no timings: two runs print the same bytes
+    first, second = run_census("--max-order", "8", "--json"), run_census("--json", "--max-order", "8")
+    assert first.returncode == second.returncode == 0, first.stderr
+    assert first.stdout == second.stdout and first.stderr == second.stderr == ""
+    want = [Q.verify_bijection(spec).to_dict() for spec in G.all_group_specs(8)]
+    assert first.stdout == json.dumps(want, indent=2) + "\n"
+    assert [report["orders"] for report in json.loads(first.stdout)][:4] == [[1], [2], [3], [2, 2]]
 
 
 @pytest.mark.parametrize(
