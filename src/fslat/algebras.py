@@ -175,6 +175,12 @@ class FSemilattice:
         return tuple(table)
 
     @cached_property
+    def moves(self) -> tuple[Perm, ...]:
+        """Move k of a derivation (``derive``): generator permutation k // 2,
+        inverted when k is odd."""
+        return tuple(m for p in self.action for m in (p, perm_inverse(p)))
+
+    @cached_property
     def perm_orders(self) -> tuple[int, ...]:
         """The order of each generator permutation."""
         return tuple(map(perm_order, self.action))
@@ -391,31 +397,51 @@ def cover_edges(algebra: FSemilattice) -> tuple[tuple[int, int], ...]:
     return algebra.covers
 
 
-def subalgebra_generated(algebra: FSemilattice, seed: int) -> tuple[FSemilattice, tuple[int, ...]]:
-    """The subalgebra generated by ``seed`` under meet and the whole group,
-    plus its index embedding into the parent.
-
-    Each dequeued element is moved by every generator permutation (a
-    permutation of finite order, so its inverse is one of its powers) and met
-    with the members found so far, which closes every unordered pair on a
-    commutative meet table.
-    """
+def derive(algebra: FSemilattice, a: int) -> tuple[list[int], list[tuple]]:
+    """The one closure routine: the elements of the subalgebra generated by
+    ``a`` in the order reached, and the step that first reached each one
+    after ``a``: ("move", i, k), move k (``FSemilattice.moves``) of the i-th
+    element, or ("meet", i, j), the meet of the i-th and the j-th.  Breadth
+    first, each element is moved by every generator permutation and then
+    its inverse, then met with each element reached up to it, which closes
+    every unordered pair on a commutative meet table."""
     require_valid(algebra)
-    members = {seed}
-    queue = [seed]
-    while queue:
-        x = queue.pop()
-        for p in algebra.action:
-            y = p[x]
-            if y not in members:
-                members.add(y)
-                queue.append(y)
-        for y in list(members):
-            z = algebra.meet[x][y]
-            if z not in members:
-                members.add(z)
-                queue.append(z)
-    embedding = tuple(sorted(members))
+    moves, meet = algebra.moves, algebra.meet
+    seen = [False] * algebra.size
+    seen[a] = True
+    order, steps = [a], []
+    # order grows while it is walked; the list iterator sees the appends
+    for i, x in enumerate(order):
+        for k, p in enumerate(moves):
+            x2 = p[x]
+            if not seen[x2]:
+                seen[x2] = True
+                order.append(x2)
+                steps.append(("move", i, k))
+        row = meet[x]
+        for j in range(i + 1):
+            x2 = row[order[j]]
+            if not seen[x2]:
+                seen[x2] = True
+                order.append(x2)
+                steps.append(("meet", i, j))
+    return order, steps
+
+
+def replay(derivation: tuple[list[int], list[tuple]], target: FSemilattice, b: int) -> list[int]:
+    """A derivation from a, taken in ``target`` from ``b``: t(b) for the
+    term t(x) that reaches each t(a), in the order reached."""
+    moves, meet = target.moves, target.meet
+    image = [b]
+    for kind, u, v in derivation[1]:
+        image.append(moves[v][image[u]] if kind == "move" else meet[image[u]][image[v]])
+    return image
+
+
+def subalgebra_generated(algebra: FSemilattice, seed: int) -> tuple[FSemilattice, tuple[int, ...]]:
+    """The subalgebra generated by ``seed`` (the elements ``derive``
+    reaches), plus its index embedding into the parent."""
+    embedding = tuple(sorted(derive(algebra, seed)[0]))
     pos = {v: i for i, v in enumerate(embedding)}
     sub = FSemilattice(
         group=algebra.group,
@@ -427,8 +453,7 @@ def subalgebra_generated(algebra: FSemilattice, seed: int) -> tuple[FSemilattice
 
 
 def generates(algebra: FSemilattice, x: int) -> bool:
-    _, embedding = subalgebra_generated(algebra, x)
-    return len(embedding) == algebra.size
+    return len(derive(algebra, x)[0]) == algebra.size
 
 
 @dataclass(frozen=True)
@@ -476,86 +501,56 @@ class HomExtendResult:
         return self.hom is not None
 
 
-def _derivation_term(
-    group: GroupSpec, steps: list[Element], terms: dict[int, Term], how: tuple
-) -> Term:
-    """The term in ``x`` of one ``hom_extend`` derivation, given the terms of
-    the earlier elements it points at; move k translates by ``steps[k]``."""
-    kind, u, v = how
-    if kind == "seed":
-        return var("x", group)
-    if kind == "move":
-        return translate_term(group, steps[v], terms[u])
-    return meet_terms(terms[u], terms[v])
-
-
 def hom_extend(
     source: FSemilattice, a: int, target: FSemilattice, b: int
 ) -> HomExtendResult:
     """Try to extend ``a -> b`` to the canonical homomorphism t(a) -> t(b).
 
-    The relation {(a, b)} is closed under generator application (both
-    directions) and meet-pairing, breadth first, recording for each reached
-    source element how it was first reached: the seed, a generator move from
-    an earlier element, or the meet of two earlier elements.  If two
-    derivations of the same source element disagree on the target side, the
-    map is not well-defined; the terms in ``x`` of the two derivations are
-    rebuilt from the records and returned as the witness: they agree at
-    x = ``a`` but not at x = ``b``.  Otherwise the closure is the unique
-    homomorphism sending ``a`` to ``b``, and it is surjective onto the
-    subalgebra generated by ``b``.
+    The derivation of the source from ``a`` (``derive``) is replayed in the
+    target from ``b``, which gives the only candidate map.  Every step of
+    the closure, in the order ``derive`` walks them, is then checked
+    against it: a move or meet of reached elements must land on the move or
+    meet of their images.  At the first step that does not, two derivations
+    of one source element disagree on the target side, so the map is not
+    well-defined; the terms in ``x`` of the two derivations are returned as
+    the witness: they agree at x = ``a`` but not at x = ``b``.  Otherwise
+    the map is the unique homomorphism sending ``a`` to ``b``, and it is
+    surjective onto the subalgebra generated by ``b``.
     """
     require_valid(source)
     require_valid(target)
     if source.group != target.group:
         raise ValueError("algebras live over different groups")
-    # Each generator, then its inverse: (generator index, exponent, source
-    # permutation, target permutation).
-    moves = []
-    for i, (p, q) in enumerate(zip(source.action, target.action)):
-        moves += [(i, 1, p, q), (i, -1, perm_inverse(p), perm_inverse(q))]
-    smeet, tmeet = source.meet, target.meet
-    image: list[int | None] = [None] * source.size
-    how: list = [None] * source.size
-    image[a] = b
-    how[a] = ("seed", None, None)
-    order = [a]
-
-    def clash(x2: int, derivation: tuple) -> HomExtendResult:
-        if not generates(source, a):
-            raise NotGeneratedError(f"element {source.label(a)!r} does not generate the source")
-        steps = [elementary(source.group, i, e) for i, e, _, _ in moves]
-        terms: dict[int, Term] = {}
-        for x in order:
-            terms[x] = _derivation_term(source.group, steps, terms, how[x])
-        term = _derivation_term(source.group, steps, terms, derivation)
-        return HomExtendResult(None, (terms[x2], term))
-
-    # order grows while it is walked; the list iterator sees the appends
-    for i, x in enumerate(order):
-        y = image[x]
-        for k, (_, _, p, q) in enumerate(moves):
-            x2, y2 = p[x], q[y]
-            known = image[x2]
-            if known is None:
-                image[x2] = y2
-                how[x2] = ("move", x, k)
-                order.append(x2)
-            elif known != y2:
-                return clash(x2, ("move", x, k))
-        srow, trow = smeet[x], tmeet[y]
-        for j in range(i + 1):
-            x1 = order[j]
-            x2, y2 = srow[x1], trow[image[x1]]
-            known = image[x2]
-            if known is None:
-                image[x2] = y2
-                how[x2] = ("meet", x, x1)
-                order.append(x2)
-            elif known != y2:
-                return clash(x2, ("meet", x, x1))
+    derivation = order, steps = derive(source, a)
     if len(order) < source.size:
         raise NotGeneratedError(f"element {source.label(a)!r} does not generate the source")
+    image = [0] * source.size
+    for x, y in zip(order, replay(derivation, target, b)):
+        image[x] = y
+
+    def clash(x2: int, step: tuple) -> HomExtendResult:
+        group = source.group
+        translations = [elementary(group, i, e) for i in range(group.rank) for e in (1, -1)]
+        terms = [var("x", group)]
+        for kind, u, v in steps + [step]:
+            terms.append(
+                translate_term(group, translations[v], terms[u])
+                if kind == "move"
+                else meet_terms(terms[u], terms[v])
+            )
+        return HomExtendResult(None, (terms[order.index(x2)], terms[-1]))
+
+    moves = list(zip(source.moves, target.moves))
+    smeet, tmeet = source.meet, target.meet
+    for i, x in enumerate(order):
+        y = image[x]
+        for k, (p, q) in enumerate(moves):
+            if image[p[x]] != q[y]:
+                return clash(p[x], ("move", i, k))
+        srow, trow = smeet[x], tmeet[y]
+        for j, x1 in enumerate(order[: i + 1]):
+            if image[srow[x1]] != trow[image[x1]]:
+                return clash(srow[x1], ("meet", i, j))
     return HomExtendResult(Homomorphism(source, target, tuple(image)), None)
 
 

@@ -21,14 +21,19 @@ from . import algebras, constructions, groups, irrationals, quasivar
 from .algebras import FSemilattice
 
 
-# Largest product of the finite factor orders ``--orders`` and an
-# ``--algebra`` file's group accept, and the most atoms ``build ak`` builds;
-# larger requests are usage errors, refused before anything is built.
+# Most cyclic factors and largest product of the finite factor orders that
+# ``--orders`` and an ``--algebra`` file's group accept, and the most atoms
+# ``build ak`` builds; larger requests are usage errors, refused before
+# anything is built or validated (validation compares every pair of
+# generator permutations, so its cost grows with the square of the rank).
+MAX_GROUP_RANK = 16
 MAX_GROUP_ORDER = 64
 MAX_AK_ATOMS = 256
 
 
 def _check_orders(orders) -> None:
+    if len(orders) > MAX_GROUP_RANK:
+        raise ValueError(f"groups take at most {MAX_GROUP_RANK} cyclic factors, got {len(orders)}")
     if math.prod(k for k in orders if k >= 1) > MAX_GROUP_ORDER:
         shown = ",".join(map(str, orders))
         raise ValueError(f"finite factor orders {shown} multiply to more than {MAX_GROUP_ORDER}")
@@ -46,14 +51,20 @@ def _parse_elements(text: str) -> list[groups.Element]:
 
 
 def _load_algebra(path: str) -> FSemilattice:
-    """The algebra in ``path``; ``InvalidAlgebraError`` if it fails an axiom."""
+    """The algebra in ``path``; ``InvalidAlgebraError`` if it fails an axiom.
+    Its group's rank and order are checked before its tables are."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except RecursionError:
             raise ValueError(f"{path}: JSON nests too deeply to load") from None
+    try:
+        group = groups.group_from_dict(data["group"])
+    except (KeyError, TypeError):
+        pass  # algebra_from_dict names the malformed payload
+    else:
+        _check_orders(group.orders)
     algebra = algebras.algebra_from_dict(data)
-    _check_orders(algebra.group.orders)
     algebras.require_valid(algebra)
     return algebra
 
@@ -378,7 +389,8 @@ def run(argv=None) -> int:
         json.JSONDecodeError,
         constructions.VerificationError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
 
 

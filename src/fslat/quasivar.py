@@ -27,13 +27,14 @@ from .algebras import (
     Term,
     act,
     congruences,
+    derive,
     element_action,
     generates,
-    hom_extend,
     is_isomorphism,
     meet_terms,
     perm_compose,
     quotient,
+    replay,
     require_valid,
     translate_term,
     var,
@@ -196,11 +197,15 @@ class MinimalityVerdict:
 def is_minimal_free(algebra: FSemilattice, a: int) -> MinimalityVerdict:
     """Decide whether the generated quasivariety is minimal: for every
     nonzero b, a -> b must extend to an isomorphism onto the subalgebra
-    generated by b.  One ``hom_extend(algebra, a, algebra, b)`` decides b: a
-    well-defined extension is the unique homomorphism with a -> b and maps
-    onto that subalgebra, so it is the isomorphism exactly when it is
-    injective.  The first extension raises ``NotGeneratedError`` when ``a``
-    does not generate the algebra.
+    generated by b.  ``a`` is derived once (``derive``), which raises
+    ``NotGeneratedError`` before any b when ``a`` does not generate, and b
+    passes iff the derivation replayed from b is injective.
+
+    The lemma: on a valid algebra generated by a, b = u(a) for a unary term
+    u, and unary terms commute because the group is abelian, so t(a) = t'(a)
+    gives t(b) = u(t(a)) = u(t'(a)) = t'(b).  The extension is always
+    well-defined, it is x -> u(x), and it maps onto the subalgebra generated
+    by b, so it is the isomorphism exactly when it is injective.
 
     Each generator permutation s is an automorphism that commutes with the
     action, so b and s(b) pass or fail together: when b passes, its orbit is
@@ -209,27 +214,26 @@ def is_minimal_free(algebra: FSemilattice, a: int) -> MinimalityVerdict:
     """
     if algebra.size == 1:
         raise ValueError("minimality test needs a nontrivial algebra")
+    derivation = derive(algebra, a)
+    if len(derivation[0]) < algebra.size:
+        raise NotGeneratedError(f"{algebra.label(a)!r} does not generate the algebra")
     bottom = zero(algebra)
     passed = [False] * algebra.size
     checked = 0
-    try:
-        for b in range(algebra.size):
-            if b == bottom:
-                continue
-            checked += 1
-            if passed[b]:
-                continue
-            extension = hom_extend(algebra, a, algebra, b)
-            if not extension.ok or not extension.hom.is_bijective:
-                return MinimalityVerdict(False, b, checked)
-            orbit = [b]
-            for x in orbit:
-                for p in algebra.action:
-                    if not passed[p[x]]:
-                        passed[p[x]] = True
-                        orbit.append(p[x])
-    except NotGeneratedError:
-        raise NotGeneratedError(f"{algebra.label(a)!r} does not generate the algebra") from None
+    for b in range(algebra.size):
+        if b == bottom:
+            continue
+        checked += 1
+        if passed[b]:
+            continue
+        if len(set(replay(derivation, algebra, b))) < algebra.size:
+            return MinimalityVerdict(False, b, checked)
+        orbit = [b]
+        for x in orbit:
+            for p in algebra.action:
+                if not passed[p[x]]:
+                    passed[p[x]] = True
+                    orbit.append(p[x])
     return MinimalityVerdict(True, None, checked)
 
 

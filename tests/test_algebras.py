@@ -687,6 +687,7 @@ def test_extension_from_a_generator_maps_onto_the_generated_subalgebra():
         for a in range(algebra.size):
             if not A.generates(algebra, a):
                 continue
+            derivation = A.derive(algebra, a)
             for b in range(algebra.size):
                 pairs += 1
                 result = A.hom_extend(algebra, a, algebra, b)
@@ -694,6 +695,10 @@ def test_extension_from_a_generator_maps_onto_the_generated_subalgebra():
                 _, embedding = A.subalgebra_generated(algebra, b)
                 assert tuple(sorted(set(result.hom.map))) == embedding, (algebra, a, b)
                 proper += len(embedding) < algebra.size
+                # the replayed derivation is the extension, without its checks
+                replayed = dict(zip(derivation[0], A.replay(derivation, algebra, b)))
+                want = reference_hom_extend(algebra, a, algebra, b).hom.map
+                assert tuple(map(replayed.get, range(algebra.size))) == want, (algebra, a, b)
     assert pairs > 20000 and proper > 500 and refused > 150
 
 

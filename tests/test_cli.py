@@ -139,6 +139,13 @@ def test_check_minimal(capsys, tmp_path):
     assert code == 0 and payload["minimal"]
 
 
+def test_unknown_generator_label_is_named_without_quotes(capsys, tmp_path):
+    path = write_algebra(tmp_path, C.counterexample_a7())
+    for command in ("check-minimal", "decompose", "simplicity"):
+        assert run([command, "--algebra", path, "--generator", "zz"]) == 2
+        assert capsys.readouterr() == ("", "error: no carrier element labeled 'zz'\n")
+
+
 def test_decompose(capsys, tmp_path):
     fan = C.maroti(G.make_group([4]), G.subgroup_from_elements(G.make_group([4]), [(0,), (2,)]))
     path = write_algebra(tmp_path, fan)
@@ -533,8 +540,12 @@ def test_meet_leaving_the_closure_is_a_named_usage_error(capsys, tmp_path, comma
             ["balpha", "--alpha", "sqrt:2", "--beta", "sqrt:999999937"],
         ),
         (["validate", "--algebra", "{C65}"], ["validate", "--algebra", "{C64}"]),
+        (
+            ["group", "subgroups", "--orders", ",".join(["1"] * 17)],
+            ["group", "subgroups", "--orders", ",".join(["1"] * 16)],
+        ),
     ],
-    ids=["orders", "ak", "radicand", "algebra-group"],
+    ids=["orders", "ak", "radicand", "algebra-group", "rank"],
 )
 def test_hostile_sizes_are_usage_errors(capsys, tmp_path, argv, accepted):
     # "{Cn}" names a file holding the two-element algebra over Cn
@@ -548,6 +559,32 @@ def test_hostile_sizes_are_usage_errors(capsys, tmp_path, argv, accepted):
     # a size at the cap, above every size the tests and the benchmark use
     assert run([arg.format(**paths) for arg in accepted]) == 0
     capsys.readouterr()
+
+
+# Groups of thousands of cyclic factors: validation compares every pair of
+# generator permutations, which once took 29 s on the first, 10.5 s before
+# the order refusal on the second and more than 120 s on the third.
+_WIDE_GROUPS = {"trivial": [1] * 10_000, "order-65": [65] + [1] * 5_999, "infinite": [0] * 200_000}
+
+
+@pytest.mark.parametrize("name", sorted(_WIDE_GROUPS))
+def test_wide_groups_are_refused_by_rank_before_validation(capsys, tmp_path, name):
+    orders = _WIDE_GROUPS[name]
+    path = tmp_path / "wide.json"
+    table = {"group": {"orders": orders}, "carrier": ["a"], "meet": [[0]], "action": [[0]] * len(orders)}
+    path.write_text(json.dumps(table))
+    shown = ",".join(map(str, orders))
+    message = f"error: groups take at most {cli.MAX_GROUP_RANK} cyclic factors, got {len(orders)}\n"
+    for argv in (
+        ["validate", "--algebra", str(path)],
+        ["check-minimal", "--algebra", str(path)],
+        ["verify-bijection", "--orders", shown],
+        ["group", "subgroups", "--orders", shown],
+    ):
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 0.5, argv[0]
+        assert capsys.readouterr() == ("", message)
 
 
 _FUZZ_QIS = ("x^y=x & y^z=y -> x^z=x", "g0(x)=x -> x = x^y", "-> g1^-2(x) ^ y = y ^ x")

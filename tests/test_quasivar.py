@@ -119,6 +119,16 @@ def test_is_minimal_free_examples():
     assert Q.is_minimal_free(C.a_k(4), 0).minimal
 
 
+def test_is_minimal_free_refuses_a_non_generator_before_any_replay(monkeypatch):
+    # the generator's one derivation decides generation before any element
+    replays = []
+    monkeypatch.setattr(Q, "replay", lambda *args: replays.append(args))
+    a7 = C.counterexample_a7()
+    with pytest.raises(A.NotGeneratedError, match="'p' does not generate the algebra"):
+        Q.is_minimal_free(a7, a7.index("p"))
+    assert replays == []
+
+
 def test_minimal_algebras_have_cardinality_invariance():
     for algebra in (maroti_z6_h3(), maroti_z4_h(), C.a_k(3)):
         z = A.zero(algebra)
@@ -652,8 +662,8 @@ def test_stabilizer_matches_reference_on_fans_and_random_semilattices_up_to_32()
 
 
 def test_generated_by_matches_reference_closure():
-    # ``subalgebra_generated``, which took over ``generated_by``'s closure
-    # without its inverse moves and its leak check, returns the subset and
+    # ``subalgebra_generated``, which reads the closure of ``derive`` in
+    # place of ``generated_by``'s leak-checked one, returns the subset and
     # the induced algebra of the verbatim ``generated_by`` on every valid
     # table; a random table that fails an axiom is refused
     rng = random.Random(977)
@@ -685,15 +695,16 @@ def _minimality_outcome(check, algebra, a):
 
 
 def test_is_minimal_free_matches_reference(monkeypatch):
-    # one injective extension per element, with the orbit skip, leaves
-    # verdict, counterexample and checked as the element-by-element scan
-    # with a subalgebra closure and two extensions has them, on every valid
-    # algebra; ``tested`` counts the elements the fast scan really tests, to
-    # show that it skips some.  A table that fails an axiom is refused
+    # one injective replay of the generator's derivation per element, with
+    # the orbit skip, leaves verdict, counterexample and checked as the
+    # element-by-element scan with a subalgebra closure and two extensions
+    # has them, on every valid algebra; ``tested`` counts the elements the
+    # fast scan really replays, to show that it skips some.  A table that
+    # fails an axiom is refused
     tested = []
-    extend = Q.hom_extend
+    replay = Q.replay
     monkeypatch.setattr(
-        Q, "hom_extend", lambda src, a, dst, b: tested.append(b) or extend(src, a, dst, b)
+        Q, "replay", lambda derivation, dst, b: tested.append(b) or replay(derivation, dst, b)
     )
     rng = random.Random(2718)
     cases = [(None, algebra) for algebra in _action_cases()]
