@@ -11,12 +11,11 @@ Usage: python scripts/bijection_census.py [--max-order 16] [--json]
 """
 
 import argparse
-import json
 import time
 
 from fslat import groups as G
 from fslat import quasivar as Q
-from fslat.cli import MAX_GROUP_ORDER
+from fslat.cli import MAX_GROUP_ORDER, dumps
 
 
 def max_order(text: str) -> int:
@@ -35,7 +34,7 @@ def main() -> None:
 
     if args.json:
         reports = [Q.verify_bijection(spec) for spec in G.all_group_specs(args.max_order)]
-        print(json.dumps([report.to_dict() for report in reports], indent=2))
+        print(dumps([report.to_dict() for report in reports]))
         if not all(report.ok for report in reports):
             raise SystemExit(1)
         return

@@ -23,6 +23,21 @@ def sample_count(text: str) -> int:
     return value
 
 
+def reason(cert: I.IdentityCertificate) -> str:
+    """Why q*alpha lies below or above p: the sign of a + b*sqrt(d), which
+    is r*(p - q*alpha), by the case ``sign_with_radical`` decides it in.
+    b = -q*Q is never 0, so the cases are a = 0, a and b of one sign, and
+    opposite signs, where the negative part's square is compared with the
+    positive part's."""
+    a, b = cert.a, cert.b
+    if a == 0:
+        return f"a = 0 and b = {b} {'>' if cert.holds else '<'} 0"
+    if (a > 0) == (b > 0):
+        return f"a = {a} and b = {b} are both {'positive' if a > 0 else 'negative'}"
+    squares = (cert.b_squared_d, cert.a_squared) if a > 0 else (cert.a_squared, cert.b_squared_d)
+    return f"{squares[0]} {'<' if cert.holds else '>'} {squares[1]}"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("alpha")
@@ -45,7 +60,7 @@ def main() -> None:
         print(
             f"identity min(x+{p}, x+{q}*{name}) = x+{q}*{name}: "
             f"{'holds' if cert.holds else 'fails'}  "
-            f"[q*{name} {relation} p since {cert.b_squared_d} {relation} {cert.a_squared}]"
+            f"[q*{name} {relation} p since {reason(cert)}]"
         )
     if report.witness is not None:
         print(f"failing witness in the beta algebra: x = {report.witness}")

@@ -69,10 +69,88 @@ def _load_algebra(path: str) -> FSemilattice:
     return algebra
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_text(obj: float) -> str:
+    if obj != obj:
+        return "NaN"
+    if obj == math.inf:
+        return "Infinity"
+    if obj == -math.inf:
+        return "-Infinity"
+    return float.__repr__(obj)
+
+
+# The JSON text of each scalar, by its exact type; ``_write`` finds the base
+# type of a subclass of str, int or float by isinstance, in json's order.
+_SCALAR_TEXT = {
+    str: _encode_str,
+    type(None): lambda obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    int: int.__repr__,
+    float: _float_text,
+}
+
+
+def _write(obj, chunks: list[str], newline: str) -> None:
+    """Append the JSON text of ``obj`` to ``chunks``; ``newline`` is a line
+    break followed by the indent of the line ``obj`` starts on."""
+    to_text = _SCALAR_TEXT.get(type(obj))
+    if to_text is not None:
+        chunks.append(to_text(obj))
+    elif isinstance(obj, (str, int, float)):  # a subclass: its base type's text
+        chunks.append(_SCALAR_TEXT[next(t for t in (str, int, float) if isinstance(obj, t))](obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        try:
+            texts = [_SCALAR_TEXT[type(item)](item) for item in obj]
+        except KeyError:  # a container or a subclass among the items
+            separator = "[" + inner
+            for item in obj:
+                chunks.append(separator)
+                separator = "," + inner
+                _write(item, chunks, inner)
+            chunks.append(newline + "]")
+        else:
+            chunks.append("[" + inner + ("," + inner).join(texts) + newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            chunks.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, value in obj.items():
+            # encode_basestring_ascii raises TypeError for a key that is not a str
+            chunks.append(separator + _encode_str(key) + ": ")
+            separator = "," + inner
+            _write(value, chunks, inner)
+        chunks.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def dumps(obj) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for dicts with str keys,
+    lists, tuples, str, int, float, bool and None; any other type, and a
+    dict key that is not a str, raises ``TypeError``.  CPython encodes in C
+    only without ``indent``; its pure-Python indented encoder costs more than
+    most requests."""
+    chunks: list[str] = []
+    _write(obj, chunks, "\n")
+    return "".join(chunks)
+
+
 def _emit(payload: dict, args) -> None:
+    """Print ``payload`` as indented JSON (``dumps``), or write it to
+    ``--out`` with the same bytes; ``--meta`` wraps it with the argv that
+    ``run`` parsed and the clock."""
     if getattr(args, "meta", False):
-        payload = {"payload": payload, "meta": {"argv": sys.argv[1:], "time": time.time()}}
-    text = json.dumps(payload, indent=2)
+        payload = {"payload": payload, "meta": {"argv": args.argv, "time": time.time()}}
+    text = dumps(payload)
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -377,6 +455,7 @@ def run(argv=None) -> int:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return args.func(args)
     except algebras.InvalidAlgebraError as exc:

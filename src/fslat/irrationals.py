@@ -319,11 +319,14 @@ class SeparationReport:
 def _identity_samples(
     alpha: QuadraticIrrational, p: int, q: int, count: int
 ) -> tuple[SampleLine, ...]:
+    """Whether min((p,0)x, (0,q)x) = (0,q)x at each of the first ``count``
+    sample points, evaluated with the algebra's own ``act`` and ``meet``.
+    Elements are equal as pairs exactly when equal as values (alpha is
+    irrational), so ``==`` decides the identity at x."""
     lines = []
     for x in _sample_points(count):
-        lhs = meet(alpha, act(alpha, (p, 0), x), act(alpha, (0, q), x))
         rhs = act(alpha, (0, q), x)
-        lines.append(SampleLine(x, cmp(alpha, lhs, rhs) == 0))
+        lines.append(SampleLine(x, meet(alpha, act(alpha, (p, 0), x), rhs) == rhs))
     return tuple(lines)
 
 

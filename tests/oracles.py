@@ -295,6 +295,43 @@ def reference_hom_extend(
     return HomExtendResult(Homomorphism(source, target, mapping), None)
 
 
+def reference_extension_map(
+    source: FSemilattice, a: int, target: FSemilattice, b: int
+) -> tuple[int, ...] | None:
+    """``reference_hom_extend``'s breadth-first pair closure without its
+    terms: the map of the extension of ``a -> b``, or None where two
+    derivations of one source element disagree in the target.  The same
+    refusals, in the same order."""
+    if source.group != target.group:
+        raise ValueError("algebras live over different groups")
+    if not generates(source, a):
+        raise NotGeneratedError(f"element {source.label(a)!r} does not generate the source")
+    moves = [(p, q) for (_, p), (_, q) in zip(_generator_moves(source), _generator_moves(target))]
+    image = {a: b}
+    processed: list[int] = []
+    queue = [a]
+
+    def clashes(x2: int, y2: int) -> bool:
+        known = image.get(x2)
+        if known is None:
+            image[x2] = y2
+            queue.append(x2)
+            return False
+        return known != y2
+
+    while queue:
+        x = queue.pop(0)
+        y = image[x]
+        for p, q in moves:
+            if clashes(p[x], q[y]):
+                return None
+        for x1 in processed + [x]:
+            if clashes(source.meet[x][x1], target.meet[y][image[x1]]):
+                return None
+        processed.append(x)
+    return tuple(image[x] for x in range(source.size))
+
+
 def reference_holds_quasi_identity(
     algebra: FSemilattice, qi: QuasiIdentity
 ) -> tuple[bool, dict[str, int] | None]:

@@ -15,6 +15,7 @@ from oracles import (
     normal_form_subalgebra,
     reference_congruences,
     reference_cover_edges,
+    reference_extension_map,
     reference_hom_extend,
     reference_is_isomorphic_1gen,
     reference_perm_order,
@@ -662,6 +663,35 @@ def test_hom_extend_matches_reference_on_small_groups():
     assert kinds == {True, False, A.NotGeneratedError}
 
 
+def _extension_map_outcome(extend, src, a, dst, b):
+    try:
+        result = extend(src, a, dst, b)
+    except ValueError as exc:
+        return type(exc)
+    if isinstance(result, A.HomExtendResult):
+        return result.hom.map if result.ok else None
+    return result
+
+
+def test_extension_map_matches_the_term_carrying_reference():
+    # every pair of one algebra, and every pair between a7 and the
+    # subalgebras it generates, where extensions clash
+    a7 = C.counterexample_a7()
+    a7_family = [a7] + [A.subalgebra_generated(a7, x)[0] for x in range(a7.size)]
+    pairs = [(algebra, algebra) for algebra in fans_and_multiples(8)]
+    pairs += [(src, dst) for src in a7_family for dst in a7_family]
+    pairs.append((a7, maroti_z2()))
+    kinds = set()
+    for src, dst in pairs:
+        for a in range(src.size):
+            for b in range(dst.size):
+                got = _extension_map_outcome(reference_extension_map, src, a, dst, b)
+                want = _extension_map_outcome(reference_hom_extend, src, a, dst, b)
+                assert got == want, (src, a, dst, b)
+                kinds.add(got if got is None or isinstance(got, type) else tuple)
+    assert kinds == {tuple, None, A.NotGeneratedError, ValueError}
+
+
 def test_extension_from_a_generator_maps_onto_the_generated_subalgebra():
     # what one-extension free-minimality rests on: on a valid algebra, a
     # well-defined extension of a -> b from a generating a has the
@@ -697,7 +727,7 @@ def test_extension_from_a_generator_maps_onto_the_generated_subalgebra():
                 proper += len(embedding) < algebra.size
                 # the replayed derivation is the extension, without its checks
                 replayed = dict(zip(derivation[0], A.replay(derivation, algebra, b)))
-                want = reference_hom_extend(algebra, a, algebra, b).hom.map
+                want = reference_extension_map(algebra, a, algebra, b)
                 assert tuple(map(replayed.get, range(algebra.size))) == want, (algebra, a, b)
     assert pairs > 20000 and proper > 500 and refused > 150
 

@@ -319,6 +319,95 @@ def test_meta_wraps_canonical_payload(capsys):
     assert payload["payload"]["count"] == 2
 
 
+def test_meta_records_the_argv_run_parsed(capsys, monkeypatch):
+    # the host process's own arguments are not the request's
+    monkeypatch.setattr(sys, "argv", ["pytest", "-q", "whatever"])
+    argv = ["balpha", "--alpha", "sqrt:2", "--beta", "sqrt:3", "--samples", "1", "--meta"]
+    code, payload = invoke_json(capsys, argv)
+    assert code == 0
+    assert payload["meta"]["argv"] == argv
+    monkeypatch.setattr(sys, "argv", ["fslat"] + argv)
+    assert run() == 0
+    assert json.loads(capsys.readouterr().out)["meta"]["argv"] == argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["balpha", "--alpha", "(1+-1*sqrt:5)/2", "--beta", "sqrt:2", "--samples", "289"],
+        ["validate", "--algebra", "{path}"],
+        ["group", "subgroups", "--orders", "2,2"],
+    ],
+    ids=["balpha", "invalid-algebra", "subgroups"],
+)
+def test_out_file_equals_stdout(capsys, tmp_path, argv):
+    fan = C.maroti(G.make_group([2]), G.trivial_subgroup(G.make_group([2])))
+    meet = [list(r) for r in fan.meet]
+    meet[0][1] = 0
+    broken = A.FSemilattice(fan.group, ("\u00e9", '"q"', "back\\slash"), meet, fan.action)
+    argv = [arg.format(path=write_algebra(tmp_path, broken)) for arg in argv]
+    code, out = invoke(capsys, argv)
+    path = tmp_path / "out.json"
+    assert run(argv + ["--out", str(path)]) == code
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode()
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+)
+# any code point, lone surrogates included, and the ones JSON escapes
+_JSON_TEXT = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\ud800", "\udfff"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_JSON_VALUES)
+def test_dumps_matches_json_dumps_indent_2(value):
+    assert cli.dumps(value) == json.dumps(value, indent=2)
+
+
+def test_dumps_writes_subclasses_as_their_base_types():
+    class Text(str):
+        pass
+
+    class Number(int):
+        pass
+
+    class Real(float):
+        pass
+
+    class Items(list):
+        pass
+
+    class Table(dict):
+        pass
+
+    value = Items([Text("\u00e9"), Number(-4), Real("nan"), Real(2.5), (Table({Text("k"): 1}),)])
+    value.append(Table(flag=Number(True)))
+    assert cli.dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, object(), [1, {"a": frozenset()}], {1: "int key"}])
+def test_dumps_refuses_what_it_does_not_write(value):
+    with pytest.raises(TypeError):
+        cli.dumps(value)
+
+
 def test_module_entrypoint_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "fslat", "group", "subgroups", "--orders", "2,4"],

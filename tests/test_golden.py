@@ -44,9 +44,18 @@ def _fan():
     return C.maroti(c2x4, G.subgroup_from_elements(c2x4, [(0, 0), (0, 2)]))
 
 
-ALGEBRAS = {"tower": _tower, "twisted": _twisted, "fan": _fan}
+def _escaped():
+    """A three-element table over C2 that is not commutative at its first
+    two labels; the labels hold characters JSON escapes."""
+    fan = C.maroti(G.make_group([2]), G.trivial_subgroup(G.make_group([2])))
+    meet = [list(row) for row in fan.meet]
+    meet[0][1] = 0
+    return A.FSemilattice(fan.group, ("caf\u00e9", 'say "hi" \\ bye', "o"), meet, fan.action)
 
-# name: (argv, with {tower}, {twisted} and {fan} standing for algebra files)
+
+ALGEBRAS = {"tower": _tower, "twisted": _twisted, "fan": _fan, "escaped": _escaped}
+
+# name: (argv, with {tower}, {twisted}, {fan} and {escaped} standing for algebra files)
 REQUESTS = {
     "build-twisted-chain2": [
         "build", "twisted", "--orders", "6", "--subgroup", "0;3", "--u", "chain2",
@@ -62,12 +71,19 @@ REQUESTS = {
     "verify-bijection": ["verify-bijection", "--orders", "2,4"],
     "group-subgroups": ["group", "subgroups", "--orders", "2,6"],
     "balpha": ["balpha", "--alpha", "sqrt:2", "--beta", "sqrt:3", "--samples", "7"],
+    "balpha-negative-alpha": [
+        "balpha", "--alpha", "(1+-1*sqrt:5)/2", "--beta", "sqrt:2", "--samples", "289",
+    ],
+    "validate-escaped-labels": ["validate", "--algebra", "{escaped}"],
 }
 
 # Recorded with the tuple-coded twisted multiple and the pairwise separating
-# search; the coded versions must reproduce every byte.
+# search, and balpha-negative-alpha and validate-escaped-labels with
+# ``json.dumps(payload, indent=2)``; the coded versions and ``cli.dumps``
+# must reproduce every byte.
 GOLDEN = {
     "balpha": ("9bb173704871ab7eaca6e17e6a69ed66e562849fa8e5c21c1fee7783d1d3f56c", 0),
+    "balpha-negative-alpha": ("c2aad3fb9d5617e5528324ad8a5a83f9f0576ceb92cecaab01d97c2edd0d213e", 0),
     "build-twisted-chain2": ("9c6e0b20969aea8a6dd8a5941f92eb3048b7b04392062a04cd4c456ef3cd695c", 0),
     "check-minimal-tower": ("0a72ca46c354bdba27671aa7747dc3f429732ee3490efaf27db6368fd275ea8f", 1),
     "decompose-fan": ("a197ff4da634a5a40dc84e8d25f4f5b3c9bb5db91532a9b098adf3c3aebc90e8", 0),
@@ -77,6 +93,7 @@ GOLDEN = {
     "quasi-tower": ("bca20456c99b8e4a6a791069f95675ea41f0e3b999596cd568c4e8dadce72f1f", 0),
     "simplicity-fan": ("aa1c7ced6c55f9ee6143387cfb55659ed7118ed77e4565669f47c155b358eb3d", 0),
     "simplicity-twisted": ("f873c1d3fd5ae3e9fac8e72ff5172f66c7ae24b9ce96888258f953982e587f68", 0),
+    "validate-escaped-labels": ("8ccbb27fd3f56e98a09a7769e9deb97feed18a05433f7977f642b42880dcf919", 1),
     "verify-bijection": ("3083732fe32e55a7afae2c011e9df6caa3aad46e7e8ef94cf1717557da5fff4d", 0),
 }
 

@@ -92,3 +92,30 @@ def test_separating_demo_runs_a_pair():
         "     -1+0a   True  False",
         "verdict: separates",
     ]
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, reasons",
+    [
+        # a = 0: sign_with_radical returns the sign of b
+        ("(0+-1*sqrt:2)/1", "sqrt:3", ["a = 0 and b = 1 > 0", "a = 0 and b = -1 < 0"]),
+        # a and b of one sign: no squares are compared
+        (
+            "(-1+-1*sqrt:2)/1",
+            "(3+1*sqrt:2)/1",
+            ["a = 1 and b = 1 are both positive", "a = -3 and b = -1 are both negative"],
+        ),
+        # a > 0 > b: b^2*d against a^2
+        ("sqrt:2", "sqrt:3", ["8 < 9", "12 > 9"]),
+        # a < 0 < b: a^2 against b^2*d
+        ("(0+-1*sqrt:3)/1", "(0+-1*sqrt:2)/1", ["9 < 12", "9 > 8"]),
+    ],
+    ids=["a-zero", "one-sign", "a-positive", "a-negative"],
+)
+def test_separating_demo_names_the_sign_case(alpha, beta, reasons):
+    result = run_script("separating_demo.py", alpha, beta, "--samples", "0")
+    assert result.returncode == 0, result.stderr
+    certificates = result.stdout.splitlines()[1:3]
+    assert [line.split("since ")[1] for line in certificates] == [r + "]" for r in reasons]
+    assert "holds  [q*alpha < p since" in certificates[0]
+    assert "fails  [q*beta > p since" in certificates[1]
