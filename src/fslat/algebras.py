@@ -2,9 +2,10 @@
 
 An algebra stores a carrier of labels, an index-valued meet table, and one
 carrier permutation per group generator; a full group element acts as the
-product of generator permutations raised to its coordinates.  Storing
-generator permutations only is what lets an infinite cyclic factor act on a
-finite carrier: only the finite image of the action matters.
+product of generator permutations raised to its coordinates, each power
+p^c(x) read off x's ``cycle`` under p.  Storing generator permutations only
+is what lets an infinite cyclic factor act on a finite carrier: only the
+finite image of the action matters.
 
 All values are immutable after construction; every operation here is pure.
 """
@@ -27,11 +28,6 @@ from .groups import (
 )
 
 Perm = tuple[int, ...]
-
-# Most entries the action table of one algebra may hold (carrier size times
-# the summed orders of the generator permutations); a larger table is refused
-# before it is built.
-MAX_ACTION_TABLE = 1 << 22
 
 
 class ShapeError(ValueError):
@@ -100,18 +96,15 @@ def perm_inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def cycle_lengths(p: Perm) -> list[int]:
-    """The length of each point's cycle under p."""
-    lengths = [0] * len(p)
-    for start in range(len(p)):
-        if lengths[start]:
-            continue
-        cycle = [start]
-        while p[cycle[-1]] != start:
-            cycle.append(p[cycle[-1]])
-        for x in cycle:
-            lengths[x] = len(cycle)
-    return lengths
+def cycle(p: Perm, x: int) -> list[int]:
+    """x's cycle under p, from x: p^c(x) is ``orbit[c % len(orbit)]`` for
+    ``orbit = cycle(p, x)`` and every integer c, negative or huge."""
+    out = [x]
+    y = p[x]
+    while y != x:
+        out.append(y)
+        y = p[y]
+    return out
 
 
 def perm_order(p: Perm) -> int:
@@ -157,33 +150,10 @@ class FSemilattice:
         return self.carrier[x]
 
     @cached_property
-    def powers(self) -> tuple[tuple[Perm, ...], ...]:
-        """The action table: for each generator permutation p, the powers
-        p^0, ..., p^(m-1) with m its order, built on first use."""
-        orders = self.perm_orders
-        if sum(orders) * self.size > MAX_ACTION_TABLE:
-            raise CarrierLimitError(
-                f"action table of {sum(orders)} permutations on {self.size} elements "
-                f"exceeds {MAX_ACTION_TABLE} entries"
-            )
-        table = []
-        for p, m in zip(self.action, orders):
-            row = [perm_identity(self.size)]
-            for _ in range(m - 1):
-                row.append(perm_compose(p, row[-1]))
-            table.append(tuple(row))
-        return tuple(table)
-
-    @cached_property
     def moves(self) -> tuple[Perm, ...]:
         """Move k of a derivation (``derive``): generator permutation k // 2,
         inverted when k is odd."""
         return tuple(m for p in self.action for m in (p, perm_inverse(p)))
-
-    @cached_property
-    def perm_orders(self) -> tuple[int, ...]:
-        """The order of each generator permutation."""
-        return tuple(map(perm_order, self.action))
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -321,11 +291,10 @@ def validate_axioms(algebra: FSemilattice) -> ValidationReport:
             x = next(x for x in range(n) if p[q[x]] != q[p[x]])
             detail = f"g{i}(g{j}({lab(x)})) != g{j}(g{i}({lab(x)}))"
             return ValidationReport(False, "action-commutation", (i, j, x), detail)
-    for i, (m, k) in enumerate(zip(algebra.perm_orders, algebra.group.orders)):
-        if k >= 1 and k % m:
+    for i, (p, k) in enumerate(zip(algebra.action, algebra.group.orders)):
+        if k >= 1 and k % perm_order(p):
             # p^k fixes x exactly when the length of x's cycle divides k
-            lengths = cycle_lengths(algebra.action[i])
-            x = next(x for x in range(n) if k % lengths[x])
+            x = next(x for x in range(n) if k % len(cycle(p, x)))
             detail = f"g{i} applied {k} times moves {lab(x)}; factor order {k}"
             return ValidationReport(False, "action-order", (i, x), detail)
     return ValidationReport(True)
@@ -353,23 +322,31 @@ def require_valid(algebra: FSemilattice) -> None:
 
 def act(algebra: FSemilattice, g: Element, x: int) -> int:
     """Action of a full group element: generator permutations raised to its
-    coordinates, the first generator applied first, each coordinate looked
-    up modulo the permutation's order in ``algebra.powers``."""
+    coordinates, the first generator applied first, each power read off the
+    point's ``cycle`` under the generator."""
     if len(g) != algebra.group.rank:
         raise ValueError("coordinate length mismatch")
-    for row, c in zip(algebra.powers, g):
-        x = row[c % len(row)][x]
+    for p, c in zip(algebra.action, g):
+        if c:
+            orbit = cycle(p, x)
+            x = orbit[c % len(orbit)]
     return x
 
 
 def element_action(algebra: FSemilattice, g: Element) -> Perm:
     """The full carrier permutation induced by one group element: ``act`` on
-    every element at once, one power of each generator composed in turn."""
+    every element at once, each cycle of each generator walked once."""
     if len(g) != algebra.group.rank:
         raise ValueError("coordinate length mismatch")
     perm = perm_identity(algebra.size)
-    for row, c in zip(algebra.powers, g):
-        perm = perm_compose(row[c % len(row)], perm)
+    for p, c in zip(algebra.action, g):
+        if c:
+            power: dict[int, int] = {}
+            for start in range(algebra.size):
+                if start not in power:
+                    orbit = cycle(p, start)
+                    power.update(zip(orbit, orbit[c % len(orbit):] + orbit[: c % len(orbit)]))
+            perm = tuple(map(power.__getitem__, perm))
     return perm
 
 

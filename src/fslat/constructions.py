@@ -15,7 +15,7 @@ from .algebras import (
     CarrierLimitError,
     FSemilattice,
     Homomorphism,
-    act,
+    element_action,
     is_isomorphism,
     perm_identity,
 )
@@ -259,7 +259,7 @@ def twisted_multiple(spec: TwistedSpec) -> FSemilattice:
         perm = []
         for t in reps:
             f, k = split[shift[table.index[t]]]
-            perm += [f * u_size + act(factor, exponents[k], u) for u in range(u_size)]
+            perm += [f * u_size + u for u in element_action(factor, exponents[k])]
         action.append(tuple(perm) + (bottom,))
     return FSemilattice(
         group=group, carrier=labels, meet=tuple(tuple(r) for r in meet), action=tuple(action)
@@ -298,7 +298,7 @@ def transversal_independence_check(
     mapping = []
     for t in first.reps:
         t2, k = split[table.index[t]]
-        mapping += [t2 * u_size + act(spec1.factor, exponents[k], u) for u in range(u_size)]
+        mapping += [t2 * u_size + u for u in element_action(spec1.factor, exponents[k])]
     mapping.append(right.size - 1)
     hom = Homomorphism(left, right, tuple(mapping))
     if not is_isomorphism(hom):

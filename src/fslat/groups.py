@@ -130,7 +130,7 @@ class AdditionTable(dict):
     Built per top-level call and handed down, never kept past it, so
     neither memo outlives the call.  Given ``span``, only the product over
     factors of the cyclic subgroups that the elements' coordinates generate
-    is coded; it holds <span>.
+    is coded; it holds <span>, and ``of`` refuses it unless ``whole``.
     """
 
     def __init__(self, group: GroupSpec, span=None):
@@ -138,6 +138,7 @@ class AdditionTable(dict):
         self.group = group
         steps = [gcd(k, *(e[i] for e in span)) if k and span else 1 for i, k in enumerate(group.orders)]
         self.digits = [((k or 1) // d, d) for k, d in zip(group.orders, steps)]
+        self.whole = max(steps) == 1
         self.elements = list(itertools.product(*(range(0, r * d, d) for r, d in self.digits)))
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.subgroup_memo: dict[frozenset[int], Subgroup | None] = {}
@@ -149,9 +150,11 @@ class AdditionTable(dict):
 
     @staticmethod
     def of(group: GroupSpec, table: AdditionTable | None) -> AdditionTable:
-        """``table`` checked to code ``group``, or a new table when None."""
+        """``table`` checked to code all of ``group``, or a new table when None."""
         if table is not None and table.group != group:
             raise ValueError(f"the addition table codes {table.group}, not {group}")
+        if table is not None and not table.whole:
+            raise ValueError(f"the addition table codes a span, not the whole of {group}")
         return AdditionTable(group) if table is None else table
 
     def __missing__(self, a: int) -> list[int]:

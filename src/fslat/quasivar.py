@@ -15,7 +15,6 @@ refuses an algebra that fails ``validate_axioms`` with
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
@@ -27,12 +26,14 @@ from .algebras import (
     Term,
     act,
     congruences,
+    cycle,
     derive,
     element_action,
     generates,
     is_isomorphism,
     meet_terms,
     perm_compose,
+    perm_identity,
     quotient,
     replay,
     require_valid,
@@ -48,6 +49,7 @@ from .groups import (
     InfiniteGroupError,
     NotASubgroupError,
     Subgroup,
+    elementary,
     reduce_element,
     subgroups,
 )
@@ -151,20 +153,13 @@ def _term_value(meet, compiled, valuation: list[int]) -> int:
     return value
 
 
-def _image_elements(algebra: FSemilattice) -> list[Element]:
-    """Group elements enumerating the action image: full factor ranges when
-    finite, permutation-order ranges on infinite factors."""
-    orders = algebra.group.orders
-    ranges = [range(k if k >= 1 else len(row)) for k, row in zip(orders, algebra.powers)]
-    return [tuple(c) for c in itertools.product(*ranges)]
-
-
 def separating_quasi_identity(algebra: FSemilattice, a: int) -> QuasiIdentity:
     """The canonically first unary-term pair disagreeing at the generator,
     packaged as (s(x) = t(x)) -> (x = x ^ y).
 
-    Candidates are the translates g(x) in ``_image_elements`` order, the
-    identity first, so the first pair is x and the first g(x) with g(a) != a.
+    Candidates are the translates g(x) of the action image in lexicographic
+    order of g, so the first pair is x and g_j(x), j the last generator that
+    moves a: every g before it is nonzero only at generators that fix a.
 
     For a free-minimal algebra the result holds in the algebra and fails in
     the two-element algebra with trivial action, which is what separates the
@@ -174,12 +169,13 @@ def separating_quasi_identity(algebra: FSemilattice, a: int) -> QuasiIdentity:
         raise ValueError("the one-element algebra admits no separating quasi-identity")
     if not generates(algebra, a):
         raise NotGeneratedError(f"{algebra.label(a)!r} does not generate the algebra")
+    moving = [j for j, p in enumerate(algebra.action) if p[a] != a]
+    if not moving:
+        raise ValueError("no separating term pair found; the algebra is trivially acted on")
     group = algebra.group
     x, y = var("x", group), var("y", group)
-    for g in _image_elements(algebra):
-        if act(algebra, g, a) != a:
-            return make_quasi_identity([(x, translate_term(group, g, x))], (x, meet_terms(x, y)))
-    raise ValueError("no separating term pair found; the algebra is trivially acted on")
+    g = elementary(group, moving[-1])
+    return make_quasi_identity([(x, translate_term(group, g, x))], (x, meet_terms(x, y)))
 
 
 @dataclass(frozen=True)
@@ -241,12 +237,12 @@ def stabilizer(algebra: FSemilattice, a: int, table: AdditionTable | None = None
     """The subgroup of group elements fixing ``a`` (finite groups only).
 
     The images g(a) are listed in ``table.elements`` order one coordinate
-    at a time: each image so far is followed round its cycle under the next
-    generator's step (the generator itself, or its power d on a coarser
-    digit), and the cycle is repeated up to the digit's range, which its
-    length divides on a valid algebra.  So the position of an image is the
-    code of its g, and the codes fixing ``a`` go to ``table.subgroup`` as
-    they are: a table whose subgroups are enumerated answers from its memo.
+    at a time: each image so far is followed round its ``cycle`` under the
+    next generator, and the cycle is repeated up to the factor's order,
+    which its length divides on a valid algebra.  So the position of an
+    image is the code of its g, and the codes fixing ``a`` go to
+    ``table.subgroup`` as they are: a table whose subgroups are enumerated
+    answers from its memo.
     """
     require_valid(algebra)
     group = algebra.group
@@ -254,16 +250,11 @@ def stabilizer(algebra: FSemilattice, a: int, table: AdditionTable | None = None
         raise InfiniteGroupError("use stabilizer_image over infinite factors")
     table = AdditionTable.of(group, table)
     images = [a]
-    for p, (r, d) in zip(algebra.action, table.digits):
-        step = p
-        for _ in range(d - 1):
-            step = perm_compose(p, step)
+    for p, k in zip(algebra.action, group.orders):
         moved = []
         for x in images:
-            cycle = [x]
-            while step[cycle[-1]] != x:
-                cycle.append(step[cycle[-1]])
-            moved += cycle * (r // len(cycle))
+            orbit = cycle(p, x)
+            moved += orbit * (k // len(orbit))
         images = moved
     sub = table.subgroup({c for c, x in enumerate(images) if x == a})
     if sub is None:  # the action of a valid algebra is a group action
@@ -289,14 +280,18 @@ class StabilizerImage:
 
 
 def stabilizer_image(algebra: FSemilattice, a: int) -> StabilizerImage:
-    """The action image as the carrier permutations of every product of
-    generator powers, and the ones among them fixing ``a``.  The generator
-    permutations of a valid algebra commute, so these products form the
-    group they generate."""
+    """The action image, and the permutations in it fixing ``a``.  The
+    generator permutations commute on a valid algebra, so they are joined
+    in one at a time, coset by coset, as ``groups._join`` joins codes:
+    <S, p> is S u pS u p^2 S u ... up to the first coset that meets S."""
     require_valid(algebra)
-    powers = itertools.product(*(range(len(row)) for row in algebra.powers))
-    image = tuple(sorted({element_action(algebra, c) for c in powers}))
-    return StabilizerImage(image, tuple(p for p in image if p[a] == a))
+    image = {perm_identity(algebra.size)}
+    for p in algebra.action:
+        coset, joined = image, set(image)
+        while (coset := {perm_compose(p, s) for s in coset}).isdisjoint(image):
+            joined |= coset
+        image = joined
+    return StabilizerImage(tuple(sorted(image)), tuple(sorted(p for p in image if p[a] == a)))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from fslat.algebras import (
     perm_compose,
     perm_identity,
     perm_inverse,
-    perm_order,
     subalgebra_generated,
     var,
     zero,
@@ -56,7 +55,6 @@ from fslat.quasivar import (
     MinimalityVerdict,
     QuasiIdentity,
     StabilizerImage,
-    _image_elements,
     eval_term,
     is_minimal_free,
     make_quasi_identity,
@@ -380,7 +378,7 @@ def reference_rational_between(
 
 
 def reference_act(algebra: FSemilattice, g: Element, x: int) -> int:
-    """The step-by-step ``act`` kept as a reference for the table lookup:
+    """The step-by-step ``act`` kept as a reference for the cycle walk:
     each generator permutation applied (coordinate mod its order) times.
 
     Action of a full group element: generator permutations raised to its coordinates."""
@@ -388,7 +386,7 @@ def reference_act(algebra: FSemilattice, g: Element, x: int) -> int:
         raise ValueError("coordinate length mismatch")
     y = x
     for p, c in zip(algebra.action, g):
-        for _ in range(c % perm_order(p)):
+        for _ in range(c % reference_perm_order(p)):
             y = p[y]
     return y
 
@@ -953,9 +951,24 @@ def reference_transversal_independence_check(
     return hom
 
 
+# Verbatim copy of the enumeration of the action image that
+# ``separating_quasi_identity`` scanned, reading each generator's order from
+# ``reference_perm_order`` where the library read the length of its row of
+# powers.
+
+
+def _image_elements(algebra: FSemilattice) -> list[Element]:
+    """Group elements enumerating the action image: full factor ranges when
+    finite, permutation-order ranges on infinite factors."""
+    orders = algebra.group.orders
+    ranges = [range(k if k >= 1 else reference_perm_order(p)) for k, p in zip(orders, algebra.action)]
+    return [tuple(c) for c in itertools.product(*ranges)]
+
+
 def reference_separating_quasi_identity(algebra: FSemilattice, a: int) -> QuasiIdentity:
-    """The pairwise candidate search kept as a reference for the one-pass
-    scan: same quasi-identity, same errors.
+    """The pairwise candidate search kept as a reference for the choice of
+    the last generator that moves the generator: same quasi-identity, same
+    errors.
 
     The canonically first unary-term pair disagreeing at the generator,
     packaged as (s(x) = t(x)) -> (x = x ^ y).

@@ -165,3 +165,27 @@ def free_quotients(max_order):
             if not cong.is_total
         ]
     return out
+
+
+def atom_fan_over_z(cycle_lengths):
+    """Atoms over a zero, the infinite cyclic group rotating each block of
+    atoms as one cycle of the given length."""
+    n = sum(cycle_lengths) + 1
+    bottom = n - 1
+    perm, start = [], 0
+    for length in cycle_lengths:
+        perm += [start + (i + 1) % length for i in range(length)]
+        start += length
+    meet = [[x if x == y else bottom for y in range(n)] for x in range(n)]
+    return A.FSemilattice(G.make_group([0]), [str(x) for x in range(n)], meet, [perm + [bottom]])
+
+
+def rotated_hexagon_fan(rank):
+    """Six atoms in a ring over a zero, acted on by Z^rank: generator i
+    rotates the ring by i mod 5 + 1 steps, so the action image is cyclic of
+    order 6 while the product of the generators' orders grows as 6^rank.
+    The last generator of rank 16 turns by one step."""
+    meet = [[x if x == y else 6 for y in range(7)] for x in range(7)]
+    action = [[(x + i % 5 + 1) % 6 for x in range(6)] + [6] for i in range(rank)]
+    carrier = [f"a{x}" for x in range(6)] + ["o"]
+    return A.FSemilattice(G.make_group([0] * rank), carrier, meet, action)

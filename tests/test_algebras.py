@@ -1,3 +1,4 @@
+import json
 import random
 import re
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fslat import algebras as A
+from fslat import cli
 from fslat import constructions as C
 from fslat import groups as G
 from fslat.quasivar import eval_term
@@ -18,12 +20,14 @@ from oracles import (
     reference_extension_map,
     reference_hom_extend,
     reference_is_isomorphic_1gen,
+    reference_act,
     reference_perm_order,
     reference_principal_congruence,
     reference_validate_axioms,
     witness_violates,
 )
 from tables import (
+    atom_fan_over_z,
     commutative_idempotent_tables,
     fans_and_multiples,
     free_quotients,
@@ -259,35 +263,42 @@ def test_act_on_infinite_factor_reduces_by_permutation_order():
     assert A.act(ak, (7,), 0) == 1
 
 
-def test_action_table_rows_are_the_generator_powers():
-    algebra = C.a_k(4)
-    (row,) = algebra.powers
-    assert row == tuple(tuple((x + j) % 4 for x in range(4)) + (4,) for j in range(4))
-    assert algebra.powers is algebra.powers  # built once
+def test_cycle_lists_a_point_power_by_power():
+    p = (1, 2, 0, 4, 3, 5)
+    assert A.cycle(p, 0) == [0, 1, 2] and A.cycle(p, 2) == [2, 0, 1]
+    assert A.cycle(p, 4) == [4, 3] and A.cycle(p, 5) == [5]
+    for x in range(len(p)):
+        orbit, y = A.cycle(p, x), x
+        for c in range(12):
+            assert orbit[c % len(orbit)] == y
+            y = p[y]
 
 
-def _atom_fan_over_z(cycle_lengths):
-    """Atoms over a zero, the infinite cyclic group rotating each block of
-    atoms as one cycle of the given length."""
-    n = sum(cycle_lengths) + 1
-    bottom = n - 1
-    perm, start = [], 0
-    for length in cycle_lengths:
-        perm += [start + (i + 1) % length for i in range(length)]
-        start += length
-    meet = [[x if x == y else bottom for y in range(n)] for x in range(n)]
-    return A.FSemilattice(G.make_group([0]), [str(x) for x in range(n)], meet, [perm + [bottom]])
-
-
-def test_action_table_size_is_capped():
-    # 61 elements whose generator has order 3*4*5*7*11*13*17 = 1,021,020
-    big = _atom_fan_over_z([3, 4, 5, 7, 11, 13, 17])
+def test_act_on_a_generator_of_order_over_a_million(capsys, tmp_path):
+    # 61 elements whose generator has order 3*4*5*7*11*13*17 = 1,021,020:
+    # act and element_action walk one cycle per point, whatever the order.
+    # The reference steps through each coordinate mod that order, so every
+    # coordinate here is a multiple of it, huge or negative, plus a small
+    # residue
+    big = atom_fan_over_z([3, 4, 5, 7, 11, 13, 17])
     assert A.validate_axioms(big).ok
-    assert A.perm_order(big.action[0]) * big.size > A.MAX_ACTION_TABLE
-    with pytest.raises(A.CarrierLimitError):
-        A.act(big, (1,), 0)
-    small = _atom_fan_over_z([3, 4, 5, 7])
+    order = reference_perm_order(big.action[0])
+    assert order == 1_021_020
+    for q, r in ((0, 1), (0, 40), (1, 0), (-1, 3), (10**12, 5), (-(10**9), 37)):
+        g = (q * order + r,)
+        want = tuple(reference_act(big, g, x) for x in range(big.size))
+        assert tuple(A.act(big, g, x) for x in range(big.size)) == want, g
+        assert A.element_action(big, g) == want, g
+    small = atom_fan_over_z([3, 4, 5, 7])
     assert A.act(small, (-1,), 0) == 2 and A.act(small, (10**12,), 3) == 3
+    # 10^12 is a multiple of 4, not of 3: x = 3, first on the 4-cycle, is
+    # the first x whose premise holds, and y = 0 refutes x = x ^ y
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(A.algebra_to_dict(big)))
+    qi = "g0^1000000000000(x) = x -> x = x ^ y"
+    assert cli.run(["quasi", "--algebra", str(path), "--qi", qi]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["holds"] is False and payload["witness"] == {"x": "3", "y": "0"}
 
 
 def test_subalgebra_examples():

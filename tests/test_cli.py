@@ -16,6 +16,7 @@ from fslat import cli
 from fslat import constructions as C
 from fslat import groups as G
 from fslat.cli import hasse_dot, run
+from tables import rotated_hexagon_fan
 
 
 def invoke(capsys, argv):
@@ -161,6 +162,17 @@ def test_simplicity(capsys, tmp_path):
     code, payload = invoke_json(capsys, ["simplicity", "--algebra", path])
     assert code == 0
     assert payload["simple"] and payload["congruences"] == 2
+
+
+def test_simplicity_over_the_widest_group_is_quick(capsys, tmp_path):
+    # six atoms in a ring over Z^16: the generators' orders multiply to
+    # 648^3 * 6, about 1.6e9, while the action image has 6 elements
+    path = write_algebra(tmp_path, rotated_hexagon_fan(cli.MAX_GROUP_RANK))
+    start = time.perf_counter()
+    code, payload = invoke_json(capsys, ["simplicity", "--algebra", path])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and payload["simple"]
+    assert payload["separating_quasi_identity"] == "x = g15(x) -> x = x ^ y"
 
 
 def test_balpha(capsys):

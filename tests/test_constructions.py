@@ -231,6 +231,9 @@ def test_maroti_refuses_a_table_for_another_group():
     group = G.make_group([6])
     with pytest.raises(ValueError, match="the addition table codes C4, not C6"):
         C.maroti(group, G.trivial_subgroup(group), G.AdditionTable(G.make_group([4])))
+    c4 = G.make_group([4])
+    with pytest.raises(ValueError, match="the addition table codes a span, not the whole of C4"):
+        C.maroti(c4, G.trivial_subgroup(c4), G.AdditionTable(c4, [(2,)]))
 
 
 def test_free_one_generated_translates_subsets():

@@ -273,6 +273,32 @@ def test_table_for_another_group_is_refused():
         G.subgroup_from_elements(Z6, [(0,), (3,)], table)
 
 
+def test_span_table_is_refused_as_a_table_of_the_group():
+    # AdditionTable(C4, [(2,)]) codes {0, 2} only; taken for all of C4 it
+    # once gave 2 of the 3 subgroups
+    span_table = G.AdditionTable(Z4, [(2,)])
+    with pytest.raises(ValueError, match="the addition table codes a span, not the whole of C4"):
+        G.subgroups(Z4, span_table)
+    with pytest.raises(ValueError, match="the addition table codes a span, not the whole of C4"):
+        G.subgroup_from_elements(Z4, [(0,), (2,)], span_table)
+    # a table is refused exactly when its span codes less than the group
+    rng = random.Random(4)
+    kept = refused = 0
+    for spec in G.all_group_specs(32):
+        pool = spec.elements()
+        for _ in range(3):
+            table = G.AdditionTable(spec, rng.sample(pool, min(2, len(pool))))
+            if table.elements == pool:
+                assert G.AdditionTable.of(spec, table) is table
+                assert len(G.subgroups(spec, table)) == len(G.subgroups(spec))
+                kept += 1
+            else:
+                with pytest.raises(ValueError, match="codes a span"):
+                    G.AdditionTable.of(spec, table)
+                refused += 1
+    assert kept > 100 and refused > 50
+
+
 def test_subgroups_and_cosets_match_reference_up_to_32():
     for spec in G.all_group_specs(32):
         subs = G.subgroups(spec)

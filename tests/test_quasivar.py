@@ -18,17 +18,20 @@ from oracles import (
     reference_holds_quasi_identity,
     reference_is_isomorphic_1gen,
     reference_is_minimal_free,
+    reference_perm_order,
     reference_separating_quasi_identity,
     reference_stabilizer,
     reference_stabilizer_image,
 )
 from tables import (
+    atom_fan_over_z,
     fans_and_multiples,
     free_quotients,
     invariant_tables,
     random_semilattices,
     random_tables,
     refusal,
+    rotated_hexagon_fan,
 )
 
 Z2 = G.make_group([2])
@@ -536,8 +539,9 @@ def _z_by_z2_fan():
 
 def _action_cases():
     """Axiom-valid algebras: fans and their opposites, trivial and chain2
-    twisted multiples, coset towers, the a7 subalgebras, a_k and a fan over
-    the integers times Z2."""
+    twisted multiples, coset towers, the a7 subalgebras, a_k, a fan over
+    the integers times Z2, atoms over Z in cycles of 3, 4, 5 and 7, and a
+    hexagon of atoms over Z^16."""
     a7 = C.counterexample_a7()
     out = [a7] + [A.subalgebra_generated(a7, x)[0] for x in range(a7.size)]
     for spec in G.all_group_specs(8):
@@ -554,6 +558,7 @@ def _action_cases():
             if set(small.elements) < set(big.elements)
         ]
     out += [C.a_k(k) for k in range(1, 7)] + [_z_by_z2_fan()]
+    out += [atom_fan_over_z([3, 4, 5, 7]), rotated_hexagon_fan(16)]
     return out
 
 
@@ -566,8 +571,11 @@ def _coordinates(rng, rank):
 
 
 def test_act_matches_reference():
+    # the algebras of ``_action_cases``, the 61 elements over Z whose
+    # generator has order 1,021,020 (its action image is too large for the
+    # stabilizer_image comparison), and random tables
     rng = random.Random(4242)
-    cases = _action_cases()
+    cases = _action_cases() + [atom_fan_over_z([3, 4, 5, 7, 11, 13, 17])]
     odd = 0
     for orders in ([2], [3], [4], [2, 2], [0], [2, 3], [0, 2]):
         group = G.make_group(orders)
@@ -579,7 +587,12 @@ def test_act_matches_reference():
             cases.append(table)
     assert odd > 0
     for algebra in cases:
+        orders = [reference_perm_order(p) for p in algebra.action]
         for g in _coordinates(rng, algebra.group.rank):
+            # the reference steps through c mod the order, so a residue of
+            # 97 or more is cut below 97, keeping c's multiple of the order;
+            # only the atom fans over Z have generators of order above 97
+            g = tuple(c - c % m + c % m % 97 for c, m in zip(g, orders))
             want = tuple(reference_act(algebra, g, x) for x in range(algebra.size))
             assert tuple(A.act(algebra, g, x) for x in range(algebra.size)) == want, (algebra, g)
             assert A.element_action(algebra, g) == want, (algebra, g)
@@ -636,6 +649,11 @@ def test_stabilizer_refuses_a_table_for_another_group():
     fan = C.maroti(group, G.trivial_subgroup(group))
     with pytest.raises(ValueError, match="the addition table codes C2xC2, not C6"):
         Q.stabilizer(fan, 0, G.AdditionTable(G.make_group([2, 2])))
+    # a table over a span codes part of the group only
+    c4 = G.make_group([4])
+    fan = C.maroti(c4, G.subgroup_from_elements(c4, [(0,), (2,)]))
+    with pytest.raises(ValueError, match="the addition table codes a span, not the whole of C4"):
+        Q.stabilizer(fan, 0, G.AdditionTable(c4, [(2,)]))
 
 
 def test_stabilizer_matches_reference_on_fans_and_random_semilattices_up_to_32():
