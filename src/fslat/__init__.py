@@ -29,7 +29,6 @@ from .algebras import (
     cover_edges,
     hom_extend,
     leq,
-    opposite,
     quotient,
     subalgebra_generated,
     validate_axioms,
@@ -43,9 +42,7 @@ from .constructions import (
     maroti,
     transversal_independence_check,
     trivial_factor,
-    twisted,
     twisted_multiple,
-    twisted_spec,
     two_element,
 )
 from .quasivar import (

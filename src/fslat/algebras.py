@@ -531,16 +531,6 @@ def hom_extend(
     return HomExtendResult(Homomorphism(source, target, tuple(image)), None)
 
 
-def opposite(algebra: FSemilattice) -> FSemilattice:
-    """Same semilattice with every group element acting by its inverse."""
-    return FSemilattice(
-        group=algebra.group,
-        carrier=algebra.carrier,
-        meet=algebra.meet,
-        action=tuple(perm_inverse(p) for p in algebra.action),
-    )
-
-
 # A partition of the carrier in canonical form: sorted blocks, sorted by
 # least member.
 Blocks = tuple[tuple[int, ...], ...]

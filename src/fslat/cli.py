@@ -206,22 +206,31 @@ def _cmd_group_subgroups(args) -> int:
     return 0
 
 
-def _require(args, *names: str) -> None:
-    missing = [f"--{name}" for name in names if getattr(args, name) is None]
-    if missing:
-        raise ValueError(f"build {args.kind} needs {' and '.join(missing)}")
+# The flags each kind of build needs, then those it may take; ``build``
+# refuses any other one given.
+BUILD_FLAGS = {
+    "maroti": (("orders", "subgroup"), ()),
+    "twisted": (("orders", "subgroup"), ("transversal", "u")),
+    "ak": (("k",), ()),
+    "two-element": (("orders",), ()),
+}
 
 
 def _build_algebra(args) -> FSemilattice:
+    needs, may_take = BUILD_FLAGS[args.kind]
+    unused = [f"--{name}" for name in ("orders", "subgroup", "transversal", "u", "k")
+              if name not in needs + may_take and getattr(args, name) is not None]
+    if unused:
+        raise ValueError(f"build {args.kind} does not take {' or '.join(unused)}")
+    missing = [f"--{name}" for name in needs if getattr(args, name) is None]
+    if missing:
+        raise ValueError(f"build {args.kind} needs {' and '.join(missing)}")
     if args.kind == "ak":
-        _require(args, "k")
         if args.k > MAX_AK_ATOMS:
             raise ValueError(f"build ak takes at most {MAX_AK_ATOMS} atoms, got --k {args.k}")
         return constructions.a_k(args.k)
     if args.kind == "two-element":
-        _require(args, "orders")
         return constructions.two_element(_parse_orders(args.orders))
-    _require(args, "orders", "subgroup")
     group = _parse_orders(args.orders)
     sub = groups.subgroup_from_elements(group, _parse_elements(args.subgroup))
     if args.kind == "maroti":
@@ -233,7 +242,7 @@ def _build_algebra(args) -> FSemilattice:
     gens = None
     if args.u == "chain2":
         factor, gens = constructions.chain2_factor(group, sub)
-    return constructions.twisted(group, sub, factor, reps, gens)
+    return constructions.twisted_multiple(group, sub, factor, reps, gens)
 
 
 def _cmd_build(args) -> int:
@@ -382,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--orders", help="comma-joined factor orders")
     p_build.add_argument("--subgroup", help="subgroup elements: coords comma-joined, ';'-separated")
     p_build.add_argument("--transversal", help="coset representatives, same syntax as --subgroup")
-    p_build.add_argument("--u", choices=["trivial", "chain2"], default="trivial",
-                         help="factor algebra for twisted builds")
+    p_build.add_argument("--u", choices=["trivial", "chain2"],
+                         help="factor algebra for twisted builds (default: trivial)")
     p_build.add_argument("--k", type=int, help="atom count for ak")
     common(p_build)
     p_build.set_defaults(func=_cmd_build)

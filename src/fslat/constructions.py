@@ -9,8 +9,6 @@ algebra P+(F).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebras import (
     CarrierLimitError,
     FSemilattice,
@@ -28,6 +26,8 @@ from .groups import (
     Subgroup,
     Transversal,
     format_element,
+    inv,
+    mul,
     presentation,
     reduce_element,
     transversal,
@@ -149,25 +149,22 @@ def chain2_factor(group: GroupSpec, sub: Subgroup) -> tuple[FSemilattice, tuple[
     return two_element(pres.spec), pres.generators
 
 
-@dataclass(frozen=True)
-class TwistedSpec:
-    group: GroupSpec
-    subgroup: Subgroup
-    transversal: Transversal
-    factor: FSemilattice
-    factor_generators: tuple[Element, ...]
-
-
-def _factor_exponent_table(spec: TwistedSpec, table: AdditionTable) -> dict[int, Element]:
+def _factor_exponent_table(
+    group: GroupSpec,
+    sub: Subgroup,
+    factor: FSemilattice,
+    factor_generators: tuple[Element, ...],
+    table: AdditionTable,
+) -> dict[int, Element]:
     """Map the code of each subgroup element to its exponent vector over the
     supplied generators, verifying on the way that the correspondence is an
     isomorphism onto the subgroup.  Mismatches are an error, never coerced."""
-    fgroup = spec.factor.group
+    fgroup = factor.group
     if not fgroup.is_finite:
         raise NotASubgroupError("factor algebra must live over a finite group")
-    if len(spec.factor_generators) != fgroup.rank:
+    if len(factor_generators) != fgroup.rank:
         raise NotASubgroupError("need one subgroup generator per factor-group coordinate")
-    gens = [table.index[reduce_element(spec.group, g)] for g in spec.factor_generators]
+    gens = [table.index[reduce_element(group, g)] for g in factor_generators]
     exponents: dict[int, Element] = {}
     for vector in fgroup.elements():
         value = 0
@@ -177,36 +174,32 @@ def _factor_exponent_table(spec: TwistedSpec, table: AdditionTable) -> dict[int,
         if value in exponents:
             raise NotASubgroupError("generator correspondence is not injective")
         exponents[value] = vector
-    if set(exponents) != {table.index.get(h) for h in spec.subgroup.elements}:
+    if set(exponents) != {table.index.get(h) for h in sub.elements}:
         raise NotASubgroupError("generator correspondence does not present the subgroup")
     return exponents
 
 
-def _coset_split(table: AdditionTable, reps: Transversal) -> dict[int, tuple[int, int]]:
-    """Every element as t + h, with t a representative and h in the subgroup:
-    code(t + h) -> (position of t in ``reps``, code of h)."""
-    members = [table.index[h] for h in reps.subgroup.elements]
-    split = {}
-    for pos, t in enumerate(reps.reps):
-        row = table[table.index[t]]
-        for h in members:
-            split[row[h]] = (pos, h)
-    return split
-
-
-def twisted_spec(
+def twisted_multiple(
     group: GroupSpec,
     sub: Subgroup,
     factor: FSemilattice | None = None,
     reps: Transversal | None = None,
     factor_generators: tuple[Element, ...] | None = None,
-) -> TwistedSpec:
-    """Assemble and validate the ingredients of a twisted multiple.
+) -> FSemilattice:
+    """Glue one shifted copy of the factor algebra per coset above a zero.
 
-    With no factor supplied, the one-element algebra over the subgroup is
-    used; with a factor but no explicit generator correspondence, the natural
-    presentation of the subgroup is used provided its abstract group matches
-    the factor's exactly.
+    With no factor, the one-element algebra over the subgroup is used; with a
+    factor but no generator correspondence, the natural presentation of the
+    subgroup, provided its abstract group matches the factor's exactly.  With
+    no transversal, the least member of each coset represents it.
+
+    Carrier: pairs (u, t) for u in the factor and t a coset representative,
+    (u, t) at index (position of t) * |factor| + u, plus a final zero.  Pairs
+    over the same representative meet inside the factor; over different
+    representatives they meet at zero.  A group element g sends (u, t) to
+    (k(u), f) where g t = f k with f a representative and k in the subgroup,
+    acting on u through the factor's own action.  Every code is split once
+    as t + h, so moving (u, t) by g reads g + t's split.
     """
     if not group.is_finite:
         raise InfiniteGroupError("twisted multiples are built over finite groups")
@@ -226,29 +219,17 @@ def twisted_spec(
                 "supply an explicit generator correspondence"
             )
         factor_generators = pres.generators
-    spec = TwistedSpec(group, sub, reps, factor, tuple(factor_generators))
-    _factor_exponent_table(spec, AdditionTable(group))
-    return spec
-
-
-def twisted_multiple(spec: TwistedSpec) -> FSemilattice:
-    """Glue one shifted copy of the factor algebra per coset above a zero.
-
-    Carrier: pairs (u, t) for u in the factor and t a coset representative,
-    (u, t) at index (position of t) * |factor| + u, plus a final zero.  Pairs over the same
-    representative meet inside the factor; over different representatives
-    they meet at zero.  A group element g sends (u, t) to (k(u), f) where
-    g t = f k with f a representative and k in the subgroup, acting on u
-    through the factor's own action.
-    """
-    group = spec.group
     table = AdditionTable(group)
-    exponents = _factor_exponent_table(spec, table)
-    split = _coset_split(table, spec.transversal)
-    reps, factor = spec.transversal.reps, spec.factor
+    exponents = _factor_exponent_table(group, sub, factor, factor_generators, table)
+    members = [table.index[h] for h in sub.elements]
+    split = {}  # code(t + h) -> (position of t, code of h)
+    for pos, t in enumerate(reps.reps):
+        row = table[table.index[t]]
+        for h in members:
+            split[row[h]] = (pos, h)
     u_size = factor.size
-    bottom = len(reps) * u_size
-    labels = tuple(f"{u}@{format_element(t)}" for t in reps for u in factor.carrier) + ("o",)
+    bottom = len(reps.reps) * u_size
+    labels = tuple(f"{u}@{format_element(t)}" for t in reps.reps for u in factor.carrier) + ("o",)
     meet = [[bottom] * (bottom + 1) for _ in range(bottom + 1)]
     for i in range(bottom):
         base = i - i % u_size
@@ -257,23 +238,13 @@ def twisted_multiple(spec: TwistedSpec) -> FSemilattice:
     for gi in range(group.rank):
         shift = table[table.generator_codes[gi]]
         perm = []
-        for t in reps:
+        for t in reps.reps:
             f, k = split[shift[table.index[t]]]
             perm += [f * u_size + u for u in element_action(factor, exponents[k])]
         action.append(tuple(perm) + (bottom,))
     return FSemilattice(
         group=group, carrier=labels, meet=tuple(tuple(r) for r in meet), action=tuple(action)
     )
-
-
-def twisted(
-    group: GroupSpec,
-    sub: Subgroup,
-    factor: FSemilattice | None = None,
-    reps: Transversal | None = None,
-    factor_generators: tuple[Element, ...] | None = None,
-) -> FSemilattice:
-    return twisted_multiple(twisted_spec(group, sub, factor, reps, factor_generators))
 
 
 def transversal_independence_check(
@@ -286,19 +257,17 @@ def transversal_independence_check(
 ) -> Homomorphism:
     """Build the twisted multiple with two different transversals and verify
     the explicit isomorphism (u, t) -> (t'^{-1} t (u), t') between them, where
-    t' represents t's coset in the second transversal."""
-    spec1 = twisted_spec(group, sub, factor, first, factor_generators)
-    spec2 = twisted_spec(group, sub, factor, second, factor_generators)
-    left = twisted_multiple(spec1)
-    right = twisted_multiple(spec2)
-    table = AdditionTable(group)
-    exponents = _factor_exponent_table(spec1, table)
-    split = _coset_split(table, second)
-    u_size = spec1.factor.size
+    t' represents t's coset in the second transversal.  With e the second
+    transversal's member of the subgroup, that pair is (t - e) applied to
+    (u, e), so the map is read off the action of the second multiple."""
+    left = twisted_multiple(group, sub, factor, first, factor_generators)
+    right = twisted_multiple(group, sub, factor, second, factor_generators)
+    u_size = (right.size - 1) // len(second.reps)
+    e = next(t for t in second.reps if t in sub)
+    base = second.reps.index(e) * u_size
     mapping = []
     for t in first.reps:
-        t2, k = split[table.index[t]]
-        mapping += [t2 * u_size + u for u in element_action(spec1.factor, exponents[k])]
+        mapping += element_action(right, mul(group, t, inv(group, e)))[base : base + u_size]
     mapping.append(right.size - 1)
     hom = Homomorphism(left, right, tuple(mapping))
     if not is_isomorphism(hom):

@@ -246,14 +246,14 @@ class Subgroup:
         return order is None or self.size < order
 
 
-def subgroup_from_elements(group: GroupSpec, elems, table: AdditionTable | None = None) -> Subgroup:
+def subgroup_from_elements(group: GroupSpec, elems) -> Subgroup:
     """Validate an element set as a subgroup and put it in canonical form.
 
     The set is a subgroup exactly when it equals the subgroup it generates,
     which the coded generator search computes anyway.  Only a set that
     fails is walked pair by pair, to name the missing inverse or product.  A
     set with a nonzero coordinate on an infinite factor skips the search, as
-    no finite subgroup has one; with no table, the search codes its span.
+    no finite subgroup has one; the search codes the set's span only.
     """
     elems = {reduce_element(group, e) for e in elems}
     if not elems:
@@ -261,7 +261,7 @@ def subgroup_from_elements(group: GroupSpec, elems, table: AdditionTable | None 
     if identity(group) not in elems:
         raise NotASubgroupError("identity element missing")
     if all(c == 0 for e in elems for c, k in zip(e, group.orders) if k == 0):
-        table = AdditionTable(group, elems) if table is None else AdditionTable.of(group, table)
+        table = AdditionTable(group, elems)
         sub = table.subgroup({table.index[e] for e in elems})
         if sub is not None:
             return sub
@@ -333,17 +333,11 @@ class Transversal:
         return len(self.reps)
 
 
-def transversal(group: GroupSpec, sub: Subgroup, normalized: bool = True) -> Transversal:
-    """One coset representative per coset.
-
-    Normalized: the representative of the subgroup's own coset is the identity
-    and every representative is the lexicographically least member of its coset.
-    Otherwise a deterministic alternative (lexicographically greatest members)
-    is returned; arbitrary transversals are built with :func:`make_transversal`.
-    """
-    blocks = cosets(group, sub)
-    reps = tuple(b[0] if normalized else b[-1] for b in blocks)
-    return Transversal(group, sub, reps)
+def transversal(group: GroupSpec, sub: Subgroup) -> Transversal:
+    """One coset representative per coset: the lexicographically least member,
+    so the subgroup's own coset comes first, represented by the identity.
+    Any other transversal is built with :func:`make_transversal`."""
+    return Transversal(group, sub, tuple(b[0] for b in cosets(group, sub)))
 
 
 def make_transversal(group: GroupSpec, sub: Subgroup, reps) -> Transversal:

@@ -41,7 +41,7 @@ from .algebras import (
     var,
     zero,
 )
-from .constructions import VerificationError, maroti, trivial_factor, twisted_multiple, twisted_spec
+from .constructions import VerificationError, maroti, trivial_factor, twisted_multiple
 from .groups import (
     AdditionTable,
     Element,
@@ -52,6 +52,7 @@ from .groups import (
     elementary,
     reduce_element,
     subgroups,
+    transversal,
 )
 
 
@@ -403,9 +404,9 @@ def decompose_ku(algebra: FSemilattice, a: int) -> DecompositionResult:
         )
     sub = stabilizer(algebra, a)
     factor, generators = trivial_factor(group, sub, algebra.label(a))
-    spec = twisted_spec(group, sub, factor, factor_generators=generators)
-    rebuilt = twisted_multiple(spec)
-    mapping = [act(algebra, t, a) for t in spec.transversal.reps] + [zero(algebra)]
+    reps = transversal(group, sub)
+    rebuilt = twisted_multiple(group, sub, factor, reps, generators)
+    mapping = [act(algebra, t, a) for t in reps.reps] + [zero(algebra)]
     iso = Homomorphism(rebuilt, algebra, tuple(mapping))
     if not is_isomorphism(iso):
         raise VerificationError("reconstruction map failed verification")
@@ -417,21 +418,19 @@ def delta_map(
     sub: Subgroup,
     factor: FSemilattice | None = None,
     factor_generators: tuple[Element, ...] | None = None,
-    factor_generator_element: int = 0,
 ) -> FSemilattice:
     """Free-algebra representative of the (subgroup, factor) pair: the twisted
     multiple, with its free-minimality verified before returning.
 
-    The generating element is the pair (factor generator, identity
-    representative), which sits at carrier index ``factor_generator_element``
-    because the identity's coset comes first in the normalized transversal.
+    The generating element is the pair (factor element 0, identity
+    representative), at carrier index 0 because the identity's coset comes
+    first in the least-member transversal.
     """
     order = group.order()
     if order is not None and len(sub.elements) == order:
         raise ValueError("the subgroup must be proper")
-    spec = twisted_spec(group, sub, factor, factor_generators=factor_generators)
-    built = twisted_multiple(spec)
-    verdict = is_minimal_free(built, factor_generator_element)
+    built = twisted_multiple(group, sub, factor, factor_generators=factor_generators)
+    verdict = is_minimal_free(built, 0)
     if not verdict.minimal:
         raise VerificationError(
             f"twisted multiple is not free-minimal; counterexample "

@@ -4,6 +4,7 @@ library's own algorithms so the two sides can disagree."""
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Sequence
 from math import ceil, lcm, log2
 
@@ -20,18 +21,16 @@ from fslat.algebras import (
     check_shape,
     element_action,
     generates,
-    hom_extend,
     is_isomorphism,
     leq,
     meet_terms,
     perm_compose,
     perm_identity,
     perm_inverse,
-    subalgebra_generated,
     var,
     zero,
 )
-from fslat.constructions import TwistedSpec, VerificationError, twisted_multiple, twisted_spec
+from fslat.constructions import VerificationError, twisted_multiple
 from fslat.groups import (
     AdditionTable,
     Element,
@@ -48,6 +47,7 @@ from fslat.groups import (
     presentation,
     reduce_element,
     subgroup_from_elements,
+    transversal,
 )
 from fslat.irrationals import QuadraticIrrational, compare_values, compare_with_rational
 from fslat.quasivar import (
@@ -512,25 +512,26 @@ def reference_is_isomorphic_1gen(
     first: FSemilattice, a: int, second: FSemilattice, b: int
 ) -> tuple[bool, Homomorphism | None]:
     """The two-extension isomorphism test ``is_minimal_free`` used before it
-    decided each element by one injective extension, kept verbatim as the
-    reference it and the isomorphism tests compare against.
+    decided each element by one injective extension, kept as the reference
+    it and the isomorphism tests compare against; each extension is this
+    module's ``reference_extension_map``, not the library's ``hom_extend``.
 
     Isomorphism test for algebras generated by ``a`` and ``b``: both canonical
     extensions must be well-defined; the forward one is returned as witness."""
     if first.size != second.size:
         return False, None
-    forward = hom_extend(first, a, second, b)
-    if not forward.ok:
+    forward = reference_extension_map(first, a, second, b)
+    if forward is None:
         return False, None
-    backward = hom_extend(second, b, first, a)
-    if not backward.ok:
+    if reference_extension_map(second, b, first, a) is None:
         return False, None
-    return True, forward.hom
+    return True, Homomorphism(first, second, forward)
 
 
 def reference_is_minimal_free(algebra: FSemilattice, a: int) -> MinimalityVerdict:
     """The element-by-element ``is_minimal_free`` kept as a reference for the
-    orbit skip: it tests every nonzero element up to the first failure.
+    orbit skip: it tests every nonzero element up to the first failure, with
+    this module's ``reference_closure`` for the subalgebra it generates.
 
     Decide whether the generated quasivariety is minimal: every nonzero
     element must generate a subalgebra isomorphic to the whole algebra via
@@ -545,10 +546,11 @@ def reference_is_minimal_free(algebra: FSemilattice, a: int) -> MinimalityVerdic
         if b == bottom:
             continue
         checked += 1
-        sub, embedding = subalgebra_generated(algebra, b)
-        if sub.size != algebra.size:
+        # b generates a subalgebra as large as the algebra only by generating
+        # all of it, which is then its own generated subalgebra
+        if len(reference_closure(algebra, b, algebra.action)) != algebra.size:
             return MinimalityVerdict(False, b, checked)
-        ok, _ = reference_is_isomorphic_1gen(algebra, a, sub, embedding.index(b))
+        ok, _ = reference_is_isomorphic_1gen(algebra, a, algebra, b)
         if not ok:
             return MinimalityVerdict(False, b, checked)
     return MinimalityVerdict(True, None, checked)
@@ -840,7 +842,11 @@ def reference_congruences(algebra: FSemilattice) -> list[Congruence]:
 
 
 # Verbatim copies of the tuple-coded twisted multiple and its transversal
-# check, kept as references for the coset split over one addition table.
+# check, kept as references for the coset split over one addition table and
+# for the map read off the action.  Their ingredients travel in one record,
+# every one of them given.
+
+TwistedSpec = namedtuple("TwistedSpec", "group subgroup transversal factor factor_generators")
 
 
 def _reference_factor_exponent_table(spec: TwistedSpec) -> dict[Element, Element]:
@@ -918,16 +924,16 @@ def reference_twisted_multiple(spec: TwistedSpec) -> FSemilattice:
 def reference_transversal_independence_check(
     group: GroupSpec,
     sub: Subgroup,
-    factor: FSemilattice | None,
+    factor: FSemilattice,
     first: Transversal,
     second: Transversal,
-    factor_generators: tuple[Element, ...] | None = None,
+    factor_generators: tuple[Element, ...],
 ) -> Homomorphism:
     """Build the twisted multiple with two different transversals and verify
     the explicit isomorphism (u, t) -> (t'^{-1} t (u), t') between them, where
     t' represents t's coset in the second transversal."""
-    spec1 = twisted_spec(group, sub, factor, first, factor_generators)
-    spec2 = twisted_spec(group, sub, factor, second, factor_generators)
+    spec1 = TwistedSpec(group, sub, first, factor, factor_generators)
+    spec2 = TwistedSpec(group, sub, second, factor, factor_generators)
     left = reference_twisted_multiple(spec1)
     right = reference_twisted_multiple(spec2)
     exponents = _reference_factor_exponent_table(spec1)
@@ -1022,7 +1028,7 @@ def reference_decompose_ku(algebra: FSemilattice, a: int) -> DecompositionResult
     elements = table.elements
     translate = {g: act(algebra, g, a) for g in elements}
     k_elems = [g for g in elements if algebra.meet[a][translate[g]] != bottom]
-    sub = subgroup_from_elements(group, k_elems, table)  # failure here would be a bug
+    sub = subgroup_from_elements(group, k_elems)  # failure here would be a bug
     coset_id = {table.elements[g]: i for i, b in enumerate(table.cosets(sub)) for g in b}
     for size in range(1, MAX_TRANSLATES + 1):
         for combo in itertools.combinations_with_replacement(elements, size):
@@ -1039,13 +1045,13 @@ def reference_decompose_ku(algebra: FSemilattice, a: int) -> DecompositionResult
     factor, closure = reference_generated_by(
         algebra, a, pres.spec, [element_action(algebra, g) for g in pres.generators]
     )
-    spec = twisted_spec(group, sub, factor, factor_generators=pres.generators)
-    rebuilt = twisted_multiple(spec)
+    reps = transversal(group, sub)
+    rebuilt = twisted_multiple(group, sub, factor, reps, pres.generators)
     u_size = factor.size
     mapping = []
     for i in range(rebuilt.size - 1):
         t_pos, u = divmod(i, u_size)
-        t = spec.transversal.reps[t_pos]
+        t = reps.reps[t_pos]
         mapping.append(act(algebra, t, closure[u]))
     mapping.append(bottom)
     iso = Homomorphism(rebuilt, algebra, tuple(mapping))

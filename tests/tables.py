@@ -1,7 +1,8 @@
 """Tables for differential tests: random shape-valid ones, mostly not
 semilattices, some preserved by a permutation so that orbit reductions have
-work to do; random semilattices, valid by construction; and families of
-axiom-valid algebras built by the library."""
+work to do; random semilattices, valid by construction; families of
+axiom-valid algebras built by the library; and the opposite algebra and the
+greatest-member transversal, which only tests build."""
 
 from __future__ import annotations
 
@@ -139,6 +140,22 @@ def invariant_tables(rng, count):
     return out
 
 
+def opposite(algebra):
+    """Same semilattice with every group element acting by its inverse."""
+    return A.FSemilattice(
+        group=algebra.group,
+        carrier=algebra.carrier,
+        meet=algebra.meet,
+        action=tuple(A.perm_inverse(p) for p in algebra.action),
+    )
+
+
+def greatest_transversal(group, sub):
+    """The lexicographically greatest member of each coset, the other
+    deterministic transversal beside ``G.transversal``'s least members."""
+    return G.make_transversal(group, sub, [b[-1] for b in G.cosets(group, sub)])
+
+
 def fans_and_multiples(max_order):
     """Per group of order at most ``max_order``: the fan over every subgroup,
     and the trivial and chain2 twisted multiples over every proper
@@ -149,7 +166,7 @@ def fans_and_multiples(max_order):
             out.append(C.maroti(spec, sub))
             if sub.is_proper:
                 for factor, gens in (C.trivial_factor(spec, sub), C.chain2_factor(spec, sub)):
-                    out.append(C.twisted(spec, sub, factor, None, gens))
+                    out.append(C.twisted_multiple(spec, sub, factor, None, gens))
     return out
 
 

@@ -33,6 +33,7 @@ from tables import (
     free_quotients,
     invariant_meet,
     invariant_tables,
+    opposite,
     powers_of,
     random_semilattices,
     random_tables,
@@ -386,8 +387,8 @@ def test_is_isomorphic_examples():
     z4h = G.subgroup_from_elements(Z4, [(0,), (2,)])
     t1 = G.make_transversal(Z4, z4h, [(0,), (1,)])
     t2 = G.make_transversal(Z4, z4h, [(0,), (3,)])
-    b1 = C.twisted(Z4, z4h, reps=t1)
-    b2 = C.twisted(Z4, z4h, reps=t2)
+    b1 = C.twisted_multiple(Z4, z4h, reps=t1)
+    b2 = C.twisted_multiple(Z4, z4h, reps=t2)
     iso, hom = reference_is_isomorphic_1gen(b1, 0, b2, 0)
     assert iso and A.is_homomorphism(hom)
 
@@ -402,10 +403,10 @@ def test_is_isomorphic_examples():
 
 def test_opposite():
     fan = maroti_z4_h()
-    assert A.opposite(A.opposite(fan)) == fan
+    assert opposite(opposite(fan)) == fan
     te = C.two_element(Z4)
-    assert A.opposite(te) == te
-    iso, _ = reference_is_isomorphic_1gen(A.opposite(fan), 0, fan, 0)
+    assert opposite(te) == te
+    iso, _ = reference_is_isomorphic_1gen(opposite(fan), 0, fan, 0)
     assert iso
 
 
@@ -421,7 +422,7 @@ def test_congruences_of_small_fan_match_exhaustive_oracle():
 def test_congruence_method_matches_oracle_on_carriers_up_to_7():
     h = G.subgroup_from_elements(Z4, [(0,), (2,)])
     u, gens = C.chain2_factor(Z4, h)
-    twisted_chain = C.twisted(Z4, h, u, factor_generators=gens)  # not simple
+    twisted_chain = C.twisted_multiple(Z4, h, u, factor_generators=gens)  # not simple
     samples = [
         maroti_z2(),
         maroti_z4_h(),
@@ -642,7 +643,7 @@ def _fans_opposites_and_a7(max_order):
         candidates = []
         for sub in G.subgroups(spec):
             fan = C.maroti(spec, sub)
-            candidates += [fan, A.opposite(fan)]
+            candidates += [fan, opposite(fan)]
         if spec == a7.group:
             candidates += [A.subalgebra_generated(a7, x)[0] for x in range(a7.size)]
         for algebra in candidates:

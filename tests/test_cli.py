@@ -271,6 +271,25 @@ def test_build_missing_option_is_usage_error(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["build", "maroti", "--orders", "4", "--subgroup", "0;2", "--transversal", "0;1"], "--transversal"),
+        (["build", "maroti", "--orders", "4", "--subgroup", "0;2", "--u", "chain2"], "--u"),
+        (["build", "maroti", "--orders", "4", "--subgroup", "0;2", "--u", "trivial"], "--u"),
+        (["build", "twisted", "--orders", "4", "--subgroup", "0;2", "--k", "3"], "--k"),
+        (["build", "two-element", "--orders", "4", "--k", "3"], "--k"),
+        (["build", "two-element", "--orders", "4", "--subgroup", "0;2"], "--subgroup"),
+        (["build", "ak", "--k", "3", "--orders", "4"], "--orders"),
+        (["build", "ak", "--k", "3", "--orders", "4", "--subgroup", "0;2"], "--orders or --subgroup"),
+    ],
+)
+def test_build_unused_option_is_usage_error(capsys, argv, flags):
+    # a flag the kind does not read is refused by name, never ignored
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: build {argv[1]} does not take {flags}\n")
+
+
 def test_build_twisted_and_ak(capsys, tmp_path):
     code, payload = invoke_json(
         capsys,

@@ -8,6 +8,7 @@ from oracles import (
     reference_maroti,
     reference_transversal_independence_check,
 )
+from tables import greatest_transversal
 
 Z2 = G.make_group([2])
 Z4 = G.make_group([4])
@@ -55,8 +56,8 @@ def test_construction_outputs_validate():
         C.maroti(Z4, h),
         C.maroti(Z2xZ2, G.trivial_subgroup(Z2xZ2)),
         C.two_element(Z6),
-        C.twisted(Z4, h),
-        C.twisted(Z4, h, u, factor_generators=gens),
+        C.twisted_multiple(Z4, h),
+        C.twisted_multiple(Z4, h, u, factor_generators=gens),
         C.counterexample_a7(),
     ] + [C.a_k(k) for k in range(1, 9)]
     for algebra in outputs:
@@ -65,7 +66,7 @@ def test_construction_outputs_validate():
 
 def test_twisted_trivial_factor_is_the_coset_fan():
     h = G.subgroup_from_elements(Z4, [(0,), (2,)])
-    tw = C.twisted(Z4, h)
+    tw = C.twisted_multiple(Z4, h)
     assert tw.size == 3
     iso, _ = reference_is_isomorphic_1gen(tw, 0, C.maroti(Z4, h), 0)
     assert iso
@@ -74,7 +75,7 @@ def test_twisted_trivial_factor_is_the_coset_fan():
 def test_twisted_chain_factor_size():
     h = G.subgroup_from_elements(Z4, [(0,), (2,)])
     u, gens = C.chain2_factor(Z4, h)
-    tw = C.twisted(Z4, h, u, factor_generators=gens)
+    tw = C.twisted_multiple(Z4, h, u, factor_generators=gens)
     assert tw.size == 2 * 2 + 1
 
 
@@ -82,8 +83,8 @@ def test_twisted_transversal_choice_is_irrelevant():
     h = G.subgroup_from_elements(Z4, [(0,), (2,)])
     t1 = G.make_transversal(Z4, h, [(0,), (1,)])
     t2 = G.make_transversal(Z4, h, [(0,), (3,)])
-    b1 = C.twisted(Z4, h, reps=t1)
-    b2 = C.twisted(Z4, h, reps=t2)
+    b1 = C.twisted_multiple(Z4, h, reps=t1)
+    b2 = C.twisted_multiple(Z4, h, reps=t2)
     iso, _ = reference_is_isomorphic_1gen(b1, 0, b2, 0)
     assert iso
 
@@ -92,7 +93,20 @@ def test_twisted_factor_group_mismatch_is_an_error():
     h = G.subgroup_from_elements(Z4, [(0,), (2,)])
     wrong = A.FSemilattice(G.make_group([3]), ("u",), ((0,),), ((0,),))
     with pytest.raises(G.NotASubgroupError):
-        C.twisted(Z4, h, wrong)
+        C.twisted_multiple(Z4, h, wrong)
+
+
+def test_twisted_refuses_a_transversal_of_another_subgroup():
+    h = G.subgroup_from_elements(Z4, [(0,), (2,)])
+    other = G.transversal(Z4, G.trivial_subgroup(Z4))
+    with pytest.raises(G.NotASubgroupError, match="^transversal does not belong to the subgroup$"):
+        C.twisted_multiple(Z4, h, reps=other)
+    # the check comes before the factor's: a mismatched factor is not reached
+    wrong = A.FSemilattice(G.make_group([3]), ("u",), ((0,),), ((0,),))
+    with pytest.raises(G.NotASubgroupError, match="^transversal does not belong"):
+        C.twisted_multiple(Z4, h, wrong, other)
+    with pytest.raises(G.NotASubgroupError, match="^transversal does not belong"):
+        C.transversal_independence_check(Z4, h, None, G.transversal(Z4, h), other)
 
 
 def test_twisted_generated_from_any_transversal_slot():
@@ -104,10 +118,9 @@ def test_twisted_generated_from_any_transversal_slot():
     assert A.generates(fan_factor, 0)
     cases = [C.trivial_factor(Z6, h6), (fan_factor, pres.generators)]
     for factor, gens in cases:
-        spec = C.twisted_spec(Z6, h6, factor, factor_generators=gens)
-        tw = C.twisted_multiple(spec)
+        tw = C.twisted_multiple(Z6, h6, factor, factor_generators=gens)
         u_size = factor.size
-        for t_pos in range(len(spec.transversal.reps)):
+        for t_pos in range(len(G.transversal(Z6, h6).reps)):
             assert A.generates(tw, t_pos * u_size + 0)
 
 
@@ -130,7 +143,7 @@ def test_a_k_matches_twisted_over_finite_quotient():
     for n in (2, 3, 5):
         ak = C.a_k(n)
         zn = G.make_group([n])
-        tw = C.twisted(zn, G.trivial_subgroup(zn))
+        tw = C.twisted_multiple(zn, G.trivial_subgroup(zn))
         assert ak.size == tw.size
         assert ak.meet == tw.meet
         assert ak.action == tw.action
@@ -172,7 +185,7 @@ def test_twisted_builds_validate_over_small_groups():
             if not 1 < sub.size < order:
                 continue
             for factor, gens in (C.trivial_factor(spec, sub), C.chain2_factor(spec, sub)):
-                built = C.twisted(spec, sub, factor, factor_generators=gens)
+                built = C.twisted_multiple(spec, sub, factor, factor_generators=gens)
                 assert A.validate_axioms(built).ok
                 assert built.size == factor.size * (order // sub.size) + 1
 
@@ -187,7 +200,7 @@ def test_twisted_matches_reference_up_to_16():
         for sub in G.subgroups(spec):
             if not sub.is_proper:
                 continue
-            kinds = [G.transversal(spec, sub, normalized) for normalized in (True, False)]
+            kinds = [G.transversal(spec, sub), greatest_transversal(spec, sub)]
             pres = G.presentation(spec, sub)
             fan = C.maroti(pres.spec, G.trivial_subgroup(pres.spec))
             factors = [C.trivial_factor(spec, sub), C.chain2_factor(spec, sub)]

@@ -11,6 +11,7 @@ from fslat import algebras as A
 from fslat import constructions as C
 from fslat import groups as G
 from fslat.cli import run
+from tables import greatest_transversal
 
 Z4 = G.make_group([4])
 
@@ -36,7 +37,7 @@ def _twisted():
     built on the lexicographically greatest coset members."""
     c2x4 = G.make_group([2, 4])
     h = G.subgroup_from_elements(c2x4, [(0, 0), (0, 2)])
-    return C.twisted(c2x4, h, reps=G.transversal(c2x4, h, normalized=False))
+    return C.twisted_multiple(c2x4, h, reps=greatest_transversal(c2x4, h))
 
 
 def _fan():

@@ -27,7 +27,9 @@ from tables import (
     atom_fan_over_z,
     fans_and_multiples,
     free_quotients,
+    greatest_transversal,
     invariant_tables,
+    opposite,
     random_semilattices,
     random_tables,
     refusal,
@@ -231,11 +233,11 @@ def test_generator_preserving_isomorphism_preserves_stabilizer():
         algebras = []
         for sub in G.subgroups(spec):
             fan = C.maroti(spec, sub)
-            algebras += [fan, A.opposite(fan)]
+            algebras += [fan, opposite(fan)]
             if 1 < sub.size < spec.order():
-                reps = G.transversal(spec, sub, normalized=False)
+                reps = greatest_transversal(spec, sub)
                 for factor, gens in (C.trivial_factor(spec, sub), C.chain2_factor(spec, sub)):
-                    algebras.append(C.twisted(spec, sub, factor, reps, gens))
+                    algebras.append(C.twisted_multiple(spec, sub, factor, reps, gens))
         if spec == a7.group:
             algebras += [A.subalgebra_generated(a7, x)[0] for x in range(a7.size)]
         generated = [(alg, x) for alg in algebras for x in range(alg.size) if A.generates(alg, x)]
@@ -293,8 +295,8 @@ def test_decompose_matches_reference():
         for sub in G.subgroups(spec):
             if sub.is_proper:
                 factor, gens = C.chain2_factor(spec, sub)
-                cases += [C.maroti(spec, sub), C.twisted(spec, sub)]
-                cases.append(C.twisted(spec, sub, factor, factor_generators=gens))
+                cases += [C.maroti(spec, sub), C.twisted_multiple(spec, sub)]
+                cases.append(C.twisted_multiple(spec, sub, factor, factor_generators=gens))
     for orders in ([1], [2], [3], [4], [2, 2], [6], [2, 3], [8]):
         cases += random_tables(rng, G.make_group(orders), 60)
         cases += random_semilattices(rng, G.make_group(orders), 20)
@@ -342,7 +344,7 @@ def test_delta_map_rejects_ineligible_factors():
     # the two-chain factor is not 1-generated, so nothing generates the result
     u, gens = C.chain2_factor(Z4, h)
     with pytest.raises(A.NotGeneratedError):
-        Q.delta_map(Z4, h, u, factor_generators=gens, factor_generator_element=1)
+        Q.delta_map(Z4, h, u, factor_generators=gens)
     # a 1-generated factor with a zero and several elements generates the
     # result, but the result fails the minimality verification
     pres = G.presentation(Z4, h)
@@ -548,10 +550,10 @@ def _action_cases():
         subs = G.subgroups(spec)
         for sub in subs:
             fan = C.maroti(spec, sub)
-            out += [fan, A.opposite(fan), C.two_element(spec)]
+            out += [fan, opposite(fan), C.two_element(spec)]
             if sub.is_proper:
                 for factor, gens in (C.trivial_factor(spec, sub), C.chain2_factor(spec, sub)):
-                    out.append(C.twisted(spec, sub, factor, None, gens))
+                    out.append(C.twisted_multiple(spec, sub, factor, None, gens))
         out += [
             _coset_tower(spec, [big, small])
             for big, small in itertools.permutations(subs, 2)
