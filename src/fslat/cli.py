@@ -95,7 +95,10 @@ _SCALAR_TEXT = {
 
 def _write(obj, chunks: list[str], newline: str) -> None:
     """Append the JSON text of ``obj`` to ``chunks``; ``newline`` is a line
-    break followed by the indent of the line ``obj`` starts on."""
+    break followed by the indent of the line ``obj`` starts on.  Exact
+    scalars are written without a recursive call as the items of a list,
+    of each row (non-empty list or tuple) of a list of containers, and as
+    a dict value, in its key's chunk; anything else, subclasses too, recurses."""
     to_text = _SCALAR_TEXT.get(type(obj))
     if to_text is not None:
         chunks.append(to_text(obj))
@@ -109,8 +112,20 @@ def _write(obj, chunks: list[str], newline: str) -> None:
         try:
             texts = [_SCALAR_TEXT[type(item)](item) for item in obj]
         except KeyError:  # a container or a subclass among the items
+            deeper = inner + "  "
             separator = "[" + inner
             for item in obj:
+                if type(item) in (list, tuple) and item:
+                    try:  # a row of exact scalars, joined in place
+                        texts = [_SCALAR_TEXT[type(value)](value) for value in item]
+                    except KeyError:
+                        pass
+                    else:
+                        chunks.append(
+                            separator + "[" + deeper + ("," + deeper).join(texts) + inner + "]"
+                        )
+                        separator = "," + inner
+                        continue
                 chunks.append(separator)
                 separator = "," + inner
                 _write(item, chunks, inner)
@@ -125,9 +140,14 @@ def _write(obj, chunks: list[str], newline: str) -> None:
         separator = "{" + inner
         for key, value in obj.items():
             # encode_basestring_ascii raises TypeError for a key that is not a str
-            chunks.append(separator + _encode_str(key) + ": ")
+            entry = separator + _encode_str(key) + ": "
             separator = "," + inner
-            _write(value, chunks, inner)
+            to_text = _SCALAR_TEXT.get(type(value))
+            if to_text is not None:
+                chunks.append(entry + to_text(value))
+            else:
+                chunks.append(entry)
+                _write(value, chunks, inner)
         chunks.append(newline + "}")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
@@ -135,10 +155,11 @@ def _write(obj, chunks: list[str], newline: str) -> None:
 
 def dumps(obj) -> str:
     """``json.dumps(obj, indent=2)``, byte for byte, for dicts with str keys,
-    lists, tuples, str, int, float, bool and None; any other type, and a
-    dict key that is not a str, raises ``TypeError``.  CPython encodes in C
-    only without ``indent``; its pure-Python indented encoder costs more than
-    most requests."""
+    lists, tuples, str, int, float, bool and None, subclasses included; any
+    other type, and a dict key that is not a str, raises ``TypeError``.
+    CPython encodes in C only without ``indent``; its pure-Python indented
+    encoder costs more than most requests, and ``_write`` writes the rows
+    and scalar entries that make up most payloads without recursing."""
     chunks: list[str] = []
     _write(obj, chunks, "\n")
     return "".join(chunks)

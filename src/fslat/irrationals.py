@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import gcd, isqrt
+from typing import NamedTuple
 
 
 # Largest radicand accepted: square-freeness is decided by trial division,
@@ -137,9 +138,11 @@ def compare_with_rational(alpha: QuadraticIrrational, num: int, den: int) -> int
     return sign_with_radical(num * alpha.r - den * alpha.p, -den * alpha.q, alpha.d)
 
 
-@dataclass(frozen=True)
-class BAlphaElement:
-    """The carrier element m + n*alpha, unique as a pair because alpha is irrational."""
+class BAlphaElement(NamedTuple):
+    """The carrier element m + n*alpha, unique as a pair because alpha is irrational.
+
+    A NamedTuple: it is the tuple (m, n), so it also unpacks, indexes and
+    equals a plain tuple (m, n), and its ``==`` and hash run in C."""
 
     m: int
     n: int
@@ -283,8 +286,9 @@ def _identity_certificate(alpha: QuadraticIrrational, p: int, q: int) -> Identit
     )
 
 
-@dataclass(frozen=True)
-class SampleLine:
+class SampleLine(NamedTuple):
+    """Whether the identity holds at the sample point ``x``; a tuple (x, equal)."""
+
     x: BAlphaElement
     equal: bool
 
@@ -310,9 +314,9 @@ class SeparationReport:
             "separates": self.separates,
             "alpha": self.alpha_certificate.to_dict(),
             "beta": self.beta_certificate.to_dict(),
-            "witness": None if self.witness is None else [self.witness.m, self.witness.n],
-            "alpha_samples": [[s.x.m, s.x.n, s.equal] for s in self.alpha_samples],
-            "beta_samples": [[s.x.m, s.x.n, s.equal] for s in self.beta_samples],
+            "witness": None if self.witness is None else list(self.witness),
+            "alpha_samples": [[m, n, equal] for (m, n), equal in self.alpha_samples],
+            "beta_samples": [[m, n, equal] for (m, n), equal in self.beta_samples],
         }
 
 
@@ -320,13 +324,15 @@ def _identity_samples(
     alpha: QuadraticIrrational, p: int, q: int, count: int
 ) -> tuple[SampleLine, ...]:
     """Whether min((p,0)x, (0,q)x) = (0,q)x at each of the first ``count``
-    sample points, evaluated with the algebra's own ``act`` and ``meet``.
-    Elements are equal as pairs exactly when equal as values (alpha is
-    irrational), so ``==`` decides the identity at x."""
+    sample points, evaluated at every point with the algebra's own ``act``
+    and ``meet`` (two actions and one comparison).  Elements are equal as
+    pairs exactly when equal as values (alpha is irrational), so ``==`` of
+    the two NamedTuple pairs decides the identity at x."""
+    shift_p, shift_q = (p, 0), (0, q)
     lines = []
     for x in _sample_points(count):
-        rhs = act(alpha, (0, q), x)
-        lines.append(SampleLine(x, meet(alpha, act(alpha, (p, 0), x), rhs) == rhs))
+        rhs = act(alpha, shift_q, x)
+        lines.append(SampleLine(x, meet(alpha, act(alpha, shift_p, x), rhs) == rhs))
     return tuple(lines)
 
 

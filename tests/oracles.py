@@ -304,7 +304,9 @@ def reference_extension_map(
         raise ValueError("algebras live over different groups")
     if not generates(source, a):
         raise NotGeneratedError(f"element {source.label(a)!r} does not generate the source")
-    moves = [(p, q) for (_, p), (_, q) in zip(_generator_moves(source), _generator_moves(target))]
+    moves = []
+    for p, q in zip(source.action, target.action):
+        moves += [(p, q), (perm_inverse(p), perm_inverse(q))]
     image = {a: b}
     processed: list[int] = []
     queue = [a]
@@ -317,15 +319,20 @@ def reference_extension_map(
             return False
         return known != y2
 
-    while queue:
-        x = queue.pop(0)
+    head = 0
+    while head < len(queue):
+        x = queue[head]
+        head += 1
         y = image[x]
         for p, q in moves:
             if clashes(p[x], q[y]):
                 return None
-        for x1 in processed + [x]:
-            if clashes(source.meet[x][x1], target.meet[y][image[x1]]):
+        meet_x, meet_y = source.meet[x], target.meet[y]
+        for x1 in processed:
+            if clashes(meet_x[x1], meet_y[image[x1]]):
                 return None
+        if clashes(meet_x[x], meet_y[y]):
+            return None
         processed.append(x)
     return tuple(image[x] for x in range(source.size))
 
@@ -350,6 +357,38 @@ def reference_holds_quasi_identity(
         if eval_term(algebra, s, valuation) != eval_term(algebra, t, valuation):
             return False, valuation
     return True, None
+
+
+def _sign_plus_root(a: int, b: int, d: int) -> int:
+    """Sign of a + b*sqrt(d) for a square-free d >= 2: b*sqrt(d) against -a
+    compared through their squares, which never tie when b != 0."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if b > 0:
+        return 1 if a >= 0 or a * a < b * b * d else -1
+    return 1 if a > 0 and a * a > b * b * d else -1
+
+
+def reference_identity_samples(
+    alpha: QuadraticIrrational, p: int, q: int
+) -> list[tuple[int, int, bool]]:
+    """Every point m + n*alpha of the window |m|, |n| <= 8, ordered by
+    (max(|m|, |n|), m, n), with whether min(x + p, x + q*alpha) = x + q*alpha
+    there, kept as a reference for ``_identity_samples``.
+
+    The minimum is x + q*alpha exactly when the difference of the two
+    translates, (m + p + n*alpha) - (m + (n + q)*alpha) = dm + dn*alpha, is
+    >= 0; times r > 0 that is (dm*r + dn*p') + dn*q'*sqrt(d) for
+    alpha = (p' + q'*sqrt(d))/r, an integer sign."""
+    window = sorted(
+        (max(abs(m), abs(n)), m, n) for m in range(-8, 9) for n in range(-8, 9)
+    )
+    lines = []
+    for _, m, n in window:
+        dm, dn = (m + p) - m, n - (n + q)
+        sign = _sign_plus_root(dm * alpha.r + dn * alpha.p, dn * alpha.q, alpha.d)
+        lines.append((m, n, sign >= 0))
+    return lines
 
 
 def reference_rational_between(

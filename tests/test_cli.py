@@ -412,28 +412,84 @@ def test_dumps_matches_json_dumps_indent_2(value):
     assert cli.dumps(value) == json.dumps(value, indent=2)
 
 
+class _Text(str):
+    pass
+
+
+class _Number(int):
+    pass
+
+
+class _Real(float):
+    pass
+
+
+class _Items(list):
+    pass
+
+
+class _Table(dict):
+    pass
+
+
 def test_dumps_writes_subclasses_as_their_base_types():
-    class Text(str):
-        pass
-
-    class Number(int):
-        pass
-
-    class Real(float):
-        pass
-
-    class Items(list):
-        pass
-
-    class Table(dict):
-        pass
-
-    value = Items([Text("\u00e9"), Number(-4), Real("nan"), Real(2.5), (Table({Text("k"): 1}),)])
-    value.append(Table(flag=Number(True)))
+    value = _Items(
+        [_Text("\u00e9"), _Number(-4), _Real("nan"), _Real(2.5), (_Table({_Text("k"): 1}),)]
+    )
+    value.append(_Table(flag=_Number(True)))
     assert cli.dumps(value) == json.dumps(value, indent=2)
 
 
-@pytest.mark.parametrize("value", [{1, 2}, object(), [1, {"a": frozenset()}], {1: "int key"}])
+# Payload-shaped values for the writer's inline paths: dicts with scalar
+# values, and lists of rows (lists and tuples of scalars, empty ones too)
+# whose items may be subclasses or small list and dict subclasses.
+_ROW_ITEMS = (
+    _JSON_SCALARS
+    | _JSON_TEXT
+    | _JSON_TEXT.map(_Text)
+    | st.integers().map(_Number)
+    | st.floats().map(_Real)
+)
+_ROW_ITEMS_OR_SMALL_CONTAINERS = (
+    _ROW_ITEMS
+    | st.lists(_ROW_ITEMS, max_size=2).map(_Items)
+    | st.dictionaries(_JSON_TEXT, _ROW_ITEMS, max_size=2).map(_Table)
+)
+_ROWS = st.one_of(
+    st.lists(_ROW_ITEMS, max_size=4),
+    st.lists(_ROW_ITEMS, max_size=4).map(tuple),
+    st.lists(_ROW_ITEMS_OR_SMALL_CONTAINERS, max_size=3),
+    st.lists(_ROW_ITEMS_OR_SMALL_CONTAINERS, max_size=3).map(tuple),
+)
+_PAYLOADS = st.recursive(
+    st.dictionaries(_JSON_TEXT, _ROW_ITEMS, max_size=5) | st.lists(_ROWS, max_size=5),
+    lambda inner: st.lists(inner | _ROWS, max_size=3)
+    | st.lists(inner | _ROWS, max_size=3).map(tuple)
+    | st.dictionaries(_JSON_TEXT, inner | _ROW_ITEMS | _ROWS, max_size=3)
+    | st.dictionaries(_JSON_TEXT, inner | _ROWS, max_size=2).map(_Table),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PAYLOADS)
+def test_dumps_inline_rows_and_entries_match_json_dumps_indent_2(value):
+    assert cli.dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        {1, 2},
+        object(),
+        [1, {"a": frozenset()}],
+        {1: "int key"},
+        [[1, 2], [3, {1: "int key"}]],
+        [[1, 2], [3, {4}]],
+        [("a",), [{5: 6}]],
+        {"rows": [[1], [{7}]]},
+    ],
+)
 def test_dumps_refuses_what_it_does_not_write(value):
     with pytest.raises(TypeError):
         cli.dumps(value)

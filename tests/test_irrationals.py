@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fslat import irrationals as I
-from oracles import reference_rational_between
+from oracles import reference_identity_samples, reference_rational_between
 
 SQRT2 = I.sqrt_of(2)
 SQRT3 = I.sqrt_of(3)
@@ -169,6 +169,36 @@ def test_identity_holds_iff_q_alpha_below_p():
             lhs = I.meet(alpha, I.act(alpha, (p, 0), x), I.act(alpha, (0, q), x))
             rhs = I.act(alpha, (0, q), x)
             assert (I.cmp(alpha, lhs, rhs) == 0) == cert.holds
+
+
+def test_identity_samples_match_the_reference_on_the_whole_window():
+    rng = random.Random(20261019)
+    radicands = [2, 3, 5, 6, 7, 10, 11, 13]
+    verdicts = set()
+    for _ in range(60):
+        alpha = I.QuadraticIrrational(
+            rng.randint(-9, 9), rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 5),
+            rng.choice(radicands),
+        )
+        p, q = rng.randint(-9, 9), rng.randint(-9, 9)
+        lines = I._identity_samples(alpha, p, q, I.MAX_SAMPLES)
+        assert [(m, n, equal) for (m, n), equal in lines] == reference_identity_samples(alpha, p, q)
+        verdicts.update(equal for _, equal in lines)
+    assert verdicts == {True, False}
+
+
+def test_balpha_element_is_an_immutable_pair():
+    x = I.BAlphaElement(3, -1)
+    assert (x.m, x.n) == (3, -1)
+    assert x == I.BAlphaElement(3, -1) and hash(x) == hash(I.BAlphaElement(3, -1))
+    assert x != I.BAlphaElement(-1, 3)
+    assert x == (3, -1)  # a NamedTuple: also the plain tuple (m, n)
+    assert str(x) == "3+-1a"
+    assert repr(x) == "BAlphaElement(m=3, n=-1)"
+    with pytest.raises(AttributeError):
+        x.m = 4
+    with pytest.raises(AttributeError):
+        x.k = 0
 
 
 irrationals_strategy = st.builds(
