@@ -168,7 +168,7 @@ def dumps(obj) -> str:
 def _emit(payload: dict, args) -> None:
     """Print ``payload`` as indented JSON (``dumps``), or write it to
     ``--out`` with the same bytes; ``--meta`` wraps it with the argv that
-    ``run`` parsed and the clock."""
+    ``run`` was given and the clock."""
     if getattr(args, "meta", False):
         payload = {"payload": payload, "meta": {"argv": args.argv, "time": time.time()}}
     text = dumps(payload)
@@ -481,11 +481,15 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a value that starts with "-" and has no space as an option; a
+    # quasi-identity without premises starts with "->", and its parser strips spaces.
+    parsed = [" " + a if p == "--qi" and a.startswith("->") else a for p, a in zip([None, *argv], argv)]
     try:
-        args = _shared_parser().parse_args(argv)
+        args = _shared_parser().parse_args(parsed)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    args.argv = sys.argv[1:] if argv is None else list(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except algebras.InvalidAlgebraError as exc:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import repeat
+from operator import eq
 
 from .algebras import (
     CarrierLimitError,
@@ -50,6 +52,7 @@ from .groups import (
     NotASubgroupError,
     Subgroup,
     elementary,
+    identity,
     reduce_element,
     subgroups,
     transversal,
@@ -94,64 +97,71 @@ def holds_quasi_identity(
     order (variables sorted by name, carrier indices counted lexicographically).
     More than ``MAX_VALUATIONS`` valuations raise ``CarrierLimitError``.
 
-    Each term is compiled once to (carrier permutation, variable slot) pairs
-    in ``sorted(term.pairs)`` order, the order ``eval_term`` folds the meet
-    in.  The valuations are scanned depth-first in that same canonical order,
-    and each equation is checked as soon as its last variable is bound: a
-    failing premise, or a conclusion that holds, rules out every extension
-    of the partial valuation.  A full valuation that passes every check is
-    therefore the first failing one.
+    Each equation is checked at its last variable d, at every value of d at
+    once.  Each side's pairs on earlier variables fold at run time to one
+    carrier element, its bound constant, and its pairs on d make a column
+    over the carrier, built once.  The check is an int mask with byte c set
+    where the sides agree at d = c (a premise) or differ (the conclusion),
+    memoised by the pair of bound constants: at most min(n^d, (n+1)^2) masks
+    of n bytes, near 1 MB under ``MAX_VALUATIONS``.  Each depth's AND of
+    masks is walked from the lowest bit, so in canonical order, and what it
+    skips fails a premise or meets the conclusion: the first full valuation
+    reached is the first failing one.
     """
     require_valid(algebra)
-    names = qi.variables
-    if algebra.size ** len(names) > MAX_VALUATIONS:
-        raise CarrierLimitError(f"{algebra.size}^{len(names)} valuations exceed {MAX_VALUATIONS}")
+    names, n = qi.variables, algebra.size
+    if n ** len(names) > MAX_VALUATIONS:
+        raise CarrierLimitError(f"{n}^{len(names)} valuations exceed {MAX_VALUATIONS}")
+    ident = perm_identity(n)
+    rows = algebra.meet + (ident,)  # row n, the identity, folds as a top
+    ones = int.from_bytes(b"\x01" * n, "little")
     slot = {v: i for i, v in enumerate(names)}
-    perms: dict[Element, tuple[int, ...]] = {}
-
-    def compile_term(term: Term) -> tuple[tuple[tuple[int, ...], int], ...]:
-        out = []
-        for g, v in sorted(term.pairs):
-            if g not in perms:
-                perms[g] = element_action(algebra, g)
-            out.append((perms[g], slot[v]))
-        return tuple(out)
-
-    # checks[d]: equations whose last variable is names[d], with the outcome
-    # (sides equal or not) that keeps the scan going below depth d.
+    perms: dict[Element, tuple[int, ...]] = {identity(algebra.group): ident}
+    # checks[d]: (bound pairs and column of each side, flip, memo) for the equations
+    # whose last variable is names[d]; a side without names[d] has the column None.
     checks: list[list] = [[] for _ in names]
-    for (s, t), wanted in [(eq, True) for eq in qi.premises] + [(qi.conclusion, False)]:
-        left, right = compile_term(s), compile_term(t)
-        checks[max(i for _, i in left + right)].append((left, right, wanted))
+    for (s, t), flip in [(equation, 0) for equation in qi.premises] + [(qi.conclusion, ones)]:
+        d = max(slot[v] for term in (s, t) for _, v in term.pairs)
+        sides = []
+        for term in (s, t):
+            bound, column = [], None
+            for g, v in term.pairs:
+                perm = perms[g] if g in perms else perms.setdefault(g, element_action(algebra, g))
+                if slot[v] < d:
+                    bound.append((perm, slot[v]))
+                else:
+                    column = perm if column is None else tuple(rows[a][b] for a, b in zip(column, perm))
+            sides.append((bound, column))
+        checks[d].append((sides, flip, {}))
 
-    meet = algebra.meet
-    n = algebra.size
     last = len(names) - 1
-    valuation = [-1] * len(names)
+    valuation, pending = [0] * len(names), [0] * len(names)
     depth = 0
-    while depth >= 0:
-        valuation[depth] += 1
-        if valuation[depth] == n:
-            valuation[depth] = -1
+    while True:
+        mask = ones
+        for ((lefts, lcol), (rights, rcol)), flip, memo in checks[depth]:
+            left = right = n
+            for perm, i in lefts:
+                left = rows[left][perm[valuation[i]]]
+            for perm, i in rights:
+                right = rows[right][perm[valuation[i]]]
+            key = left, right
+            if key not in memo:
+                values = [repeat(b) if c is None else rows[b] if c is ident
+                          else map(rows[b].__getitem__, c) for b, c in ((left, lcol), (right, rcol))]
+                memo[key] = int.from_bytes(bytes(map(eq, *values)), "little") ^ flip
+            mask &= memo[key]
+        pending[depth] = mask
+        while not pending[depth]:
             depth -= 1
-            continue
-        for left, right, wanted in checks[depth]:
-            equal = _term_value(meet, left, valuation) == _term_value(meet, right, valuation)
-            if equal != wanted:
-                break
-        else:
-            if depth == last:
-                return False, dict(zip(names, valuation))
-            depth += 1
-    return True, None
-
-
-def _term_value(meet, compiled, valuation: list[int]) -> int:
-    (perm, i), *rest = compiled
-    value = perm[valuation[i]]
-    for perm, i in rest:
-        value = meet[value][perm[valuation[i]]]
-    return value
+            if depth < 0:
+                return True, None
+        low = pending[depth] & -pending[depth]
+        pending[depth] ^= low
+        valuation[depth] = low.bit_length() >> 3
+        if depth == last:
+            return False, dict(zip(names, valuation))
+        depth += 1
 
 
 def separating_quasi_identity(algebra: FSemilattice, a: int) -> QuasiIdentity:

@@ -55,7 +55,6 @@ from fslat.quasivar import (
     MinimalityVerdict,
     QuasiIdentity,
     StabilizerImage,
-    eval_term,
     is_minimal_free,
     make_quasi_identity,
 )
@@ -340,22 +339,38 @@ def reference_extension_map(
 def reference_holds_quasi_identity(
     algebra: FSemilattice, qi: QuasiIdentity
 ) -> tuple[bool, dict[str, int] | None]:
-    """The valuation-by-valuation ``holds_quasi_identity`` kept as a reference
-    for the compiled, premise-pruned scan: same verdict, same witness.
+    """The valuation-by-valuation scan kept as a reference for the
+    value-mask scan of ``holds_quasi_identity``: same verdict, same witness.
+    It shares no term code with the library: each term becomes its sorted
+    (translate table, variable slot) pairs, the tables built by
+    ``reference_act``, and is folded through the meet table at every
+    valuation.
 
     Exhaustive check; on failure, the first failing valuation in canonical
     order (variables sorted by name, carrier indices counted lexicographically)."""
     names = qi.variables
+    meet = algebra.meet
+    tables: dict = {}
+
+    def compiled(term):
+        for g, _ in term.pairs:
+            if g not in tables:
+                tables[g] = [reference_act(algebra, g, x) for x in range(algebra.size)]
+        return [(tables[g], names.index(v)) for g, v in sorted(term.pairs)]
+
+    def value(pairs, combo):
+        out = None
+        for table, i in pairs:
+            y = table[combo[i]]
+            out = y if out is None else meet[out][y]
+        return out
+
+    premises = [(compiled(s), compiled(t)) for s, t in qi.premises]
+    left, right = (compiled(t) for t in qi.conclusion)
     for combo in itertools.product(range(algebra.size), repeat=len(names)):
-        valuation = dict(zip(names, combo))
-        if any(
-            eval_term(algebra, s, valuation) != eval_term(algebra, t, valuation)
-            for s, t in qi.premises
-        ):
-            continue
-        s, t = qi.conclusion
-        if eval_term(algebra, s, valuation) != eval_term(algebra, t, valuation):
-            return False, valuation
+        if all(value(s, combo) == value(t, combo) for s, t in premises):
+            if value(left, combo) != value(right, combo):
+                return False, dict(zip(names, combo))
     return True, None
 
 
@@ -1023,11 +1038,12 @@ def reference_separating_quasi_identity(algebra: FSemilattice, a: int) -> QuasiI
     if not generates(algebra, a):
         raise NotGeneratedError(f"{algebra.label(a)!r} does not generate the algebra")
     group = algebra.group
-    candidates = [Term(frozenset({(g, "x")})) for g in _image_elements(algebra)]
-    for j in range(1, len(candidates)):
+    elements = _image_elements(algebra)
+    for j in range(1, len(elements)):
         for i in range(j):
-            s, t = candidates[i], candidates[j]
-            if eval_term(algebra, s, {"x": a}) != eval_term(algebra, t, {"x": a}):
+            # the candidate terms g(x) take the values g(a) at the generator
+            if reference_act(algebra, elements[i], a) != reference_act(algebra, elements[j], a):
+                s, t = (Term(frozenset({(g, "x")})) for g in (elements[i], elements[j]))
                 x = var("x", group)
                 y = var("y", group)
                 return make_quasi_identity([(s, t)], (x, meet_terms(x, y)))

@@ -96,6 +96,24 @@ def test_quasi_holds_exit_zero(capsys, tmp_path):
     assert code == 0 and payload["holds"]
 
 
+def test_quasi_takes_a_space_free_value_without_premises(capsys, tmp_path, monkeypatch):
+    path = write_algebra(tmp_path, C.two_element(G.make_group([2])))
+    spaced = invoke(capsys, ["quasi", "--algebra", path, "--qi", "-> x = y"])
+    monkeypatch.setattr(sys, "argv", ["fslat", "quasi", "--algebra", path, "--qi", "->x=y"])
+    assert invoke(capsys, None) == spaced
+    for argv in (["--qi", "->x=y"], ["--qi=->x=y"], ["--meta", "--qi", "->x=y"]):
+        code, out = invoke(capsys, ["quasi", "--algebra", path] + argv)
+        if "--meta" in argv:
+            payload = json.loads(out)
+            assert payload["meta"]["argv"] == ["quasi", "--algebra", path] + argv
+            out = cli.dumps(payload["payload"]) + "\n"
+        assert (code, out) == spaced
+    assert spaced[0] == 1 and json.loads(spaced[1])["witness"] == {"x": "0", "y": "1"}
+    # the value is still one quasi-identity: "->" alone after --qi is no option
+    code, out = invoke(capsys, ["quasi", "--algebra", path, "--qi", "->x=y", "--qi", "->x=x"])
+    assert code == 0 and json.loads(out)["quasi_identity"] == "-> x = x"
+
+
 def test_hasse_counts(capsys, tmp_path):
     fan = C.maroti(G.make_group([4]), G.subgroup_from_elements(G.make_group([4]), [(0,), (2,)]))
     path = write_algebra(tmp_path, fan)

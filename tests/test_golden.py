@@ -68,6 +68,7 @@ REQUESTS = {
     "simplicity-fan": ["simplicity", "--algebra", "{fan}"],
     "check-minimal-tower": ["check-minimal", "--algebra", "{tower}"],
     "quasi-tower": ["quasi", "--algebra", "{tower}", "--qi", "x^y=x & g0^2(y)=y -> x = g0^2(x)"],
+    "quasi-tower-fails": ["quasi", "--algebra", "{tower}", "--qi", "x^y=y -> x=y"],
     "hasse-actions-tower": ["hasse", "--algebra", "{tower}", "--actions"],
     "verify-bijection": ["verify-bijection", "--orders", "2,4"],
     "group-subgroups": ["group", "subgroups", "--orders", "2,6"],
@@ -80,8 +81,9 @@ REQUESTS = {
 
 # Recorded with the tuple-coded twisted multiple and the pairwise separating
 # search, and balpha-negative-alpha and validate-escaped-labels with
-# ``json.dumps(payload, indent=2)``; the coded versions and ``cli.dumps``
-# must reproduce every byte.
+# ``json.dumps(payload, indent=2)``, and quasi-tower-fails (a witness) with
+# the valuation-by-valuation quasi-identity scan; the coded versions,
+# ``cli.dumps`` and the value-mask scan must reproduce every byte.
 GOLDEN = {
     "balpha": ("9bb173704871ab7eaca6e17e6a69ed66e562849fa8e5c21c1fee7783d1d3f56c", 0),
     "balpha-negative-alpha": ("c2aad3fb9d5617e5528324ad8a5a83f9f0576ceb92cecaab01d97c2edd0d213e", 0),
@@ -92,6 +94,7 @@ GOLDEN = {
     "group-subgroups": ("ae34c30e186bb87c06e5304b240ae2c8477cee208cdfaa0fd5e6dd861ae23a9b", 0),
     "hasse-actions-tower": ("754f1eaff5c3fc3c88e6c237522b5cddad11e9b6826fa9ddb9a24b65e3205a01", 0),
     "quasi-tower": ("bca20456c99b8e4a6a791069f95675ea41f0e3b999596cd568c4e8dadce72f1f", 0),
+    "quasi-tower-fails": ("2a69b429cfcaffe68c6f937ede369cfea5a50f8beac20a27710c3fd15b0f313f", 1),
     "simplicity-fan": ("aa1c7ced6c55f9ee6143387cfb55659ed7118ed77e4565669f47c155b358eb3d", 0),
     "simplicity-twisted": ("f873c1d3fd5ae3e9fac8e72ff5172f66c7ae24b9ce96888258f953982e587f68", 0),
     "validate-escaped-labels": ("8ccbb27fd3f56e98a09a7769e9deb97feed18a05433f7977f642b42880dcf919", 1),
