@@ -18,6 +18,7 @@ from functools import cached_property
 from itertools import chain, combinations, compress, product
 from math import lcm
 from operator import eq, itemgetter
+from typing import NamedTuple
 
 from .groups import (
     Element,
@@ -188,8 +189,7 @@ class FSemilattice:
         return tuple(sorted(edges))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     axiom: str | None = None
     witness: tuple[int, ...] | None = None
@@ -433,8 +433,7 @@ def generates(algebra: FSemilattice, x: int) -> bool:
     return len(derive(algebra, x)[0]) == algebra.size
 
 
-@dataclass(frozen=True)
-class Homomorphism:
+class Homomorphism(NamedTuple):
     source: FSemilattice
     target: FSemilattice
     map: tuple[int, ...]
@@ -468,8 +467,7 @@ def is_isomorphism(hom: Homomorphism) -> bool:
     return hom.is_bijective and is_homomorphism(hom)
 
 
-@dataclass(frozen=True)
-class HomExtendResult:
+class HomExtendResult(NamedTuple):
     hom: Homomorphism | None
     conflict: tuple[Term, Term] | None
 
@@ -536,8 +534,7 @@ def hom_extend(
 Blocks = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(NamedTuple):
     algebra: FSemilattice
     blocks: Blocks
 

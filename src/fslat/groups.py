@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
+from typing import NamedTuple
 
 Element = tuple[int, ...]
 
@@ -227,8 +228,7 @@ def _join(current, gens, table: AdditionTable) -> set[int]:
     return current
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(NamedTuple):
     parent: GroupSpec
     elements: tuple[Element, ...]
     generators: tuple[Element, ...]
@@ -322,8 +322,7 @@ def cosets(group: GroupSpec, sub: Subgroup) -> list[tuple[Element, ...]]:
     return [tuple(table.elements[g] for g in block) for block in table.cosets(sub)]
 
 
-@dataclass(frozen=True)
-class Transversal:
+class Transversal(NamedTuple):
     parent: GroupSpec
     subgroup: Subgroup
     reps: tuple[Element, ...]
@@ -351,8 +350,7 @@ def make_transversal(group: GroupSpec, sub: Subgroup, reps) -> Transversal:
     return Transversal(group, sub, reps)
 
 
-@dataclass(frozen=True)
-class SubgroupPresentation:
+class SubgroupPresentation(NamedTuple):
     """A finite subgroup rewritten as an abstract product of cyclic factors,
     together with concrete generators in the parent group, one per factor."""
 

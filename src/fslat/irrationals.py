@@ -247,8 +247,7 @@ def _sample_points(count: int) -> tuple[BAlphaElement, ...]:
     return _SAMPLE_POINTS[:count]
 
 
-@dataclass(frozen=True)
-class IdentityCertificate:
+class IdentityCertificate(NamedTuple):
     """Exact verdict for min(x + p, x + q*alpha) = x + q*alpha in one algebra.
 
     The identity is element-independent: it holds exactly when q*alpha < p,
@@ -293,8 +292,7 @@ class SampleLine(NamedTuple):
     equal: bool
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(NamedTuple):
     p: int
     q: int
     alpha_certificate: IdentityCertificate

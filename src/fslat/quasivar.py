@@ -16,9 +16,9 @@ refuses an algebra that fails ``validate_axioms`` with
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import repeat
 from operator import eq
+from typing import NamedTuple
 
 from .algebras import (
     CarrierLimitError,
@@ -59,8 +59,7 @@ from .groups import (
 )
 
 
-@dataclass(frozen=True)
-class QuasiIdentity:
+class QuasiIdentity(NamedTuple):
     premises: tuple[tuple[Term, Term], ...]
     conclusion: tuple[Term, Term]
     variables: tuple[str, ...]
@@ -189,8 +188,7 @@ def separating_quasi_identity(algebra: FSemilattice, a: int) -> QuasiIdentity:
     return make_quasi_identity([(x, translate_term(group, g, x))], (x, meet_terms(x, y)))
 
 
-@dataclass(frozen=True)
-class MinimalityVerdict:
+class MinimalityVerdict(NamedTuple):
     """Outcome of ``is_minimal_free``: the verdict, the first nonzero element
     (by carrier index) that fails, and ``checked``, the number of nonzero
     elements decided up to the verdict, whether tested one by one or passed
@@ -273,8 +271,7 @@ def stabilizer(algebra: FSemilattice, a: int, table: AdditionTable | None = None
     return sub
 
 
-@dataclass(frozen=True)
-class StabilizerImage:
+class StabilizerImage(NamedTuple):
     """Stabilizer computed inside the finite group generated by the action
     permutations; it is the image of the true stabilizer."""
 
@@ -305,8 +302,7 @@ def stabilizer_image(algebra: FSemilattice, a: int) -> StabilizerImage:
     return StabilizerImage(tuple(sorted(image)), tuple(sorted(p for p in image if p[a] == a)))
 
 
-@dataclass(frozen=True)
-class BijectionEntry:
+class BijectionEntry(NamedTuple):
     subgroup: Subgroup
     algebra_size: int
     is_proper: bool
@@ -318,8 +314,7 @@ class BijectionEntry:
         return self.stabilizer_ok and self.minimal is not False
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(NamedTuple):
     group: GroupSpec
     entries: tuple[BijectionEntry, ...]
     pairwise_distinct: bool
@@ -378,8 +373,7 @@ def verify_bijection(group: GroupSpec) -> BijectionReport:
     return BijectionReport(group, tuple(entries), len(stabilizers) == len(entries))
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(NamedTuple):
     subgroup: Subgroup
     factor: FSemilattice
     factor_generators: tuple[Element, ...]
@@ -449,15 +443,13 @@ def delta_map(
     return built
 
 
-@dataclass(frozen=True)
-class QuotientExclusion:
+class QuotientExclusion(NamedTuple):
     blocks: tuple[tuple[int, ...], ...]
     excluded: bool
     witness: dict[str, int] | None
 
 
-@dataclass(frozen=True)
-class SimplicityReport:
+class SimplicityReport(NamedTuple):
     congruence_count: int
     simple: bool
     qi: QuasiIdentity

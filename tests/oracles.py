@@ -55,7 +55,6 @@ from fslat.quasivar import (
     MinimalityVerdict,
     QuasiIdentity,
     StabilizerImage,
-    is_minimal_free,
     make_quasi_identity,
 )
 
@@ -1052,7 +1051,8 @@ def reference_separating_quasi_identity(algebra: FSemilattice, a: int) -> QuasiI
 
 # Verbatim copy of ``decompose_ku`` with its scan of meets of up to three
 # translates, kept as a reference for the version that relies on the
-# verified isomorphism alone.
+# verified isomorphism alone; its minimality test and its action are this
+# module's ``reference_is_minimal_free`` and ``reference_act``.
 
 MAX_TRANSLATES = 3
 
@@ -1072,7 +1072,7 @@ def reference_decompose_ku(algebra: FSemilattice, a: int) -> DecompositionResult
         raise InfiniteGroupError("decomposition is implemented for finite groups")
     if algebra.size == 1:
         raise ValueError("decomposition needs a nontrivial algebra")
-    verdict = is_minimal_free(algebra, a)
+    verdict = reference_is_minimal_free(algebra, a)
     if not verdict.minimal:
         raise ValueError(
             f"decomposition needs a free-minimal algebra; counterexample "
@@ -1081,7 +1081,7 @@ def reference_decompose_ku(algebra: FSemilattice, a: int) -> DecompositionResult
     bottom = zero(algebra)
     table = AdditionTable(group)
     elements = table.elements
-    translate = {g: act(algebra, g, a) for g in elements}
+    translate = {g: reference_act(algebra, g, a) for g in elements}
     k_elems = [g for g in elements if algebra.meet[a][translate[g]] != bottom]
     sub = subgroup_from_elements(group, k_elems)  # failure here would be a bug
     coset_id = {table.elements[g]: i for i, b in enumerate(table.cosets(sub)) for g in b}
@@ -1107,7 +1107,7 @@ def reference_decompose_ku(algebra: FSemilattice, a: int) -> DecompositionResult
     for i in range(rebuilt.size - 1):
         t_pos, u = divmod(i, u_size)
         t = reps.reps[t_pos]
-        mapping.append(act(algebra, t, closure[u]))
+        mapping.append(reference_act(algebra, t, closure[u]))
     mapping.append(bottom)
     iso = Homomorphism(rebuilt, algebra, tuple(mapping))
     if not is_isomorphism(iso):

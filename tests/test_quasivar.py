@@ -792,7 +792,8 @@ def test_separating_quasi_identity_matches_reference():
                 assert got == refusal(algebra), (algebra, a)
             else:
                 assert got == _minimality_outcome(reference_separating_quasi_identity, algebra, a)
-            outcomes.append(got[0] if isinstance(got, tuple) else Q.QuasiIdentity)
+            # a QuasiIdentity is a tuple too, so it is told apart first
+            outcomes.append(Q.QuasiIdentity if isinstance(got, Q.QuasiIdentity) else got[0])
     kinds = {kind: outcomes.count(kind) for kind in set(outcomes)}
     # found pairs, trivially acted algebras, one-element algebras,
     # non-generators and refused tables
