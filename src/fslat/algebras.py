@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, compress, product
 from math import lcm
-from operator import eq, itemgetter
+from operator import attrgetter, eq, itemgetter
 from typing import NamedTuple
 
 from .groups import (
@@ -123,18 +123,83 @@ def perm_order(p: Perm) -> int:
     return lcm(*lengths)
 
 
+class MeetTable(tuple):
+    """A meet table, a tuple of index rows, caching the facts about the table
+    alone: algebras sharing one (every coset fan of a size) compute them once."""
+
+    def __new__(cls, rows):
+        return rows if type(rows) is cls else super().__new__(cls, map(tuple, rows))
+
+    @cached_property
+    def shape_error(self) -> str | None:
+        """Why this is not a square table of indices below its size, or None."""
+        n = len(self)
+        if set(map(len, self)) != {n}:
+            return "meet table is not square of carrier size"
+        types = set(map(type, chain.from_iterable(self)))
+        if types != {int} or not 0 <= min(map(min, self)) <= max(map(max, self)) < n:
+            for v in chain.from_iterable(self):  # name the first bad entry
+                if not _is_index(v) or not 0 <= v < n:
+                    return f"meet entry {v!r} is not an index below {n}"
+        return None
+
+    @cached_property
+    def failure(self) -> tuple[str, tuple[int, ...], str] | None:
+        """A well-shaped table's first meet-axiom failure: (axiom, witness, detail over its labels)."""
+        meet, n = self, len(self)
+        for x in range(n):
+            if meet[x][x] != x:
+                return "meet-idempotence", (x,), "{0} ^ {0} != {0}"
+        if meet != tuple(zip(*meet)):
+            x, y = next((x, y) for x in range(n) for y in range(x + 1, n) if meet[x][y] != meet[y][x])
+            return "meet-commutativity", (x, y), "{0} ^ {1} != {1} ^ {0}"
+        # one idempotent element is a semilattice
+        if n > 1 and not _meets_are_intersections(meet, meet.down_sets):
+            triples = product(range(n), repeat=3)
+            bad = ((x, y, z) for x, y, z in triples if meet[meet[x][y]][z] != meet[x][meet[y][z]])
+            return "meet-associativity", next(bad), "({0} ^ {1}) ^ {2} != {0} ^ ({1} ^ {2})"
+        return None
+
+    @cached_property
+    def down_sets(self) -> tuple[int, ...]:
+        """For each x, the bitmask of the z with x ^ z = z: the down-set of
+        x once the table is commutative."""
+        bits = [1 << z for z in range(len(self))]
+        return tuple(sum(compress(bits, map(eq, row, range(len(self))))) for row in self)
+
+    @cached_property
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Edges (lower, upper) of the covering relation of a semilattice: the
+        lower covers of y are the members of dy - {y} below no other member."""
+        down = self.down_sets
+        edges = []
+        for y, dy in enumerate(down):
+            strict = rest = dy ^ 1 << y
+            below = 0
+            while rest:
+                low = rest & -rest
+                below |= down[low.bit_length() - 1] ^ low
+                rest ^= low
+            rest = strict & ~below
+            while rest:
+                low = rest & -rest
+                edges.append((low.bit_length() - 1, y))
+                rest ^= low
+        return tuple(sorted(edges))
+
+
 @dataclass(frozen=True)
 class FSemilattice:
     """Carrier labels, meet table of indices, and one permutation per generator."""
 
     group: GroupSpec
     carrier: tuple[str, ...]
-    meet: tuple[tuple[int, ...], ...]
+    meet: MeetTable
     action: tuple[Perm, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "carrier", tuple(self.carrier))
-        object.__setattr__(self, "meet", tuple(tuple(row) for row in self.meet))
+        object.__setattr__(self, "meet", MeetTable(self.meet))
         object.__setattr__(self, "action", tuple(tuple(p) for p in self.action))
 
     @property
@@ -161,32 +226,8 @@ class FSemilattice:
         """The ``validate_axioms`` report, computed on first use."""
         return validate_axioms(self)
 
-    @cached_property
-    def down_sets(self) -> tuple[int, ...]:
-        """For each x, the bitmask of the z with x ^ z = z: the down-set of
-        x once the meet table is commutative."""
-        bits = [1 << z for z in range(self.size)]
-        return tuple(sum(compress(bits, map(eq, row, range(self.size)))) for row in self.meet)
-
-    @cached_property
-    def covers(self) -> tuple[tuple[int, int], ...]:
-        """Edges (lower, upper) of the covering relation of a semilattice: the
-        lower covers of y are the members of dy - {y} below no other member."""
-        down = self.down_sets
-        edges = []
-        for y, dy in enumerate(down):
-            strict = rest = dy ^ 1 << y
-            below = 0
-            while rest:
-                low = rest & -rest
-                below |= down[low.bit_length() - 1] ^ low
-                rest ^= low
-            rest = strict & ~below
-            while rest:
-                low = rest & -rest
-                edges.append((low.bit_length() - 1, y))
-                rest ^= low
-        return tuple(sorted(edges))
+    down_sets = property(attrgetter("meet.down_sets"), doc="``MeetTable.down_sets``")
+    covers = property(attrgetter("meet.covers"), doc="``MeetTable.covers``")
 
 
 class ValidationReport(NamedTuple):
@@ -219,13 +260,9 @@ def check_shape(algebra: FSemilattice) -> None:
                 raise ShapeError(f"carrier label {label!r} is not a string")
     if len(set(algebra.carrier)) != n:
         raise ShapeError("carrier labels are not unique")
-    if len(algebra.meet) != n or set(map(len, algebra.meet)) != {n}:
-        raise ShapeError("meet table is not square of carrier size")
-    types = set(map(type, chain.from_iterable(algebra.meet)))
-    if types != {int} or not 0 <= min(map(min, algebra.meet)) <= max(map(max, algebra.meet)) < n:
-        for v in chain.from_iterable(algebra.meet):  # name the first bad entry
-            if not _is_index(v) or not 0 <= v < n:
-                raise ShapeError(f"meet entry {v!r} is not an index below {n}")
+    square, meet_error = len(algebra.meet) == n, algebra.meet.shape_error
+    if meet_error or not square:
+        raise ShapeError(meet_error if square else "meet table is not square of carrier size")
     if len(algebra.action) != algebra.group.rank:
         raise ShapeError("need one action permutation per group generator")
     points = list(range(n))
@@ -264,23 +301,13 @@ def validate_axioms(algebra: FSemilattice) -> ValidationReport:
     n = algebra.size
     meet = algebra.meet
     lab = algebra.label
-    for x in range(n):
-        if meet[x][x] != x:
-            return ValidationReport(False, "meet-idempotence", (x,), f"{lab(x)} ^ {lab(x)} != {lab(x)}")
-    if meet != tuple(zip(*meet)):
-        x, y = next((x, y) for x in range(n) for y in range(x + 1, n) if meet[x][y] != meet[y][x])
-        detail = f"{lab(x)} ^ {lab(y)} != {lab(y)} ^ {lab(x)}"
-        return ValidationReport(False, "meet-commutativity", (x, y), detail)
-    # one idempotent element is a semilattice
-    if n > 1 and not _meets_are_intersections(meet, algebra.down_sets):
-        triples = product(range(n), repeat=3)
-        x, y, z = next((x, y, z) for x, y, z in triples if meet[meet[x][y]][z] != meet[x][meet[y][z]])
-        detail = f"({lab(x)} ^ {lab(y)}) ^ {lab(z)} != {lab(x)} ^ ({lab(y)} ^ {lab(z)})"
-        return ValidationReport(False, "meet-associativity", (x, y, z), detail)
+    if meet.failure:
+        axiom, witness, detail = meet.failure
+        return ValidationReport(False, axiom, witness, detail.format(*map(lab, witness)))
     for i, p in enumerate(algebra.action):
         # a bijection that keeps each cover in order keeps the whole order,
         # so it preserves greatest lower bounds
-        if not all(meet[p[x]][p[y]] == p[x] for x, y in algebra.covers):
+        if not all(meet[p[x]][p[y]] == p[x] for x, y in meet.covers):
             pairs = ((x, y) for x in range(n) for y in range(x, n))
             x, y = next((x, y) for x, y in pairs if p[meet[x][y]] != meet[p[x]][p[y]])
             detail = f"g{i}({lab(x)} ^ {lab(y)}) != g{i}({lab(x)}) ^ g{i}({lab(y)})"
@@ -697,7 +724,7 @@ def algebra_from_dict(data: dict) -> FSemilattice:
         algebra = FSemilattice(
             group=GroupSpec(tuple(data["group"]["orders"])),
             carrier=tuple(data["carrier"]),
-            meet=tuple(tuple(row) for row in data["meet"]),
+            meet=MeetTable(data["meet"]),
             action=tuple(tuple(p) for p in data["action"]),
         )
     except (KeyError, TypeError) as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import math
 import sys
@@ -53,11 +54,16 @@ def _parse_elements(text: str) -> list[groups.Element]:
 def _load_algebra(path: str) -> FSemilattice:
     """The algebra in ``path``; ``InvalidAlgebraError`` if it fails an axiom.
     Its group's rank and order are checked before its tables are."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    enabled = gc.isenabled()
+    gc.disable()  # json.load makes no cycles; on a big heap its collections cost more than it
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except RecursionError:
-            raise ValueError(f"{path}: JSON nests too deeply to load") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nests too deeply to load") from None
+    finally:
+        if enabled:
+            gc.enable()
     try:
         group = groups.group_from_dict(data["group"])
     except (KeyError, TypeError):

@@ -9,10 +9,13 @@ algebra P+(F).
 
 from __future__ import annotations
 
+from functools import cache
+
 from .algebras import (
     CarrierLimitError,
     FSemilattice,
     Homomorphism,
+    MeetTable,
     element_action,
     is_isomorphism,
     perm_identity,
@@ -42,6 +45,13 @@ class VerificationError(RuntimeError):
 MAX_FREE_CARRIER = 1023
 
 
+@cache
+def _fan_meet(size: int) -> MeetTable:
+    """size - 1 atoms over a zero, the last index: one shared table per size."""
+    bottom = size - 1
+    return MeetTable((bottom,) * i + (i,) + (bottom,) * (bottom - i) for i in range(size))
+
+
 def maroti(group: GroupSpec, sub: Subgroup, table: AdditionTable | None = None) -> FSemilattice:
     """Atoms are the cosets of the subgroup, plus a common zero below them.
 
@@ -56,12 +66,11 @@ def maroti(group: GroupSpec, sub: Subgroup, table: AdditionTable | None = None) 
             block_of[g] = i
     bottom = len(blocks)
     labels = tuple(format_element(table.elements[b[0]]) for b in blocks) + ("o",)
-    meet = tuple((bottom,) * i + (i,) + (bottom,) * (bottom - i) for i in range(bottom + 1))
     action = []
     for i in range(group.rank):
         row = table[table.generator_codes[i]]
         action.append(tuple(block_of[row[b[0]]] for b in blocks) + (bottom,))
-    return FSemilattice(group=group, carrier=labels, meet=meet, action=tuple(action))
+    return FSemilattice(group=group, carrier=labels, meet=_fan_meet(bottom + 1), action=tuple(action))
 
 
 def two_element(group: GroupSpec) -> FSemilattice:
@@ -78,19 +87,9 @@ def a_k(k: int) -> FSemilattice:
     """k atoms over a zero, the infinite cyclic group rotating the atoms."""
     if k < 1:
         raise ValueError("need at least one atom")
-    n = k + 1
-    bottom = k
     labels = tuple(f"a{i}" for i in range(k)) + ("o",)
-    meet = [[bottom] * n for _ in range(n)]
-    for i in range(n):
-        meet[i][i] = i
-    perm = tuple((i + 1) % k for i in range(k)) + (bottom,)
-    return FSemilattice(
-        group=GroupSpec((0,)),
-        carrier=labels,
-        meet=tuple(tuple(r) for r in meet),
-        action=(perm,),
-    )
+    perm = tuple((i + 1) % k for i in range(k)) + (k,)
+    return FSemilattice(group=GroupSpec((0,)), carrier=labels, meet=_fan_meet(k + 1), action=(perm,))
 
 
 def free_one_generated(group: GroupSpec) -> FSemilattice:
@@ -242,9 +241,7 @@ def twisted_multiple(
             f, k = split[shift[table.index[t]]]
             perm += [f * u_size + u for u in element_action(factor, exponents[k])]
         action.append(tuple(perm) + (bottom,))
-    return FSemilattice(
-        group=group, carrier=labels, meet=tuple(tuple(r) for r in meet), action=tuple(action)
-    )
+    return FSemilattice(group=group, carrier=labels, meet=meet, action=tuple(action))
 
 
 def transversal_independence_check(
@@ -297,6 +294,6 @@ def counterexample_a7() -> FSemilattice:
     return FSemilattice(
         group=GroupSpec((4,)),
         carrier=("a0", "a1", "a2", "a3", "p", "q", "o"),
-        meet=tuple(tuple(r) for r in meet),
+        meet=meet,
         action=(gen,),
     )

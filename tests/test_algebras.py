@@ -247,6 +247,99 @@ def test_cover_edges():
     }
 
 
+def test_fans_of_one_size_share_one_meet_table():
+    # C4, C2xC2 and C8 over its subgroup of order 2 all have 4 atoms
+    z8 = G.make_group([8])
+    fans = [
+        C.maroti(Z4, G.trivial_subgroup(Z4)),
+        fan5(),
+        C.maroti(z8, G.subgroup_from_elements(z8, [(0,), (4,)])),
+    ]
+    assert all(isinstance(fan.meet, A.MeetTable) and fan.meet is fans[0].meet for fan in fans)
+    assert C.a_k(4).meet is fans[0].meet and maroti_z2().meet is not fans[0].meet
+
+
+def test_shared_meet_tables_match_plain_copies():
+    # the facts cached on a shared table are those of a table built afresh,
+    # and every fan still gets the reference report
+    count = 0
+    for spec in G.all_group_specs(16):
+        for sub in G.subgroups(spec):
+            fan = C.maroti(spec, sub)
+            plain = A.FSemilattice(
+                spec, list(fan.carrier), [list(row) for row in fan.meet], [list(p) for p in fan.action]
+            )
+            assert plain.meet is not fan.meet
+            report = A.validate_axioms(fan)
+            assert report == A.validate_axioms(plain) == reference_validate_axioms(plain)
+            assert report.ok
+            assert (fan.down_sets, fan.covers) == (plain.down_sets, plain.covers)
+            count += 1
+    assert count > 200
+
+
+def _sharing_one_table(meet):
+    """Algebras over C2 on one shared table: a valid fan over the trivial
+    subgroup, and three that each fail one per-algebra check."""
+    base = A.FSemilattice(Z2, ("a", "b", "o"), meet, ((1, 0, 2),))
+    return {
+        "valid": base,
+        "labels": A.FSemilattice(Z2, ("x", "x", "o"), meet, base.action),
+        "automorphism": A.FSemilattice(Z2, ("p", "q", "z"), meet, ((2, 1, 0),)),
+        "order": A.FSemilattice(G.make_group([3]), ("u", "v", "w"), meet, base.action),
+    }
+
+
+def _shared_table_outcome(algebra):
+    try:
+        return A.validate_axioms(algebra)
+    except A.ShapeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("first", ["invalid", "valid"])
+def test_algebras_on_a_shared_table_get_their_own_reports(first):
+    meet = A.MeetTable([[0, 2, 2], [2, 1, 2], [2, 2, 2]])
+    algebras = _sharing_one_table(meet)
+    names = ["labels", "automorphism", "order", "valid"]
+    if first == "valid":
+        names.reverse()
+    outcomes = {name: _shared_table_outcome(algebras[name]) for name in names}
+    assert all(algebra.meet is meet for algebra in algebras.values())
+    assert outcomes == {
+        "valid": A.ValidationReport(True),
+        "labels": "carrier labels are not unique",
+        "automorphism": A.ValidationReport(
+            False, "action-automorphism", (0, 0, 1), "g0(p ^ q) != g0(p) ^ g0(q)"
+        ),
+        "order": A.ValidationReport(
+            False, "action-order", (0, 0), "g0 applied 3 times moves u; factor order 3"
+        ),
+    }
+    plain = [list(row) for row in meet]
+    for name, algebra in algebras.items():
+        copy = A.FSemilattice(algebra.group, algebra.carrier, plain, algebra.action)
+        assert _shared_table_outcome(copy) == outcomes[name] == _shared_table_outcome(algebra)
+        if name != "labels":
+            assert outcomes[name] == reference_validate_axioms(copy)
+    # a meet-axiom failure is a fact of the table; each algebra names its
+    # witness by its own labels
+    skew = A.MeetTable([[0, 0], [1, 1]])
+    one = A.FSemilattice(Z2, ("a", "b"), skew, ((0, 1),))
+    two = A.FSemilattice(Z2, ("s", "t"), skew, ((1, 0),))
+    assert A.validate_axioms(one).detail == "a ^ b != b ^ a"
+    assert A.validate_axioms(two).detail == "s ^ t != t ^ s"
+    assert A.validate_axioms(two) == reference_validate_axioms(two)
+
+
+def test_meet_table_of_booleans_is_a_shape_error():
+    for rows in ([[True, False], [False, False]], [[0, 1], [1, True]]):
+        meet = A.MeetTable(rows)
+        for _ in range(2):  # the cached check raises again
+            with pytest.raises(A.ShapeError, match="^meet entry (True|False) is not an index below 2$"):
+                A.validate_axioms(A.FSemilattice(Z2, ("a", "b"), meet, ((0, 1),)))
+
+
 def test_act_examples():
     fan = maroti_z4_h()
     h_atom = fan.index("0")
