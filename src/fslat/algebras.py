@@ -13,7 +13,6 @@ All values are immutable after construction; every operation here is pure.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, compress, product
 from math import lcm
@@ -51,18 +50,18 @@ class InvalidAlgebraError(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(NamedTuple("Term", [("pairs", frozenset[tuple[Element, str]])])):
     """A term in normal form: the meet of the translates g(v) over a nonempty
     set of (group element g, variable v) pairs.  The form is closed under
     meet (set union) and translation, and set semantics absorbs idempotence."""
 
-    pairs: frozenset[tuple[Element, str]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", frozenset(self.pairs))
-        if not self.pairs:
+    def __new__(cls, pairs):
+        pairs = frozenset(pairs)
+        if not pairs:
             raise ValueError("a term is a meet over a nonempty set of translated variables")
+        return super().__new__(cls, pairs)
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -70,11 +69,11 @@ class Term:
 
 
 def var(name: str, group: GroupSpec) -> Term:
-    return Term(frozenset({(identity(group), name)}))
+    return Term({(identity(group), name)})
 
 
 def translate_term(group: GroupSpec, g: Element, term: Term) -> Term:
-    return Term(frozenset((mul(group, g, h), v) for h, v in term.pairs))
+    return Term((mul(group, g, h), v) for h, v in term.pairs)
 
 
 def meet_terms(one: Term, two: Term) -> Term:
@@ -155,9 +154,12 @@ class MeetTable(tuple):
             return "meet-commutativity", (x, y), "{0} ^ {1} != {1} ^ {0}"
         # one idempotent element is a semilattice
         if n > 1 and not _meets_are_intersections(meet, meet.down_sets):
-            triples = product(range(n), repeat=3)
-            bad = ((x, y, z) for x, y, z in triples if meet[meet[x][y]][z] != meet[x][meet[y][z]])
-            return "meet-associativity", next(bad), "({0} ^ {1}) ^ {2} != {0} ^ ({1} ^ {2})"
+            lookups = [itemgetter(*row) for row in meet]
+            for x, y in product(range(n), repeat=2):
+                left, right = meet[meet[x][y]], lookups[y](meet[x])
+                if left != right:
+                    z = next(z for z in range(n) if left[z] != right[z])
+                    return "meet-associativity", (x, y, z), "({0} ^ {1}) ^ {2} != {0} ^ ({1} ^ {2})"
         return None
 
     @cached_property
@@ -188,19 +190,15 @@ class MeetTable(tuple):
         return tuple(sorted(edges))
 
 
-@dataclass(frozen=True)
-class FSemilattice:
-    """Carrier labels, meet table of indices, and one permutation per generator."""
+class FSemilattice(
+    NamedTuple("FSemilattice", [("group", GroupSpec), ("carrier", tuple[str, ...]),
+                                ("meet", MeetTable), ("action", tuple[Perm, ...])])
+):
+    """Carrier labels, meet table of indices, and one permutation per generator;
+    no ``__slots__``, so that the cached tables live in the instance's ``__dict__``."""
 
-    group: GroupSpec
-    carrier: tuple[str, ...]
-    meet: MeetTable
-    action: tuple[Perm, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "carrier", tuple(self.carrier))
-        object.__setattr__(self, "meet", MeetTable(self.meet))
-        object.__setattr__(self, "action", tuple(tuple(p) for p in self.action))
+    def __new__(cls, group, carrier, meet, action):
+        return super().__new__(cls, group, tuple(carrier), MeetTable(meet), tuple(map(tuple, action)))
 
     @property
     def size(self) -> int:
@@ -294,8 +292,10 @@ def validate_axioms(algebra: FSemilattice) -> ValidationReport:
     for all x, y.  That law makes the order transitive (x <= y gives
     dx = dx & dy) and puts x ^ y, and every common lower bound of x and y, in
     dx & dy.  The cubic scan runs only when the certificate fails, to name
-    the first witness; the other checks likewise compare whole tables,
-    permutations or covers before an element loop names a witness.
+    the first witness; it compares the rows (x ^ y) ^ z and x ^ (y ^ z) over
+    all z whole for each pair (x, y).  The other checks likewise compare
+    whole tables, permutations or covers before an element loop names a
+    witness.
     """
     check_shape(algebra)
     n = algebra.size
@@ -467,9 +467,8 @@ class Homomorphism(NamedTuple):
 
     @property
     def is_bijective(self) -> bool:
-        return len(self.source.carrier) == len(self.target.carrier) and sorted(self.map) == list(
-            range(len(self.target.carrier))
-        )
+        n = self.target.size
+        return self.source.size == n and sorted(self.map) == list(range(n))
 
 
 def is_homomorphism(hom: Homomorphism) -> bool:
@@ -478,15 +477,10 @@ def is_homomorphism(hom: Homomorphism) -> bool:
     if src.group != dst.group or len(f) != src.size:
         return False
     n = src.size
-    for x in range(n):
-        for y in range(x, n):
-            if f[src.meet[x][y]] != dst.meet[f[x]][f[y]]:
-                return False
-    for p, q in zip(src.action, dst.action):
-        for x in range(n):
-            if f[p[x]] != q[f[x]]:
-                return False
-    return True
+    pairs = ((x, y) for x in range(n) for y in range(x, n))
+    return all(f[src.meet[x][y]] == dst.meet[f[x]][f[y]] for x, y in pairs) and all(
+        f[p[x]] == q[f[x]] for p, q in zip(src.action, dst.action) for x in range(n)
+    )
 
 
 def is_isomorphism(hom: Homomorphism) -> bool:
@@ -702,10 +696,8 @@ def quotient(algebra: FSemilattice, cong: Congruence) -> FSemilattice:
     blocks = cong.blocks
     block_of = {x: i for i, b in enumerate(blocks) for x in b}
     labels = tuple("|".join(algebra.carrier[x] for x in b) for b in blocks)
-    meet = tuple(
-        tuple(block_of[algebra.meet[b1[0]][b2[0]]] for b2 in blocks) for b1 in blocks
-    )
-    action = tuple(tuple(block_of[p[b[0]]] for b in blocks) for p in algebra.action)
+    meet = [[block_of[algebra.meet[b1[0]][b2[0]]] for b2 in blocks] for b1 in blocks]
+    action = [[block_of[p[b[0]]] for b in blocks] for p in algebra.action]
     return FSemilattice(group=algebra.group, carrier=labels, meet=meet, action=action)
 
 
@@ -719,14 +711,15 @@ def algebra_to_dict(algebra: FSemilattice) -> dict:
 
 
 def algebra_from_dict(data: dict) -> FSemilattice:
-    """The algebra of a payload, shape-checked once, its axiom report cached."""
+    """The algebra of a payload, shape-checked once, its axiom report cached.
+    Its carrier and tables must be arrays: a JSON string or object would
+    pass as the sequence of its characters or keys."""
     try:
-        algebra = FSemilattice(
-            group=GroupSpec(tuple(data["group"]["orders"])),
-            carrier=tuple(data["carrier"]),
-            meet=MeetTable(data["meet"]),
-            action=tuple(tuple(p) for p in data["action"]),
-        )
+        group = GroupSpec(data["group"]["orders"])
+        for name in ("carrier", "meet", "action"):
+            if not isinstance(data[name], (list, tuple)):
+                raise ShapeError(f"malformed algebra payload: {name!r} is not a JSON array")
+        algebra = FSemilattice(group, data["carrier"], data["meet"], data["action"])
     except (KeyError, TypeError) as exc:
         raise ShapeError(f"malformed algebra payload: {exc}") from exc
     algebra.validation  # raises ShapeError before the axioms are checked

@@ -204,11 +204,8 @@ def _dot_id(label: str) -> str:
 def hasse_dot(algebra: FSemilattice, include_actions: bool = False) -> str:
     """DOT digraph of the covering relation, optionally with dashed action arcs."""
     ids = [_dot_id(label) for label in algebra.carrier]
-    lines = ["digraph hasse {", "  rankdir=BT;"]
-    for node in ids:
-        lines.append(f"  {node};")
-    for low, high in sorted(algebras.cover_edges(algebra)):
-        lines.append(f"  {ids[low]} -> {ids[high]};")
+    lines = ["digraph hasse {", "  rankdir=BT;", *(f"  {node};" for node in ids)]
+    lines += [f"  {ids[low]} -> {ids[high]};" for low, high in sorted(algebras.cover_edges(algebra))]
     if include_actions:
         for i, perm in enumerate(algebra.action):
             for x in range(algebra.size):
@@ -265,10 +262,7 @@ def _build_algebra(args) -> FSemilattice:
     reps = None
     if args.transversal is not None:
         reps = groups.make_transversal(group, sub, _parse_elements(args.transversal))
-    factor = None
-    gens = None
-    if args.u == "chain2":
-        factor, gens = constructions.chain2_factor(group, sub)
+    factor, gens = constructions.chain2_factor(group, sub) if args.u == "chain2" else (None, None)
     return constructions.twisted_multiple(group, sub, factor, reps, gens)
 
 
@@ -379,10 +373,7 @@ def _cmd_balpha(args) -> int:
     beta = irrationals.parse_irrational(args.beta)
     if irrationals.compare_values(alpha, beta) >= 0:
         raise ValueError("need alpha < beta")
-    if args.p is not None:
-        p, q = args.p, args.q
-    else:
-        p, q = irrationals.rational_between(alpha, beta)
+    p, q = (args.p, args.q) if args.p is not None else irrationals.rational_between(alpha, beta)
     report = irrationals.check_separating_identity(alpha, beta, p, q, args.samples)
     payload = {
         "alpha": str(alpha),

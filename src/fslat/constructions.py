@@ -70,7 +70,7 @@ def maroti(group: GroupSpec, sub: Subgroup, table: AdditionTable | None = None) 
     for i in range(group.rank):
         row = table[table.generator_codes[i]]
         action.append(tuple(block_of[row[b[0]]] for b in blocks) + (bottom,))
-    return FSemilattice(group=group, carrier=labels, meet=_fan_meet(bottom + 1), action=tuple(action))
+    return FSemilattice(group=group, carrier=labels, meet=_fan_meet(bottom + 1), action=action)
 
 
 def two_element(group: GroupSpec) -> FSemilattice:
@@ -124,7 +124,7 @@ def free_one_generated(group: GroupSpec) -> FSemilattice:
             low = (m & -m).bit_length() - 1
             image[m] = image[m & (m - 1)] | 1 << shift[low]
         action.append(tuple(image[m] - 1 for m in masks))
-    return FSemilattice(group=group, carrier=labels, meet=meet, action=tuple(action))
+    return FSemilattice(group=group, carrier=labels, meet=meet, action=action)
 
 
 def trivial_factor(
@@ -241,7 +241,7 @@ def twisted_multiple(
             f, k = split[shift[table.index[t]]]
             perm += [f * u_size + u for u in element_action(factor, exponents[k])]
         action.append(tuple(perm) + (bottom,))
-    return FSemilattice(group=group, carrier=labels, meet=meet, action=tuple(action))
+    return FSemilattice(group=group, carrier=labels, meet=meet, action=action)
 
 
 def transversal_independence_check(

@@ -11,7 +11,6 @@ routines work on integer codes added through one ``AdditionTable`` per call.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, prod
 from typing import NamedTuple
@@ -27,20 +26,19 @@ class NotASubgroupError(ValueError):
     """A claimed subgroup fails membership, identity, or closure checks."""
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple("GroupSpec", [("orders", tuple[int, ...])])):
     """Abelian group ``Z_k0 x Z_k1 x ...``; the trivial group is ``orders = (1,)``."""
 
-    orders: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.orders, tuple):
-            object.__setattr__(self, "orders", tuple(self.orders))
-        if len(self.orders) == 0:
+    def __new__(cls, orders):
+        orders = tuple(orders)
+        if len(orders) == 0:
             raise ValueError("need at least one cyclic factor; use [1] for the trivial group")
-        for k in self.orders:
+        for k in orders:
             if not isinstance(k, int) or isinstance(k, bool) or k < 0:
                 raise ValueError(f"factor orders must be integers >= 0, got {k!r}")
+        return super().__new__(cls, orders)
 
     @property
     def rank(self) -> int:
@@ -64,9 +62,7 @@ class GroupSpec:
         return "x".join("C_inf" if k == 0 else f"C{k}" for k in self.orders)
 
 
-def make_group(orders) -> GroupSpec:
-    """Build a GroupSpec from any sequence of nonnegative integers."""
-    return GroupSpec(tuple(orders))
+make_group = GroupSpec  # a GroupSpec from any sequence of nonnegative integers
 
 
 def reduce_element(group: GroupSpec, coords) -> Element:
@@ -385,7 +381,7 @@ def presentation(group: GroupSpec, sub: Subgroup) -> SubgroupPresentation:
             s for s in candidates if len(s) == target and len(s & cyclic) == 1
         )
         current = sorted(complement)
-    return SubgroupPresentation(GroupSpec(tuple(orders)), tuple(gens))
+    return SubgroupPresentation(GroupSpec(orders), tuple(gens))
 
 
 def all_group_specs(max_order: int) -> list[GroupSpec]:
@@ -394,7 +390,7 @@ def all_group_specs(max_order: int) -> list[GroupSpec]:
 
     def grow(prefix: list[int], start: int, room: int) -> None:
         for k in range(start, room + 1):
-            specs.append(GroupSpec(tuple(prefix + [k])))
+            specs.append(GroupSpec(prefix + [k]))
             grow(prefix + [k], k, room // k)
 
     grow([], 2, max_order)
@@ -407,7 +403,7 @@ def group_to_dict(group: GroupSpec) -> dict:
 
 
 def group_from_dict(data: dict) -> GroupSpec:
-    return GroupSpec(tuple(data["orders"]))
+    return GroupSpec(data["orders"])
 
 
 def subgroup_to_dict(sub: Subgroup) -> dict:

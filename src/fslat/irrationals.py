@@ -11,7 +11,6 @@ because d is square-free.  No floating point anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import NamedTuple
 
@@ -52,31 +51,26 @@ def sign_with_radical(a: int, b: int, d: int) -> int:
     return cmp if a > 0 else -cmp
 
 
-@dataclass(frozen=True)
-class QuadraticIrrational:
+class QuadraticIrrational(
+    NamedTuple("QuadraticIrrational", [("p", int), ("q", int), ("r", int), ("d", int)])
+):
     """(p + q*sqrt(d)) / r with q != 0, r > 0, d square-free >= 2, gcd(p,q,r) = 1."""
 
-    p: int
-    q: int
-    r: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q == 0:
+    def __new__(cls, p, q, r, d):
+        if q == 0:
             raise ValueError("q = 0 would make the value rational")
-        if self.r == 0:
+        if r == 0:
             raise ValueError("zero denominator")
-        if self.d > MAX_RADICAND:
-            raise ValueError(f"radicand {self.d} exceeds {MAX_RADICAND}")
-        if not _sqrtfree(self.d):
-            raise ValueError(f"radicand {self.d} must be square-free and >= 2")
-        p, q, r = self.p, self.q, self.r
+        if d > MAX_RADICAND:
+            raise ValueError(f"radicand {d} exceeds {MAX_RADICAND}")
+        if not _sqrtfree(d):
+            raise ValueError(f"radicand {d} must be square-free and >= 2")
         if r < 0:
             p, q, r = -p, -q, -r
         g = gcd(gcd(abs(p), abs(q)), r)
-        object.__setattr__(self, "p", p // g)
-        object.__setattr__(self, "q", q // g)
-        object.__setattr__(self, "r", r // g)
+        return super().__new__(cls, p // g, q // g, r // g, d)
 
     def __str__(self) -> str:
         if self.p == 0 and self.q == 1 and self.r == 1:

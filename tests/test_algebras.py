@@ -154,6 +154,40 @@ def test_validate_matches_reference():
     assert certificate.count(True) > 1000 and certificate.count(False) > 1000
 
 
+def _chain_with_new_top_meets(n, meets):
+    """The chain 0 < 1 < ... < n-1 over the trivial group with x ^ y = y ^ x
+    set to v for each (x, y, v) in ``meets``: commutative and idempotent."""
+    meet = [[min(u, v) for v in range(n)] for u in range(n)]
+    for x, y, v in meets:
+        meet[x][y] = meet[y][x] = v
+    return A.FSemilattice(G.make_group([1]), [str(u) for u in range(n)], meet, [range(n)])
+
+
+def test_associativity_witness_matches_reference_on_late_failures():
+    # the witness search compares whole rows (x ^ y) ^ z and x ^ (y ^ z) per
+    # pair (x, y); it must name the reference's lexicographically first
+    # triple when that triple is among the last, and the first z when the
+    # rows differ at several
+    rng = random.Random(2121)
+    cases = []
+    for n in (4, 5, 8, 13, 21, 34, 60):
+        chain = _chain_with_new_top_meets(n, [(n - 4, n - 2, n - 3)])
+        cases.append((chain, (n - 4, n - 4, n - 2)))
+        for _ in range(8):  # random meets among the top m elements
+            m = rng.randint(2, min(n, 6))
+            top = range(n - m, n)
+            meets = [(x, y, rng.choice(top)) for x in top for y in top if x < y]
+            cases.append((_chain_with_new_top_meets(n, meets), None))
+    axioms = []
+    for algebra, witness in cases:
+        report = A.validate_axioms(algebra)
+        assert report == reference_validate_axioms(algebra)
+        assert witness is None or report.witness == witness
+        axioms.append(report.axiom)
+    # random top meets sometimes make a semilattice
+    assert axioms.count("meet-associativity") > 30 and set(axioms) == {"meet-associativity", None}
+
+
 def test_shape_errors_are_separate():
     base = maroti_z2()
     with pytest.raises(A.ShapeError):

@@ -587,6 +587,13 @@ def _shape_cases():
     list_entry = json.loads(json.dumps(fan))
     list_entry["meet"][0][1] = [1]
     cases.append(list_entry)
+    # a string or an object is not an array, though it iterates as its
+    # characters or keys: "ab" and {"a": 1, "b": 2} would pass as carriers
+    pair = {"group": {"orders": [1]}, "carrier": ["a", "b"], "meet": [[0, 0], [0, 1]], "action": [[0, 1]]}
+    cases.append(dict(pair, carrier="ab"))
+    cases.append(dict(pair, carrier={"a": 1, "b": 2}))
+    cases.append(dict(pair, meet={"0": [0, 0], "1": [0, 1]}))
+    cases.append(dict(pair, action="01"))
     return cases
 
 
@@ -605,6 +612,9 @@ def test_shape_error_messages_name_the_offender(capsys, tmp_path):
         "carrier label None is not a string",
         "carrier label True is not a string",
         "meet entry [1] is not an index below 3",
+        *["malformed algebra payload: 'carrier' is not a JSON array"] * 2,
+        "malformed algebra payload: 'meet' is not a JSON array",
+        "malformed algebra payload: 'action' is not a JSON array",
     ]
     path = tmp_path / "bad.json"
     for payload, message in zip(_shape_cases(), messages, strict=True):

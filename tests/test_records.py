@@ -1,9 +1,15 @@
-"""The result records are ``typing.NamedTuple``s that keep the fields,
-defaults, ``repr``, equality, hashing and immutability they had as frozen
-dataclasses; four classes that need more stay dataclasses."""
+"""Every record in ``fslat`` is a ``typing.NamedTuple`` that keeps the
+fields, defaults, ``repr``, equality, hashing and immutability it had as a
+frozen dataclass.  ``GroupSpec``, ``Term``, ``QuadraticIrrational`` and
+``FSemilattice`` also keep the checks and normalisation of their
+constructors, and ``fslat`` imports no ``dataclasses``."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,16 +163,110 @@ def test_subgroup_contains_tests_element_membership():
     assert sub.parent not in sub and sub.elements not in sub
 
 
-def test_only_four_classes_stay_dataclasses():
-    # GroupSpec, Term and QuadraticIrrational normalise or validate in
-    # __post_init__; FSemilattice keeps cached_property tables in __dict__
-    found = set()
-    for info in pkgutil.iter_modules(fslat.__path__):
-        if info.name == "__main__":  # importing it runs the command line
-            continue
-        module = importlib.import_module(f"fslat.{info.name}")
-        for value in vars(module).values():
-            if isinstance(value, type) and value.__module__ == module.__name__:
-                if "__dataclass_fields__" in vars(value):
-                    found.add(value.__name__)
-    assert found == {"GroupSpec", "Term", "FSemilattice", "QuadraticIrrational"}
+def test_no_class_in_fslat_is_a_dataclass():
+    modules = [
+        importlib.import_module(f"fslat.{info.name}")
+        for info in pkgutil.iter_modules(fslat.__path__)
+        if info.name != "__main__"  # importing it runs the command line
+    ]
+    classes = [
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == module.__name__
+    ]
+    assert {A.FSemilattice, A.MeetTable, G.GroupSpec, A.Term, I.QuadraticIrrational} <= set(classes)
+    assert [kind.__name__ for kind in classes if hasattr(kind, "__dataclass_fields__")] == []
+
+
+def test_importing_the_cli_leaves_out_dataclasses():
+    # in a fresh interpreter: pytest itself imports both modules
+    code = "import sys, fslat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(os.environ, PYTHONPATH=src),
+        check=True,
+    )
+    assert done.stdout == "[]\n"
+
+
+def _four():
+    """One instance of each class that checks or normalises its fields."""
+    group = G.make_group([2])
+    fan = A.FSemilattice(group, ["a", "b", "o"], [[0, 2, 2], [2, 1, 2], [2, 2, 2]], [[1, 0, 2]])
+    term = A.meet_terms(A.var("x", group), A.translate_term(group, (1,), A.var("y", group)))
+    return [group, fan, term, I.QuadraticIrrational(2, -4, -6, 2)]
+
+
+FOUR_REPRS = [
+    "GroupSpec(orders=(2,))",
+    "FSemilattice(group=GroupSpec(orders=(2,)), carrier=('a', 'b', 'o'), "
+    "meet=((0, 2, 2), (2, 1, 2), (2, 2, 2)), action=((1, 0, 2),))",
+    None,  # a frozenset's order is the hash order of its members
+    "QuadraticIrrational(p=-1, q=2, r=3, d=2)",
+]
+
+
+@pytest.mark.parametrize("value, text", zip(_four(), FOUR_REPRS), ids=lambda v: type(v).__name__)
+def test_checked_records_keep_their_dataclass_behaviour(value, text):
+    kind = type(value)
+    fields = tuple(getattr(value, name) for name in kind._fields)
+    if text is None:
+        text = f"{kind.__name__}(pairs={value.pairs!r})"
+    assert repr(value) == text
+    assert value == fields and hash(value) == hash(fields)
+    copy = kind(*fields)
+    assert copy == value and copy is not value and hash(copy) == hash(value)
+    for name in kind._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    if kind is A.FSemilattice:
+        value.extra = None  # cached tables live in the instance's __dict__
+    else:
+        with pytest.raises(AttributeError):
+            value.extra = None
+
+
+def test_constructors_normalise_their_fields():
+    group, fan, term, alpha = _four()
+    assert type(group.orders) is tuple and str(group) == "C2"
+    assert type(fan.carrier) is tuple and type(fan.meet) is A.MeetTable
+    assert type(fan.action) is tuple and type(fan.action[0]) is tuple
+    assert type(term.pairs) is frozenset and term.variables == ("x", "y")
+    assert A.Term([((0,), "x"), ((0,), "x")]).pairs == frozenset({((0,), "x")})
+    # the sign goes to the numerator and gcd(p, q, r) = 1
+    assert tuple(alpha) == (-1, 2, 3, 2) and str(alpha) == "(-1+2*sqrt:2)/3"
+    assert I.QuadraticIrrational(6, 3, 9, 5) == (2, 1, 3, 5)
+    assert I.QuadraticIrrational(0, -2, -2, 3) == I.sqrt_of(3) and str(I.sqrt_of(3)) == "sqrt:3"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: G.GroupSpec([]), "need at least one cyclic factor; use [1] for the trivial group"),
+        (lambda: G.GroupSpec([2, -1]), "factor orders must be integers >= 0, got -1"),
+        (lambda: G.make_group([True]), "factor orders must be integers >= 0, got True"),
+        (lambda: G.GroupSpec((2.0,)), "factor orders must be integers >= 0, got 2.0"),
+        (lambda: A.Term(frozenset()), "a term is a meet over a nonempty set of translated variables"),
+        (lambda: I.QuadraticIrrational(1, 0, 1, 2), "q = 0 would make the value rational"),
+        (lambda: I.QuadraticIrrational(1, 1, 0, 2), "zero denominator"),
+        (lambda: I.QuadraticIrrational(0, 1, 1, 10**9 + 7), "radicand 1000000007 exceeds 1000000000"),
+        (lambda: I.QuadraticIrrational(0, 1, 1, 12), "radicand 12 must be square-free and >= 2"),
+        (lambda: I.sqrt_of(1), "radicand 1 must be square-free and >= 2"),
+    ],
+)
+def test_checked_records_refuse_bad_fields(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+def test_semilattice_tables_are_cached():
+    fan = _four()[1]
+    assert fan.validation.ok and fan.validation is fan.validation
+    assert fan.moves is fan.moves and fan.moves == ((1, 0, 2), (1, 0, 2))
+    assert {"validation", "moves"} <= set(vars(fan))
