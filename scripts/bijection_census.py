@@ -5,12 +5,15 @@ Runs the bijection verification over every abelian group up to a given
 order and prints one summary row per factor multiset.  With ``--json`` it
 prints instead one canonical JSON document, the list of every group's
 ``BijectionReport.to_dict()`` with no timings, so that two runs can be
-compared byte for byte.  Either way the exit code is 1 when a group fails.
+compared byte for byte.  Either way the exit code is 1 when a group fails,
+and 2, with one ``error:`` line, when stdout closes before the output ends.
 
 Usage: python scripts/bijection_census.py [--max-order 16] [--json]
 """
 
 import argparse
+import os
+import sys
 import time
 
 from fslat import groups as G
@@ -57,4 +60,11 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # so that a closed pipe fails here, not at exit
+    except BrokenPipeError as exc:
+        # the interpreter flushes stdout again at exit; point it at devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)

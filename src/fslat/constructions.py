@@ -56,20 +56,17 @@ def maroti(group: GroupSpec, sub: Subgroup, table: AdditionTable | None = None) 
     """Atoms are the cosets of the subgroup, plus a common zero below them.
 
     The group translates cosets; the zero is fixed.  Atoms are labeled by the
-    lexicographically least coset member, the zero by ``o``.
+    lexicographically least coset member, the zero by ``o``.  Atoms come
+    from one ``table.labelling``; generator s moves rep to s + rep's block.
     """
     table = AdditionTable.of(group, table)
-    blocks = table.cosets(sub)
-    block_of = [0] * len(table.elements)
-    for i, b in enumerate(blocks):
-        for g in b:
-            block_of[g] = i
-    bottom = len(blocks)
-    labels = tuple(format_element(table.elements[b[0]]) for b in blocks) + ("o",)
+    block_of, reps = table.labelling(sub)
+    bottom = len(reps)
+    labels = [*map(table.labels.__getitem__, reps), "o"]
     action = []
     for i in range(group.rank):
         row = table[table.generator_codes[i]]
-        action.append(tuple(block_of[row[b[0]]] for b in blocks) + (bottom,))
+        action.append([block_of[row[g]] for g in reps] + [bottom])
     return FSemilattice(group=group, carrier=labels, meet=_fan_meet(bottom + 1), action=action)
 
 

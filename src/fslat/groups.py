@@ -123,7 +123,8 @@ class AdditionTable(dict):
     Code i is ``elements[i]``, the i-th torsion element in lexicographic
     order, so sorting codes sorts elements; code 0 is the identity, ``index``
     maps back, and ``table[a][b]`` codes the sum, each row filled on first
-    use.  ``subgroup_memo`` holds each ``subgroup`` answer by its code set.
+    use.  ``subgroup_memo`` holds each ``subgroup`` answer by its code set,
+    ``labels`` the ``format_element`` string of each code.
     Built per top-level call and handed down, never kept past it, so
     neither memo outlives the call.  Given ``span``, only the product over
     factors of the cyclic subgroups that the elements' coordinates generate
@@ -193,19 +194,34 @@ class AdditionTable(dict):
         decode = self.elements.__getitem__
         return Subgroup(self.group, tuple(map(decode, sorted(codes))), tuple(map(decode, gens)))
 
-    def cosets(self, sub: Subgroup) -> list[list[int]]:
-        """Coded coset blocks of a finite group, sorted inside and by least member."""
+    @cached_property
+    def labels(self) -> list[str]:
+        return list(map(format_element, self.elements))
+
+    def labelling(self, sub: Subgroup) -> tuple[list[int], list[int]]:
+        """The coset block of each code, and each block's least code: the
+        first code g not yet labelled starts block c, and every g + h, h in
+        the subgroup, is labelled c."""
         if not self.group.is_finite:
             raise InfiniteGroupError("coset enumeration needs a finite group")
         if sub.parent != self.group:
             raise NotASubgroupError("subgroup belongs to a different group")
-        rows = [self[self.index[h]] for h in sub.elements]
-        placed: set[int] = set()
-        blocks: list[list[int]] = []
-        for g in range(len(self.elements)):  # the least unplaced code starts a block
-            if g not in placed:
-                blocks.append(sorted(row[g] for row in rows))
-                placed.update(blocks[-1])
+        members = [self.index[h] for h in sub.elements]
+        block_of, reps = [-1] * len(self.elements), []
+        # codes ahead of g are labelled during the walk; the iterator reads them late
+        for g, c in enumerate(block_of):
+            if c < 0:
+                for x in map(self[g].__getitem__, members):
+                    block_of[x] = len(reps)
+                reps.append(g)
+        return block_of, reps
+
+    def cosets(self, sub: Subgroup) -> list[list[int]]:
+        """Coded coset blocks of a finite group, sorted inside and by least member."""
+        block_of, reps = self.labelling(sub)
+        blocks: list[list[int]] = [[] for _ in reps]
+        for g, c in enumerate(block_of):
+            blocks[c].append(g)
         return blocks
 
 
@@ -282,29 +298,41 @@ def full_subgroup(group: GroupSpec) -> Subgroup:
 
 
 def _subgroup_sets(table: AdditionTable, universe) -> set[frozenset[int]]:
-    """All coded subgroups inside the coded subgroup ``universe``: each one
-    found, S, is joined with each code g outside it (``_join``); all of
-    g + S give the same join, so one code per coset is tried."""
-    pool = sorted(universe)
-    seen = {frozenset({0})}
-    stack = list(seen)
-    while stack:
-        current = stack.pop()
-        tried = set(current)
-        for g in pool:
-            if g in tried:
-                continue
-            row = table[g]
-            tried.update([row[s] for s in current])
-            extended = frozenset(_join(current, [g], table))
-            if extended not in seen:
-                seen.add(extended)
-                stack.append(extended)
-    return seen
+    """All coded subgroups inside the coded subgroup ``universe``, each met
+    once, by its Hermite normal form: in the table's digit space
+    Z_r1 x ... x Z_rm, a lattice L between (+) r_i Z and Z^m.  Row i is
+    d_i e_i, d_i | r_i, plus an offset in [0, d_j) on each later coordinate
+    j, built from the last coordinate back.  A row is kept when it lies in
+    ``universe`` and (r_i / d_i) times it in the later rows' lattice L', so
+    r_i e_i lies in L.  L's codes are those of L' and of its cosets
+    c row_i + L', c < r_i / d_i, each the last one moved by row_i."""
+    inside = set(universe)
+    lattices = [([0], ())]  # a lattice's codes, and the (d_j, weight_j, r_j) of its rows
+    weight = 1
+    for r in reversed([r for r, _ in table.digits]):
+        grown = []
+        for codes, rows in lattices:
+            grown.append((codes, ((r, weight, r), *rows)))  # d = r: r e_i codes 0, always kept
+            have = set(codes)
+            for d in [d for d in range(1, r) if r % d == 0]:
+                m = r // d
+                pairs = [(d * weight, 0)]  # the code of each row, and of m times it
+                for dj, w, rj in rows:
+                    pairs = [(g + x * w, mg + m * x % rj * w) for g, mg in pairs for x in range(dj)]
+                for g in [g for g, mg in pairs if mg in have and g in inside]:
+                    add_g, coset, spanned = table[g].__getitem__, codes, list(codes)
+                    for _ in range(m - 1):
+                        coset = list(map(add_g, coset))
+                        spanned += coset
+                    grown.append((spanned, ((d, weight, r), *rows)))
+        lattices = grown
+        weight *= r
+    return {frozenset(codes) for codes, _ in lattices}
 
 
 def subgroups(group: GroupSpec, table: AdditionTable | None = None) -> list[Subgroup]:
-    """Every subgroup of a finite group, canonically sorted by (size, elements)."""
+    """Every subgroup of a finite group, canonically sorted by (size, elements);
+    each code set (``_subgroup_sets``) goes through ``table.subgroup``."""
     if not group.is_finite:
         raise InfiniteGroupError("subgroup enumeration needs a finite group")
     table = AdditionTable.of(group, table)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from fslat import groups as G
 from oracles import (
     _closure,
+    _reference_subgroup_sets,
     brute_force_subgroups,
     reference_closure_subgroup_from_elements,
     reference_cosets,
@@ -299,6 +300,28 @@ def test_subgroups_and_cosets_match_reference_up_to_32():
         assert [(s.elements, s.generators) for s in subs] == [(s.elements, s.generators) for s in want]
         for sub in subs:
             assert G.cosets(spec, sub) == reference_cosets(spec, sub)
+
+
+def test_subgroup_sets_inside_each_universe_match_reference_up_to_16():
+    # the enumeration pruned to a universe, on the whole table and on the
+    # table of the universe's span, which is how ``presentation`` codes it
+    cases = 0
+    for spec in G.all_group_specs(16):
+        for universe in _reference_subgroup_sets(spec, spec.elements()):
+            want = _reference_subgroup_sets(spec, universe)
+            for table in (G.AdditionTable(spec), G.AdditionTable(spec, universe)):
+                sets = G._subgroup_sets(table, [table.index[e] for e in universe])
+                assert {frozenset(map(table.elements.__getitem__, s)) for s in sets} == want, (spec, universe)
+                cases += 1
+    assert cases == 2 * 247
+
+
+def test_subgroup_element_sets_match_reference_from_33_to_64():
+    specs = [spec for spec in G.all_group_specs(64) if spec.order() > 32]
+    assert len(specs) == 120
+    for spec in specs:
+        want = sorted(map(sorted, _reference_subgroup_sets(spec, spec.elements())), key=lambda s: (len(s), s))
+        assert [list(sub.elements) for sub in G.subgroups(spec)] == want, spec
 
 
 def test_subgroup_memo_matches_a_fresh_table_up_to_32():

@@ -56,6 +56,19 @@ def test_census_json_is_one_canonical_document():
     assert [report["orders"] for report in json.loads(first.stdout)][:4] == [[1], [2], [3], [2, 2]]
 
 
+def test_census_reports_a_closed_pipe_as_one_error_line():
+    # the order-32 document is about 800 kB, far more than a pipe holds, so
+    # the script is still writing when the reader takes one line and leaves
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, str(ROOT / "scripts" / "bijection_census.py"), "--max-order", "32", "--json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"[\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    assert stderr == "error: [Errno 32] Broken pipe\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
