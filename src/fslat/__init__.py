@@ -28,7 +28,6 @@ from .algebras import (
     congruences,
     cover_edges,
     hom_extend,
-    leq,
     quotient,
     subalgebra_generated,
     validate_axioms,

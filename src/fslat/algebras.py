@@ -385,10 +385,6 @@ def zero(algebra: FSemilattice) -> int:
     return x
 
 
-def leq(algebra: FSemilattice, x: int, y: int) -> bool:
-    return algebra.meet[x][y] == x
-
-
 def atoms(algebra: FSemilattice) -> tuple[int, ...]:
     """Elements covering the least element."""
     z = zero(algebra)

@@ -297,16 +297,14 @@ def full_subgroup(group: GroupSpec) -> Subgroup:
     return table.subgroup(set(range(len(table.elements))))
 
 
-def _subgroup_sets(table: AdditionTable, universe) -> set[frozenset[int]]:
-    """All coded subgroups inside the coded subgroup ``universe``, each met
-    once, by its Hermite normal form: in the table's digit space
-    Z_r1 x ... x Z_rm, a lattice L between (+) r_i Z and Z^m.  Row i is
-    d_i e_i, d_i | r_i, plus an offset in [0, d_j) on each later coordinate
-    j, built from the last coordinate back.  A row is kept when it lies in
-    ``universe`` and (r_i / d_i) times it in the later rows' lattice L', so
-    r_i e_i lies in L.  L's codes are those of L' and of its cosets
-    c row_i + L', c < r_i / d_i, each the last one moved by row_i."""
-    inside = set(universe)
+def _subgroup_sets(table: AdditionTable) -> set[frozenset[int]]:
+    """All coded subgroups of the table, each met once, by its Hermite
+    normal form: in the table's digit space Z_r1 x ... x Z_rm, a lattice L
+    between (+) r_i Z and Z^m.  Row i is d_i e_i, d_i | r_i, plus an offset
+    in [0, d_j) on each later coordinate j, built from the last coordinate
+    back.  A row is kept when (r_i / d_i) times it lies in the later rows'
+    lattice L', so r_i e_i lies in L.  L's codes are those of L' and of its
+    cosets c row_i + L', c < r_i / d_i, each the last one moved by row_i."""
     lattices = [([0], ())]  # a lattice's codes, and the (d_j, weight_j, r_j) of its rows
     weight = 1
     for r in reversed([r for r, _ in table.digits]):
@@ -319,7 +317,7 @@ def _subgroup_sets(table: AdditionTable, universe) -> set[frozenset[int]]:
                 pairs = [(d * weight, 0)]  # the code of each row, and of m times it
                 for dj, w, rj in rows:
                     pairs = [(g + x * w, mg + m * x % rj * w) for g, mg in pairs for x in range(dj)]
-                for g in [g for g, mg in pairs if mg in have and g in inside]:
+                for g in [g for g, mg in pairs if mg in have]:
                     add_g, coset, spanned = table[g].__getitem__, codes, list(codes)
                     for _ in range(m - 1):
                         coset = list(map(add_g, coset))
@@ -336,7 +334,7 @@ def subgroups(group: GroupSpec, table: AdditionTable | None = None) -> list[Subg
     if not group.is_finite:
         raise InfiniteGroupError("subgroup enumeration needs a finite group")
     table = AdditionTable.of(group, table)
-    sets = _subgroup_sets(table, range(len(table.elements)))
+    sets = _subgroup_sets(table)
     return [table.subgroup(s) for s in sorted(sets, key=lambda s: (len(s), sorted(s)))]
 
 
@@ -383,32 +381,33 @@ class SubgroupPresentation(NamedTuple):
 
 
 def presentation(group: GroupSpec, sub: Subgroup) -> SubgroupPresentation:
-    """Invariant-factor decomposition of a finite subgroup with explicit generators.
+    """Invariant-factor decomposition of a finite subgroup K with explicit generators.
 
-    Repeatedly splits off a cyclic direct summand of maximal order; the
-    complement is located among the subgroups of the remainder, all coded
-    over the subgroup's span.
+    The members are ranked once by order, largest first, least on ties, and
+    one pass takes each member g whose least multiple in the part H
+    generated so far is 0, so H + <g> = H (+) <g>, until H is K.  The orders
+    taken are K's invariant factors, largest first, as an element of largest
+    order in a finite abelian group generates a direct summand: if
+    K = H (+) C and C has exponent e, a g meeting H in 0 has the order of
+    g + H in C, at most e and reached in C, and one passed over meets every
+    larger H too, so the pass takes a g = h + c of order e.  Then c in C has
+    order e, C = <c> (+) D, K = (H + <c>) (+) D = (H (+) <g>) (+) D, and the
+    exponent of D divides e.
     """
-    if len(sub.elements) == 1:
-        return SubgroupPresentation(GroupSpec((1,)), (identity(group),))
-    table = AdditionTable(group, sub.elements)
-    elems = table.elements
-    orders: list[int] = []
-    gens: list[Element] = []
-    current = sorted(table.index[e] for e in sub.elements)
-    while len(current) > 1:
-        g1 = max(current, key=lambda g: (element_order(group, elems[g]), -g))
-        cyclic = _join({0}, [g1], table)
-        orders.append(len(cyclic))
-        gens.append(elems[g1])
-        if len(cyclic) == len(current):
-            break
-        target = len(current) // len(cyclic)
-        candidates = sorted(_subgroup_sets(table, current), key=sorted)
-        complement = next(
-            s for s in candidates if len(s) == target and len(s & cyclic) == 1
-        )
-        current = sorted(complement)
+    if sub.parent != group:
+        raise NotASubgroupError("subgroup belongs to a different group")
+    zero = identity(group)
+    part, orders, gens = {zero}, [], []
+    for g in sorted(sub.elements, key=lambda g: (-element_order(group, g), g)):
+        multiples = [g]
+        while multiples[-1] not in part:
+            multiples.append(mul(group, multiples[-1], g))
+        if multiples[-1] == zero:
+            orders.append(len(multiples))
+            gens.append(g)
+            part = {mul(group, h, m) for h in part for m in multiples}
+            if len(part) == len(sub.elements):
+                break
     return SubgroupPresentation(GroupSpec(orders), tuple(gens))
 
 

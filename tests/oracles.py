@@ -22,7 +22,6 @@ from fslat.algebras import (
     element_action,
     generates,
     is_isomorphism,
-    leq,
     meet_terms,
     perm_compose,
     perm_identity,
@@ -550,12 +549,16 @@ def reference_generated_by(
 def reference_cover_edges(algebra: FSemilattice) -> tuple[tuple[int, int], ...]:
     """Edges (lower, upper) of the covering relation of the induced order."""
     n = algebra.size
+
+    def leq(x: int, y: int) -> bool:
+        return algebra.meet[x][y] == x
+
     edges = []
     for x in range(n):
         for y in range(n):
-            if x == y or not leq(algebra, x, y):
+            if x == y or not leq(x, y):
                 continue
-            if any(z not in (x, y) and leq(algebra, x, z) and leq(algebra, z, y) for z in range(n)):
+            if any(z not in (x, y) and leq(x, z) and leq(z, y) for z in range(n)):
                 continue
             edges.append((x, y))
     return tuple(edges)
@@ -686,8 +689,8 @@ def reference_closure_subgroup_from_elements(group: GroupSpec, elems) -> Subgrou
     raise AssertionError("a set closed under inverse and product generates itself")
 
 
-def _reference_subgroup_sets(group: GroupSpec, universe) -> set[frozenset[Element]]:
-    """All subgroups contained in ``universe`` (itself a subgroup's element set).
+def _reference_subgroup_sets(group: GroupSpec) -> set[frozenset[Element]]:
+    """All subgroups of a finite group, as element sets.
 
     Elements are coded as indices into ``group.elements()`` and added through
     one table built per call.  Every subgroup S found is extended by each
@@ -703,13 +706,12 @@ def _reference_subgroup_sets(group: GroupSpec, universe) -> set[frozenset[Elemen
     def add(a: int, b: int) -> int:
         return table[a][b]
 
-    pool = sorted(index[g] for g in universe)
     seen = {frozenset({index[identity(group)]})}
     stack = list(seen)
     while stack:
         current = stack.pop()
         tried = set(current)
-        for g in pool:
+        for g in range(len(elems)):
             if g in tried:
                 continue
             tried.update(add(g, s) for s in current)
@@ -724,7 +726,7 @@ def reference_subgroups(group: GroupSpec) -> list[Subgroup]:
     """Every subgroup of a finite group, canonically sorted by (size, elements)."""
     if not group.is_finite:
         raise InfiniteGroupError("subgroup enumeration needs a finite group")
-    sets = _reference_subgroup_sets(group, group.elements())
+    sets = _reference_subgroup_sets(group)
     ordered = sorted(sets, key=lambda s: (len(s), tuple(sorted(s))))
     return [reference_closure_subgroup_from_elements(group, s) for s in ordered]
 

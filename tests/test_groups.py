@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -247,9 +248,9 @@ def test_span_table_codes_a_subgroup_holding_the_span():
 
 
 def test_subgroup_from_elements_codes_only_the_span():
-    # without a table handed in, the search and the presentation code the
-    # span of a two-element subgroup, a few kilobytes; coding all of
-    # C_100000 or of C_300 x C_300 would take megabytes
+    # without a table handed in, the search codes the span of a two-element
+    # subgroup, a few kilobytes, and the presentation codes nothing; coding
+    # all of C_100000 or of C_300 x C_300 would take megabytes
     for orders, elems in (([10**5], [(0,), (50000,)]), ([300, 300], [(0, 0), (150, 150)])):
         group = G.make_group(orders)
         tracemalloc.start()
@@ -302,25 +303,11 @@ def test_subgroups_and_cosets_match_reference_up_to_32():
             assert G.cosets(spec, sub) == reference_cosets(spec, sub)
 
 
-def test_subgroup_sets_inside_each_universe_match_reference_up_to_16():
-    # the enumeration pruned to a universe, on the whole table and on the
-    # table of the universe's span, which is how ``presentation`` codes it
-    cases = 0
-    for spec in G.all_group_specs(16):
-        for universe in _reference_subgroup_sets(spec, spec.elements()):
-            want = _reference_subgroup_sets(spec, universe)
-            for table in (G.AdditionTable(spec), G.AdditionTable(spec, universe)):
-                sets = G._subgroup_sets(table, [table.index[e] for e in universe])
-                assert {frozenset(map(table.elements.__getitem__, s)) for s in sets} == want, (spec, universe)
-                cases += 1
-    assert cases == 2 * 247
-
-
 def test_subgroup_element_sets_match_reference_from_33_to_64():
     specs = [spec for spec in G.all_group_specs(64) if spec.order() > 32]
     assert len(specs) == 120
     for spec in specs:
-        want = sorted(map(sorted, _reference_subgroup_sets(spec, spec.elements())), key=lambda s: (len(s), s))
+        want = sorted(map(sorted, _reference_subgroup_sets(spec)), key=lambda s: (len(s), s))
         assert [list(sub.elements) for sub in G.subgroups(spec)] == want, spec
 
 
@@ -407,17 +394,47 @@ def test_presentation_examples():
     assert G.presentation(Z4, h).spec.orders == (2,)
     triv = G.trivial_subgroup(Z4)
     assert G.presentation(Z4, triv).spec.orders == (1,)
+    # the least member of largest order, then the least one meeting it in 0
+    assert G.presentation(Z2xZ4, G.full_subgroup(Z2xZ4)).generators == ((0, 1), (1, 0))
 
 
 def test_presentation_generates_and_sizes_agree():
-    for spec in (Z2xZ4, G.make_group([2, 2, 2]), G.make_group([12]), G.make_group([4, 4])):
+    # generators of the stated orders that generate K, orders whose product
+    # is |K| and each dividing the one before: the invariant factors, which
+    # are unique
+    for spec in G.all_group_specs(32):
         for sub in G.subgroups(spec):
             pres = G.presentation(spec, sub)
-            assert pres.spec.order() == len(sub.elements)
-            closed = _closure(spec, pres.generators)
-            assert closed == set(sub.elements)
-            for gen, order in zip(pres.generators, pres.spec.orders):
+            orders = pres.spec.orders
+            assert math.prod(orders) == len(sub.elements), (spec, sub)
+            assert all(before % after == 0 for before, after in zip(orders, orders[1:])), (spec, sub)
+            assert _closure(spec, pres.generators) == set(sub.elements), (spec, sub)
+            for gen, order in zip(pres.generators, orders):
                 assert G.element_order(spec, gen) == order
+
+
+def test_presentation_of_wide_full_subgroups():
+    # full subgroups of rank 4 to 10, whose subgroups are far too many to list
+    for orders, factors in (
+        ([2] * 10, (2,) * 10),
+        ([3] * 6, (3,) * 6),
+        ([4] * 5, (4,) * 5),
+        ([2, 4, 8, 16], (16, 8, 4, 2)),
+    ):
+        group = G.make_group(orders)
+        full = G.full_subgroup(group)
+        pres = G.presentation(group, full)
+        assert pres.spec.orders == factors, orders
+        assert _closure(group, pres.generators) == set(full.elements), orders
+        assert [G.element_order(group, g) for g in pres.generators] == list(factors)
+
+
+def test_presentation_refuses_a_subgroup_of_another_group():
+    # a subgroup of C6 handed over with C4 once leaked StopIteration or KeyError
+    for elems in ([(0,), (3,)], [(0,), (2,), (4,)]):
+        sub = G.subgroup_from_elements(Z6, elems)
+        with pytest.raises(G.NotASubgroupError, match="subgroup belongs to a different group"):
+            G.presentation(Z4, sub)
 
 
 def test_all_group_specs():
