@@ -123,12 +123,11 @@ class AdditionTable(dict):
     Code i is ``elements[i]``, the i-th torsion element in lexicographic
     order, so sorting codes sorts elements; code 0 is the identity, ``index``
     maps back, and ``table[a][b]`` codes the sum, each row filled on first
-    use.  ``subgroup_memo`` holds each ``subgroup`` answer by its code set,
-    ``labels`` the ``format_element`` string of each code.
-    Built per top-level call and handed down, never kept past it, so
-    neither memo outlives the call.  Given ``span``, only the product over
-    factors of the cyclic subgroups that the elements' coordinates generate
-    is coded; it holds <span>, and ``of`` refuses it unless ``whole``.
+    use.  ``labels`` holds the ``format_element`` string of each code.
+    Built per top-level call and handed down, never kept past it, so no
+    row outlives the call.  Given ``span``, only the product over factors
+    of the cyclic subgroups that the elements' coordinates generate is
+    coded; it holds <span>, and ``of`` refuses it unless ``whole``.
     """
 
     def __init__(self, group: GroupSpec, span=None):
@@ -139,7 +138,6 @@ class AdditionTable(dict):
         self.whole = max(steps) == 1
         self.elements = list(itertools.product(*(range(0, r * d, d) for r, d in self.digits)))
         self.index = {e: i for i, e in enumerate(self.elements)}
-        self.subgroup_memo: dict[frozenset[int], Subgroup | None] = {}
 
     @cached_property
     def generator_codes(self) -> tuple[int, ...]:
@@ -163,36 +161,26 @@ class AdditionTable(dict):
         return row
 
     def subgroup(self, codes) -> Subgroup | None:
-        """The subgroup coded by ``codes``, or None when they are not closed;
-        the answer is kept, so a code set asked for again gets the same one.
+        """The subgroup coded by ``codes``, or None when they are not closed.
 
-        The greedy pass takes each code of sorted ``codes`` that the subgroup
-        found so far misses, so it ends with <codes>.  Only when that is
-        ``codes`` does the second pass drop each generator the others
-        already generate, comparing sizes inside a subgroup.
+        Each code g that the subgroup S found so far misses is joined coset
+        by coset, S u (S + g) u (S + 2g) u ... up to the first multiple of g
+        in S, so the pass ends with <codes>, which is ``codes`` exactly when
+        they are closed.
         """
-        codes = frozenset(codes)
-        try:
-            return self.subgroup_memo[codes]
-        except KeyError:
-            sub = self.subgroup_memo[codes] = self._subgroup(codes)
-            return sub
-
-    def _subgroup(self, codes: frozenset[int]) -> Subgroup | None:
-        gens: list[int] = []
+        codes = set(codes)
         have = {0}
-        for g in sorted(codes):
+        for g in codes:
             if g not in have:
-                gens.append(g)
-                have = _join(have, [g], self)
+                joined, step = set(have), g
+                while step not in have:
+                    row = self[step]
+                    joined.update([row[s] for s in have])
+                    step = row[g]
+                have = joined
         if have != codes:
             return None
-        for g in list(gens):
-            rest = [h for h in gens if h != g]
-            if len(_join({0}, rest, self)) == len(codes):
-                gens = rest
-        decode = self.elements.__getitem__
-        return Subgroup(self.group, tuple(map(decode, sorted(codes))), tuple(map(decode, gens)))
+        return Subgroup(self.group, tuple(map(self.elements.__getitem__, sorted(codes))))
 
     @cached_property
     def labels(self) -> list[str]:
@@ -216,34 +204,10 @@ class AdditionTable(dict):
                 reps.append(g)
         return block_of, reps
 
-    def cosets(self, sub: Subgroup) -> list[list[int]]:
-        """Coded coset blocks of a finite group, sorted inside and by least member."""
-        block_of, reps = self.labelling(sub)
-        blocks: list[list[int]] = [[] for _ in reps]
-        for g, c in enumerate(block_of):
-            blocks[c].append(g)
-        return blocks
-
-
-def _join(current, gens, table: AdditionTable) -> set[int]:
-    """<S, g1, g2, ...> for a coded subgroup S, one coset-union join
-    S u (S + g) u (S + 2g) u ... per code g, stopping at the first multiple
-    of g already in the set."""
-    for g in gens:
-        joined = set(current)
-        step = g
-        while step not in current:
-            row = table[step]
-            joined.update([row[s] for s in current])
-            step = row[g]
-        current = joined
-    return current
-
 
 class Subgroup(NamedTuple):
     parent: GroupSpec
     elements: tuple[Element, ...]
-    generators: tuple[Element, ...]
 
     @property
     def size(self) -> int:
@@ -262,10 +226,11 @@ def subgroup_from_elements(group: GroupSpec, elems) -> Subgroup:
     """Validate an element set as a subgroup and put it in canonical form.
 
     The set is a subgroup exactly when it equals the subgroup it generates,
-    which the coded generator search computes anyway.  Only a set that
-    fails is walked pair by pair, to name the missing inverse or product.  A
-    set with a nonzero coordinate on an infinite factor skips the search, as
-    no finite subgroup has one; the search codes the set's span only.
+    which the coded closure test (``AdditionTable.subgroup``) computes.
+    Only a set that fails is walked pair by pair, to name the missing
+    inverse or product.  A set with a nonzero coordinate on an infinite
+    factor skips the test, as no finite subgroup has one; the test codes
+    the set's span only.
     """
     elems = {reduce_element(group, e) for e in elems}
     if not elems:
@@ -287,24 +252,24 @@ def subgroup_from_elements(group: GroupSpec, elems) -> Subgroup:
 
 
 def trivial_subgroup(group: GroupSpec) -> Subgroup:
-    return Subgroup(group, (identity(group),), ())
+    return Subgroup(group, (identity(group),))
 
 
 def full_subgroup(group: GroupSpec) -> Subgroup:
     if not group.is_finite:
         raise InfiniteGroupError("full subgroup only materialized for finite groups")
-    table = AdditionTable(group)
-    return table.subgroup(set(range(len(table.elements))))
+    return Subgroup(group, tuple(group.elements()))
 
 
-def _subgroup_sets(table: AdditionTable) -> set[frozenset[int]]:
+def _subgroup_sets(table: AdditionTable) -> list[list[int]]:
     """All coded subgroups of the table, each met once, by its Hermite
     normal form: in the table's digit space Z_r1 x ... x Z_rm, a lattice L
     between (+) r_i Z and Z^m.  Row i is d_i e_i, d_i | r_i, plus an offset
     in [0, d_j) on each later coordinate j, built from the last coordinate
     back.  A row is kept when (r_i / d_i) times it lies in the later rows'
     lattice L', so r_i e_i lies in L.  L's codes are those of L' and of its
-    cosets c row_i + L', c < r_i / d_i, each the last one moved by row_i."""
+    cosets c row_i + L', c < r_i / d_i, each the last one moved by row_i.
+    Each subgroup has one Hermite normal form, so none comes twice."""
     lattices = [([0], ())]  # a lattice's codes, and the (d_j, weight_j, r_j) of its rows
     weight = 1
     for r in reversed([r for r, _ in table.digits]):
@@ -325,23 +290,28 @@ def _subgroup_sets(table: AdditionTable) -> set[frozenset[int]]:
                     grown.append((spanned, ((d, weight, r), *rows)))
         lattices = grown
         weight *= r
-    return {frozenset(codes) for codes, _ in lattices}
+    return [codes for codes, _ in lattices]
 
 
 def subgroups(group: GroupSpec, table: AdditionTable | None = None) -> list[Subgroup]:
-    """Every subgroup of a finite group, canonically sorted by (size, elements);
-    each code set (``_subgroup_sets``) goes through ``table.subgroup``."""
+    """Every subgroup of a finite group, canonically sorted by (size, elements):
+    each code list of ``_subgroup_sets``, sorted, decoded."""
     if not group.is_finite:
         raise InfiniteGroupError("subgroup enumeration needs a finite group")
     table = AdditionTable.of(group, table)
-    sets = _subgroup_sets(table)
-    return [table.subgroup(s) for s in sorted(sets, key=lambda s: (len(s), sorted(s)))]
+    decode = table.elements.__getitem__
+    sets = sorted(map(sorted, _subgroup_sets(table)), key=lambda s: (len(s), s))
+    return [Subgroup(group, tuple(map(decode, s))) for s in sets]
 
 
 def cosets(group: GroupSpec, sub: Subgroup) -> list[tuple[Element, ...]]:
     """The coset partition of a finite group, blocks sorted by least member."""
     table = AdditionTable(group)
-    return [tuple(table.elements[g] for g in block) for block in table.cosets(sub)]
+    block_of, reps = table.labelling(sub)
+    blocks: list[list[Element]] = [[] for _ in reps]
+    for g, c in zip(table.elements, block_of):
+        blocks[c].append(g)
+    return list(map(tuple, blocks))
 
 
 class Transversal(NamedTuple):
@@ -435,7 +405,3 @@ def group_from_dict(data: dict) -> GroupSpec:
 
 def subgroup_to_dict(sub: Subgroup) -> dict:
     return {"elements": [list(e) for e in sub.elements]}
-
-
-def subgroup_from_dict(group: GroupSpec, data: dict) -> Subgroup:
-    return subgroup_from_elements(group, [tuple(e) for e in data["elements"]])

@@ -250,8 +250,7 @@ def stabilizer(algebra: FSemilattice, a: int, table: AdditionTable | None = None
     next generator, and the cycle is repeated up to the factor's order,
     which its length divides on a valid algebra.  So the position of an
     image is the code of its g, and the codes fixing ``a`` go to
-    ``table.subgroup`` as they are: a table whose subgroups are enumerated
-    answers from its memo.
+    ``table.subgroup`` as they are, whose closure test guards the result.
     """
     require_valid(algebra)
     group = algebra.group
@@ -290,8 +289,9 @@ class StabilizerImage(NamedTuple):
 def stabilizer_image(algebra: FSemilattice, a: int) -> StabilizerImage:
     """The action image, and the permutations in it fixing ``a``.  The
     generator permutations commute on a valid algebra, so they are joined
-    in one at a time, coset by coset, as ``groups._join`` joins codes:
-    <S, p> is S u pS u p^2 S u ... up to the first coset that meets S."""
+    in one at a time, coset by coset, as ``AdditionTable.subgroup`` joins
+    codes: <S, p> is S u pS u p^2 S u ... up to the first coset that meets
+    S."""
     require_valid(algebra)
     image = {perm_identity(algebra.size)}
     for p in algebra.action:
@@ -357,9 +357,8 @@ def verify_bijection(group: GroupSpec) -> BijectionReport:
     action, so it preserves the generator's stabilizer: ``pairwise_distinct``
     reports that the generator stabilizers are pairwise distinct.  One
     addition table serves the subgroups, every fan and every stabilizer:
-    each stabilizer is read off the fan's action as a set of codes, and
-    the table's subgroup memo, filled by the enumeration, turns that set
-    into its ``Subgroup`` without a second generator search.  Every fan is
+    each stabilizer is read off the fan's action as a set of codes, which
+    the table's closure test turns into its element set.  Every fan is
     still validated before its stabilizer is read.
     """
     table = AdditionTable(group)

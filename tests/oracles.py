@@ -31,7 +31,6 @@ from fslat.algebras import (
 )
 from fslat.constructions import VerificationError, twisted_multiple
 from fslat.groups import (
-    AdditionTable,
     Element,
     GroupSpec,
     InfiniteGroupError,
@@ -637,39 +636,14 @@ def _closure(group: GroupSpec, seed) -> set[Element]:
     return out
 
 
-def _minimal_generators(
-    group: GroupSpec, elems: set[Element]
-) -> tuple[tuple[Element, ...], set[Element]]:
-    """Generators of <elems>, and <elems> itself.
-
-    The greedy pass takes each element of sorted ``elems`` that the subgroup
-    found so far misses, so it ends with <elems>.  Only when that is
-    ``elems`` does the second pass drop each generator the others already
-    generate, comparing sizes inside a subgroup.  ``elems`` must have a
-    finite closure.
-    """
-    gens: list[Element] = []
-    have = {identity(group)}
-    for g in sorted(elems):
-        if g not in have:
-            gens.append(g)
-            have = _join(have, g, lambda a, b: mul(group, a, b))
-    if have == elems:
-        for g in list(gens):
-            rest = [h for h in gens if h != g]
-            if len(_closure(group, rest)) == len(elems):
-                gens = rest
-    return tuple(gens), have
-
-
 def reference_closure_subgroup_from_elements(group: GroupSpec, elems) -> Subgroup:
     """Validate an element set as a subgroup and put it in canonical form.
 
-    The set is a subgroup exactly when it equals the subgroup it generates,
-    which the generator search computes anyway.  Only a set that fails is
-    walked pair by pair, to name the missing inverse or product.  A set with
-    a nonzero coordinate on an infinite factor is never a finite subgroup;
-    it skips the search, whose closure would not end.
+    The set is a subgroup exactly when it equals the subgroup it generates
+    (``_closure``).  Only a set that fails is walked pair by pair, to name
+    the missing inverse or product.  A set with a nonzero coordinate on an
+    infinite factor is never a finite subgroup; it skips the closure, which
+    would not end.
     """
     elems = {reduce_element(group, e) for e in elems}
     if not elems:
@@ -677,9 +651,8 @@ def reference_closure_subgroup_from_elements(group: GroupSpec, elems) -> Subgrou
     if identity(group) not in elems:
         raise NotASubgroupError("identity element missing")
     if all(c == 0 for e in elems for c, k in zip(e, group.orders) if k == 0):
-        gens, generated = _minimal_generators(group, elems)
-        if generated == elems:
-            return Subgroup(group, tuple(sorted(elems)), gens)
+        if _closure(group, sorted(elems)) == elems:
+            return Subgroup(group, tuple(sorted(elems)))
     for a in elems:
         if inv(group, a) not in elems:
             raise NotASubgroupError(f"not closed under inverse at {a}")
@@ -782,20 +755,6 @@ def reference_stabilizer(algebra: FSemilattice, a: int) -> Subgroup:
     return reference_closure_subgroup_from_elements(group, fixing)
 
 
-def _reference_minimal_generators(group: GroupSpec, elems: set[Element]) -> tuple[Element, ...]:
-    gens: list[Element] = []
-    have = {identity(group)}
-    for g in sorted(elems):
-        if g not in have:
-            gens.append(g)
-            have = _closure(group, gens)
-    for g in list(gens):
-        rest = [h for h in gens if h != g]
-        if len(_closure(group, rest)) == len(elems):
-            gens = rest
-    return tuple(gens)
-
-
 def reference_subgroup_from_elements(group: GroupSpec, elems) -> Subgroup:
     """The pair-by-pair ``subgroup_from_elements`` kept as a reference for
     the validation by closure: same subgroup, same error messages.
@@ -812,7 +771,7 @@ def reference_subgroup_from_elements(group: GroupSpec, elems) -> Subgroup:
         for b in elems:
             if mul(group, a, b) not in elems:
                 raise NotASubgroupError(f"not closed under product at {a}, {b}")
-    return Subgroup(group, tuple(sorted(elems)), _reference_minimal_generators(group, elems))
+    return Subgroup(group, tuple(sorted(elems)))
 
 
 class _UnionFind:
@@ -1081,12 +1040,11 @@ def reference_decompose_ku(algebra: FSemilattice, a: int) -> DecompositionResult
             f"{algebra.label(verdict.counterexample)!r}"
         )
     bottom = zero(algebra)
-    table = AdditionTable(group)
-    elements = table.elements
+    elements = group.elements()
     translate = {g: reference_act(algebra, g, a) for g in elements}
     k_elems = [g for g in elements if algebra.meet[a][translate[g]] != bottom]
     sub = subgroup_from_elements(group, k_elems)  # failure here would be a bug
-    coset_id = {table.elements[g]: i for i, b in enumerate(table.cosets(sub)) for g in b}
+    coset_id = {g: i for i, b in enumerate(reference_cosets(group, sub)) for g in b}
     for size in range(1, MAX_TRANSLATES + 1):
         for combo in itertools.combinations_with_replacement(elements, size):
             value = None

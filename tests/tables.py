@@ -63,7 +63,7 @@ def random_semilattices(rng, group, count, max_size=16):
     subs = [h for h in G.subgroups(group, table) if len(codes) <= 4 * h.size]
     out = []
     while len(out) < count:
-        blocks = table.cosets(rng.choice(subs))
+        blocks = [[table.index[g] for g in b] for b in G.cosets(group, rng.choice(subs))]
         points = [(b, i) for b in blocks for i in range(rng.randint(1, 2))]
         seeds = [rng.sample(points, rng.randint(1, len(points))) for _ in range(rng.randint(1, 2))]
         seeds = [[(g, i) for b, i in seed for g in b] for seed in seeds]

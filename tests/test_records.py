@@ -30,7 +30,7 @@ OLD_FIELDS = {
     A.Homomorphism: (("source", "target", "map"), {}),
     A.HomExtendResult: (("hom", "conflict"), {}),
     A.Congruence: (("algebra", "blocks"), {}),
-    G.Subgroup: (("parent", "elements", "generators"), {}),
+    G.Subgroup: (("parent", "elements"), {}),
     G.Transversal: (("parent", "subgroup", "reps"), {}),
     G.SubgroupPresentation: (("spec", "generators"), {}),
     I.IdentityCertificate: (("alpha", "holds", "a", "b", "d", "a_squared", "b_squared_d"), {}),
