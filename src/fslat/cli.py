@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import itertools
 import json
 import math
 import sys
@@ -99,12 +100,22 @@ _SCALAR_TEXT = {
 }
 
 
+@functools.cache
+def _rows_encoder(deeper: str):
+    """CPython's C encoder (it runs only without ``indent``), with every item
+    of a list of rows put on its own line at the indent ``deeper``; one per
+    indent, and it holds no state between calls."""
+    return json.JSONEncoder(separators=("," + deeper, ": "), check_circular=False).encode
+
+
 def _write(obj, chunks: list[str], newline: str) -> None:
     """Append the JSON text of ``obj`` to ``chunks``; ``newline`` is a line
     break followed by the indent of the line ``obj`` starts on.  Exact
-    scalars are written without a recursive call as the items of a list,
-    of each row (non-empty list or tuple) of a list of containers, and as
-    a dict value, in its key's chunk; anything else, subclasses too, recurses."""
+    scalars are written without a recursive call as the items of a list
+    and as a dict value, in its key's chunk.  A list of rows (non-empty
+    lists or tuples of exact scalars) is encoded in C, its row boundaries
+    then indented by one ``str.replace``.  Anything else, subclasses too,
+    recurses."""
     to_text = _SCALAR_TEXT.get(type(obj))
     if to_text is not None:
         chunks.append(to_text(obj))
@@ -119,19 +130,22 @@ def _write(obj, chunks: list[str], newline: str) -> None:
             texts = [_SCALAR_TEXT[type(item)](item) for item in obj]
         except KeyError:  # a container or a subclass among the items
             deeper = inner + "  "
+            if (
+                set(map(type, obj)) <= {list, tuple}
+                and all(obj)
+                and set(map(type, itertools.chain.from_iterable(obj))) <= _SCALAR_TEXT.keys()
+            ):
+                # "[[a,<deeper>b],<deeper>[c]]": every pattern holds a line
+                # break, which JSON text only has between items, never in a string
+                text = _rows_encoder(deeper)(obj)
+                chunks.append(
+                    "[" + inner + "[" + deeper
+                    + text[2:-2].replace("]," + deeper + "[", inner + "]," + inner + "[" + deeper)
+                    + inner + "]" + newline + "]"
+                )
+                return
             separator = "[" + inner
             for item in obj:
-                if type(item) in (list, tuple) and item:
-                    try:  # a row of exact scalars, joined in place
-                        texts = [_SCALAR_TEXT[type(value)](value) for value in item]
-                    except KeyError:
-                        pass
-                    else:
-                        chunks.append(
-                            separator + "[" + deeper + ("," + deeper).join(texts) + inner + "]"
-                        )
-                        separator = "," + inner
-                        continue
                 chunks.append(separator)
                 separator = "," + inner
                 _write(item, chunks, inner)
@@ -164,8 +178,9 @@ def dumps(obj) -> str:
     lists, tuples, str, int, float, bool and None, subclasses included; any
     other type, and a dict key that is not a str, raises ``TypeError``.
     CPython encodes in C only without ``indent``; its pure-Python indented
-    encoder costs more than most requests, and ``_write`` writes the rows
-    and scalar entries that make up most payloads without recursing."""
+    encoder costs more than most requests.  ``_write`` hands each list of
+    rows, such as ``balpha``'s sample traces, to the C encoder and writes
+    lists of scalars and scalar dict entries without recursing."""
     chunks: list[str] = []
     _write(obj, chunks, "\n")
     return "".join(chunks)
@@ -392,6 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bijection and decomposition checks, exact continuum demo.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each subcommand's parser by name, for ``run`` to hand the rest of argv to
+    parser.subcommands = sub.choices
 
     def common(p):
         p.add_argument("--out", help="write the JSON payload to this path")
@@ -473,17 +490,31 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _shared_parser() -> argparse.ArgumentParser:
     """One parser per process for ``run``: building the subcommand tree costs
-    more than most requests, and ``parse_args`` leaves the parser unchanged."""
+    more than most requests, and parsing leaves the parser and its
+    subcommands' parsers unchanged."""
     return build_parser()
 
 
 def run(argv=None) -> int:
+    """Parse ``argv`` (default ``sys.argv[1:]``), run its subcommand and
+    return the exit code.  When the first word names a subcommand, the rest
+    is parsed once, by that subcommand's parser, and a word it leaves over
+    is the top-level parser's usage error, as ``parse_args`` would make it;
+    any other argv (empty, ``-h``, an unknown word) goes to ``parse_args``."""
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse reads a value that starts with "-" and has no space as an option; a
     # quasi-identity without premises starts with "->", and its parser strips spaces.
     parsed = [" " + a if p == "--qi" and a.startswith("->") else a for p, a in zip([None, *argv], argv)]
+    parser = _shared_parser()
+    command = parser.subcommands.get(parsed[0]) if parsed else None
     try:
-        args = _shared_parser().parse_args(parsed)
+        if command is None:
+            args = parser.parse_args(parsed)
+        else:
+            args, extras = command.parse_known_args(parsed[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.command = parsed[0]
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     args.argv = argv

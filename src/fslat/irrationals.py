@@ -82,20 +82,23 @@ def sqrt_of(d: int) -> QuadraticIrrational:
     return QuadraticIrrational(0, 1, 1, d)
 
 
+# Both forms in one grammar; every number is ASCII digits ([0-9], not the
+# Unicode \d), so int() never sees a sign, a space, an underscore or another
+# script's digit that the grammar did not place there.
 _IRRATIONAL_RE = re.compile(
-    r"^\(\s*(-?\d+)\s*\+\s*(-?\d+)\s*\*\s*sqrt:(\d+)\s*\)\s*/\s*(-?\d+)$"
+    r"sqrt:([0-9]+)|\(\s*(-?[0-9]+)\s*\+\s*(-?[0-9]+)\s*\*\s*sqrt:([0-9]+)\s*\)\s*/\s*(-?[0-9]+)"
 )
 
 
 def parse_irrational(text: str) -> QuadraticIrrational:
     """Accepts ``sqrt:D`` or ``(P+Q*sqrt:D)/R``."""
     text = text.strip()
-    if text.startswith("sqrt:"):
-        return sqrt_of(int(text[5:]))
-    m = _IRRATIONAL_RE.match(text)
+    m = _IRRATIONAL_RE.fullmatch(text)
     if not m:
         raise ValueError(f"cannot parse irrational {text!r}; use sqrt:D or (P+Q*sqrt:D)/R")
-    p, q, d, r = (int(m.group(i)) for i in (1, 2, 3, 4))
+    if m.group(1) is not None:
+        return sqrt_of(int(m.group(1)))
+    p, q, d, r = (int(m.group(i)) for i in (2, 3, 4, 5))
     return QuadraticIrrational(p, q, r, d)
 
 
@@ -129,7 +132,8 @@ def compare_with_rational(alpha: QuadraticIrrational, num: int, den: int) -> int
     """Exact sign of num/den - alpha (den > 0)."""
     if den <= 0:
         raise ValueError("positive denominators only")
-    return sign_with_radical(num * alpha.r - den * alpha.p, -den * alpha.q, alpha.d)
+    p, q, r, d = alpha
+    return sign_with_radical(num * r - den * p, -den * q, d)
 
 
 class BAlphaElement(NamedTuple):
@@ -146,10 +150,14 @@ class BAlphaElement(NamedTuple):
 
 
 def cmp(alpha: QuadraticIrrational, x: BAlphaElement, y: BAlphaElement) -> int:
-    """Exact sign of x - y: (dm*r + dn*p) + dn*q*sqrt(d), all integers."""
-    dm = x.m - y.m
-    dn = x.n - y.n
-    return sign_with_radical(dm * alpha.r + dn * alpha.p, dn * alpha.q, alpha.d)
+    """Exact sign of x - y: (dm*r + dn*p) + dn*q*sqrt(d), all integers.
+    alpha, x and y are read by tuple unpacking, which costs less than
+    their NamedTuple field reads on this per-point path."""
+    p, q, r, d = alpha
+    xm, xn = x
+    ym, yn = y
+    dn = xn - yn
+    return sign_with_radical((xm - ym) * r + dn * p, dn * q, d)
 
 
 def act(alpha: QuadraticIrrational, g: tuple[int, int], x: BAlphaElement) -> BAlphaElement:
@@ -193,28 +201,30 @@ def rational_between(alpha: QuadraticIrrational, beta: QuadraticIrrational) -> t
 def _run_length(
     alpha: QuadraticIrrational, start: tuple[int, int], toward: tuple[int, int], side: int
 ) -> int:
-    """Largest k >= 0 such that the mediants (a + j*c)/(b + j*d), j = 1..k,
-    of start = a/b and toward = c/d all lie on ``side`` of alpha (-1 below,
-    +1 above); toward lies on the other side.
+    """Largest k >= 0 such that the mediants (a + j*c)/(b + j*e), j = 1..k,
+    of start = a/b and toward = c/e all lie on ``side`` of
+    alpha = (p + q*sqrt(d))/r (-1 below, +1 above); toward lies on the
+    other side.
 
-    k is floor((alpha*b - a) / (c - alpha*d)), clamped at 0.  Rationalizing
+    k is floor((alpha*b - a) / (c - alpha*e)), clamped at 0.  Rationalizing
     the denominator gives (x + y*sqrt(d))/z in integers, floored exactly via
     math.isqrt because the quotient is irrational.  Exact mediant signs then
     confirm the run ends at k, stepping by one if it did not.
     """
-    (a, b), (c, d) = start, toward
-    num = (b * alpha.p - a * alpha.r, b * alpha.q)
-    den = (c * alpha.r - d * alpha.p, -d * alpha.q)
-    x = num[0] * den[0] - num[1] * den[1] * alpha.d
+    p, q, r, d = alpha
+    (a, b), (c, e) = start, toward
+    num = (b * p - a * r, b * q)
+    den = (c * r - e * p, -e * q)
+    x = num[0] * den[0] - num[1] * den[1] * d
     y = num[1] * den[0] - num[0] * den[1]
-    z = den[0] * den[0] - den[1] * den[1] * alpha.d
+    z = den[0] * den[0] - den[1] * den[1] * d
     if z < 0:
         x, y, z = -x, -y, -z
-    root = isqrt(y * y * alpha.d)
+    root = isqrt(y * y * d)
     k = max(0, (x + (root if y >= 0 else -root - 1)) // z)
 
     def on_side(j: int) -> bool:
-        return compare_with_rational(alpha, a + j * c, b + j * d) == side
+        return compare_with_rational(alpha, a + j * c, b + j * e) == side
 
     while on_side(k + 1):
         k += 1
@@ -312,20 +322,27 @@ class SeparationReport(NamedTuple):
         }
 
 
-def _identity_samples(
+def _sample_translates(
     alpha: QuadraticIrrational, p: int, q: int, count: int
-) -> tuple[SampleLine, ...]:
-    """Whether min((p,0)x, (0,q)x) = (0,q)x at each of the first ``count``
-    sample points, evaluated at every point with the algebra's own ``act``
-    and ``meet`` (two actions and one comparison).  Elements are equal as
-    pairs exactly when equal as values (alpha is irrational), so ``==`` of
-    the two NamedTuple pairs decides the identity at x."""
+) -> tuple[tuple[BAlphaElement, BAlphaElement, BAlphaElement], ...]:
+    """(x, (p,0)x, (0,q)x) for each of the first ``count`` sample points, by
+    ``act``.  ``act`` does not read alpha: every algebra of the family has
+    the carrier Z^2 and the same two shifts, so these translates serve the
+    alpha-algebra and the beta-algebra alike."""
     shift_p, shift_q = (p, 0), (0, q)
-    lines = []
-    for x in _sample_points(count):
-        rhs = act(alpha, shift_q, x)
-        lines.append(SampleLine(x, meet(alpha, act(alpha, shift_p, x), rhs) == rhs))
-    return tuple(lines)
+    return tuple((x, act(alpha, shift_p, x), act(alpha, shift_q, x)) for x in _sample_points(count))
+
+
+def _identity_samples(
+    alpha: QuadraticIrrational,
+    translates: tuple[tuple[BAlphaElement, BAlphaElement, BAlphaElement], ...],
+) -> tuple[SampleLine, ...]:
+    """Whether min((p,0)x, (0,q)x) = (0,q)x at each point x of
+    ``translates`` (``_sample_translates``), evaluated at every point with
+    the alpha-algebra's own ``meet``, one comparison by ``cmp``.  Elements
+    are equal as pairs exactly when equal as values (alpha is irrational),
+    so ``==`` of the two NamedTuple pairs decides the identity at x."""
+    return tuple(SampleLine(x, meet(alpha, lhs, rhs) == rhs) for x, lhs, rhs in translates)
 
 
 def check_separating_identity(
@@ -341,7 +358,9 @@ def check_separating_identity(
     The universal verdict is the exact sign of p - q*alpha (the identity never
     depends on x); the samples are an illustrative trace on a finite window
     of ``MAX_SAMPLES`` points, and a count outside 0..``MAX_SAMPLES`` raises
-    ``ValueError``.
+    ``ValueError``.  Each point's two translates are formed once, by ``act``,
+    and shared by both algebras; each algebra then decides the identity there
+    with its own ``meet``, one comparison per point and side.
     """
     if q <= 0:
         raise ValueError("q must be positive")
@@ -349,7 +368,8 @@ def check_separating_identity(
         raise ValueError("need alpha < p/q < beta")
     cert_a = _identity_certificate(alpha, p, q)
     cert_b = _identity_certificate(beta, p, q)
-    samples_a = _identity_samples(alpha, p, q, sample_count)
-    samples_b = _identity_samples(beta, p, q, sample_count)
+    translates = _sample_translates(alpha, p, q, sample_count)
+    samples_a = _identity_samples(alpha, translates)
+    samples_b = _identity_samples(beta, translates)
     witness = next((s.x for s in samples_b if not s.equal), None)
     return SeparationReport(p, q, cert_a, cert_b, samples_a, samples_b, witness)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fslat import algebras as A
@@ -491,6 +492,13 @@ _PAYLOADS = st.recursive(
 
 @settings(max_examples=150, deadline=None)
 @given(_PAYLOADS)
+# strings holding the row writer's patterns and JSON's escapes
+@example([["],", '","', "["], ['"', "\\", "\n", " "], ["],\n    [", "],\\n    [", "\t\u00e9"]])
+@example([[math.nan, math.inf], [-math.inf, 2**64, -(2**70) - 1, 10**40]])
+@example((("a", 1), [2.5, None], (True, False)))
+@example({"a": {"b": {"c": [[1, 2], ("x",)], "d": 1}}})
+@example([[1, 2], {"k": [3, [4]]}, (5,), []])
+@example([[1], ()])
 def test_dumps_inline_rows_and_entries_match_json_dumps_indent_2(value):
     assert cli.dumps(value) == json.dumps(value, indent=2)
 
@@ -524,10 +532,11 @@ def test_module_entrypoint_subprocess():
     assert json.loads(result.stdout)["count"] == 8
 
 
-def test_run_reuses_one_parser(capsys, monkeypatch, tmp_path):
+def _parser_corpus(tmp_path):
+    """Interleaved subcommands, usage errors and ``--help``, over a fan file."""
     fan = C.maroti(G.make_group([4]), G.subgroup_from_elements(G.make_group([4]), [(0,), (2,)]))
     path = write_algebra(tmp_path, fan)
-    argvs = [
+    return [
         ["build", "ak", "--k", "2"],
         ["validate", "--algebra", path],
         ["no-such-command"],
@@ -540,26 +549,77 @@ def test_run_reuses_one_parser(capsys, monkeypatch, tmp_path):
         ["group", "subgroups", "--help"],
     ]
 
-    def outcomes():
-        out = []
-        for argv in argvs:
-            code = run(argv)
-            captured = capsys.readouterr()
-            out.append((code, captured.out, captured.err))
-        return out
 
+def _outcomes(capsys, argvs):
+    """Exit code, stdout and stderr of ``run`` on each argv; a ``--meta``
+    payload's clock reading is dropped."""
+    out = []
+    for argv in argvs:
+        code = run(argv)
+        captured = capsys.readouterr()
+        stdout = captured.out
+        if '"meta"' in stdout:
+            stdout = json.loads(stdout)["payload"]
+        out.append((code, stdout, captured.err))
+    return out
+
+
+def test_run_reuses_one_parser(capsys, monkeypatch, tmp_path):
+    argvs = _parser_corpus(tmp_path)
     assert cli._shared_parser() is cli._shared_parser()
     assert cli.build_parser() is not cli.build_parser()
-    shared = outcomes()
+    shared = _outcomes(capsys, argvs)
     monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
-    fresh = outcomes()
+    fresh = _outcomes(capsys, argvs)
     assert [code for code, _, _ in shared] == [0, 0, 2, 1, 0, 2, 0, 0, 0, 0]
-    for (code, out, err), (code2, out2, err2) in zip(shared, fresh):
-        assert code == code2 and err == err2
-        if '"meta"' in out:
-            # meta carries a clock reading; the canonical payload must match
-            out, out2 = json.loads(out)["payload"], json.loads(out2)["payload"]
-        assert out == out2
+    assert shared == fresh
+
+
+def test_run_parses_like_a_whole_argv_parse(capsys, monkeypatch, tmp_path):
+    # ``run`` hands the words after a subcommand to that subcommand's parser;
+    # the reference parses every argv whole, with the top-level ``parse_args``
+    balpha = ["balpha", "--alpha", "sqrt:2", "--beta", "sqrt:3", "--samples", "2"]
+    argvs = _parser_corpus(tmp_path)
+    fan = argvs[1][-1]
+    argvs += [
+        [],
+        ["-h"],
+        ["balpha", "-h"],
+        ["balpha", "--he"],
+        ["group"],
+        ["group", "-h"],
+        ["group", "no-such-subcommand"],
+        ["group", "subgroups", "--orders", "2", "extra"],
+        ["no-such-command", "--alpha", "sqrt:2"],
+        ["--alpha", "sqrt:2"],
+        ["Balpha"],
+        ["bal"],
+        ["", "balpha"],
+        balpha,
+        ["balpha", "--alp", "sqrt:2", "--be", "sqrt:3", "--sam", "2"],
+        ["balpha", "--alpha=sqrt:2", "--beta", "sqrt:3", "--samples=1"],
+        balpha + ["extra", "words"],
+        balpha + ["--unknown", "1"],
+        balpha + ["--"],
+        balpha + ["--", "extra"],
+        ["balpha", "--", "--alpha", "sqrt:2", "--beta", "sqrt:3"],
+        ["--", "balpha", "--alpha", "sqrt:2", "--beta", "sqrt:3"],
+        ["balpha", "--alpha", "sqrt:2"],
+        ["balpha", "--samples", "x", "--alpha", "sqrt:2", "--beta", "sqrt:3"],
+        ["balpha", "--alpha", "sqrt:2", "--beta", "sqrt:3", "--meta", "--help"],
+        ["build", "nope"],
+        ["build", "ak", "--k", "2", "--k", "3"],
+        ["build", "ak", "ak", "--k", "2"],
+        ["quasi", "--algebra", fan, "--qi", "->x=y"],
+        ["quasi", "--algebra", fan, "--qi", "-> x = x"],
+        ["quasi", "--algebra", fan, "--qi"],
+        ["validate", "--algebra", fan, "-x"],
+    ]
+    dispatched = _outcomes(capsys, argvs)
+    whole = cli.build_parser()
+    whole.subcommands = {}  # no first word names a subcommand: every argv goes to parse_args
+    monkeypatch.setattr(cli, "_shared_parser", lambda: whole)
+    assert dispatched == _outcomes(capsys, argvs)
 
 
 def _shape_cases():

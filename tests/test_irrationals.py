@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fslat import cli
 from fslat import irrationals as I
 from oracles import reference_identity_samples, reference_rational_between
 
@@ -49,6 +50,37 @@ def test_parse_irrational():
         I.parse_irrational("pi")
     for value in (SQRT2, I.QuadraticIrrational(1, 2, 3, 5)):
         assert I.parse_irrational(str(value)) == value
+
+
+# Numbers the grammar does not place: int() alone would read the first four
+# (1_0 as 10, +2, " 2" and the Arabic-Indic three as 3) and fail on the last
+# two with a message that names no grammar.
+MALFORMED_IRRATIONALS = [
+    "sqrt:1_0",
+    "sqrt:+2",
+    "sqrt: 2",
+    "sqrt:\u0663",
+    "sqrt:",
+    "sqrt:2x",
+    "(1_0+1*sqrt:3)/2",
+    "(1+1*sqrt:\u0663)/2",
+    "(\u0663+1*sqrt:3)/2",
+    "(1+1*sqrt:3)/\u0663",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_IRRATIONALS)
+def test_malformed_irrationals_are_usage_errors(text, capsys):
+    message = f"cannot parse irrational {text!r}; use sqrt:D or (P+Q*sqrt:D)/R"
+    with pytest.raises(ValueError) as excinfo:
+        I.parse_irrational(text)
+    assert str(excinfo.value) == message
+    for flag in ("--alpha", "--beta"):
+        argv = ["balpha", "--alpha", "sqrt:2", "--beta", "sqrt:3"]
+        argv[argv.index(flag) + 1] = text
+        assert cli.run(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 def test_compare_values_across_radicands():
@@ -174,16 +206,22 @@ def test_identity_holds_iff_q_alpha_below_p():
 def test_identity_samples_match_the_reference_on_the_whole_window():
     rng = random.Random(20261019)
     radicands = [2, 3, 5, 6, 7, 10, 11, 13]
-    verdicts = set()
+    cases = []
     for _ in range(60):
         alpha = I.QuadraticIrrational(
             rng.randint(-9, 9), rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 5),
             rng.choice(radicands),
         )
         p, q = rng.randint(-9, 9), rng.randint(-9, 9)
-        lines = I._identity_samples(alpha, p, q, I.MAX_SAMPLES)
-        assert [(m, n, equal) for (m, n), equal in lines] == reference_identity_samples(alpha, p, q)
-        verdicts.update(equal for _, equal in lines)
+        cases.append((alpha, p, q))
+    verdicts = set()
+    # each case's translates, formed once, serve its alpha and, as beta, the next case's
+    for (alpha, p, q), (beta, _, _) in zip(cases, cases[1:] + cases[:1]):
+        translates = I._sample_translates(alpha, p, q, I.MAX_SAMPLES)
+        for side in (alpha, beta):
+            lines = I._identity_samples(side, translates)
+            assert [(m, n, equal) for (m, n), equal in lines] == reference_identity_samples(side, p, q)
+            verdicts.update(equal for _, equal in lines)
     assert verdicts == {True, False}
 
 
