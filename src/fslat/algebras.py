@@ -89,13 +89,6 @@ def perm_compose(p: Perm, q: Perm) -> Perm:
     return tuple(map(p.__getitem__, q))
 
 
-def perm_inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v] = i
-    return tuple(out)
-
-
 def cycle(p: Perm, x: int) -> list[int]:
     """x's cycle under p, from x: p^c(x) is ``orbit[c % len(orbit)]`` for
     ``orbit = cycle(p, x)`` and every integer c, negative or huge."""
@@ -212,12 +205,6 @@ class FSemilattice(
 
     def label(self, x: int) -> str:
         return self.carrier[x]
-
-    @cached_property
-    def moves(self) -> tuple[Perm, ...]:
-        """Move k of a derivation (``derive``): generator permutation k // 2,
-        inverted when k is odd."""
-        return tuple(m for p in self.action for m in (p, perm_inverse(p)))
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -400,19 +387,19 @@ def cover_edges(algebra: FSemilattice) -> tuple[tuple[int, int], ...]:
 def derive(algebra: FSemilattice, a: int) -> tuple[list[int], list[tuple]]:
     """The one closure routine: the elements of the subalgebra generated by
     ``a`` in the order reached, and the step that first reached each one
-    after ``a``: ("move", i, k), move k (``FSemilattice.moves``) of the i-th
+    after ``a``: ("move", i, k), generator permutation k of the i-th
     element, or ("meet", i, j), the meet of the i-th and the j-th.  Breadth
-    first, each element is moved by every generator permutation and then
-    its inverse, then met with each element reached up to it, which closes
-    every unordered pair on a commutative meet table."""
+    first, each element is moved by every generator permutation, then met
+    with each element reached up to it, which closes every unordered pair on
+    a commutative meet table.  No inverse is needed: p^-1 = p^(ord p - 1)."""
     require_valid(algebra)
-    moves, meet = algebra.moves, algebra.meet
+    action, meet = algebra.action, algebra.meet
     seen = [False] * algebra.size
     seen[a] = True
     order, steps = [a], []
     # order grows while it is walked; the list iterator sees the appends
     for i, x in enumerate(order):
-        for k, p in enumerate(moves):
+        for k, p in enumerate(action):
             x2 = p[x]
             if not seen[x2]:
                 seen[x2] = True
@@ -431,10 +418,10 @@ def derive(algebra: FSemilattice, a: int) -> tuple[list[int], list[tuple]]:
 def replay(derivation: tuple[list[int], list[tuple]], target: FSemilattice, b: int) -> list[int]:
     """A derivation from a, taken in ``target`` from ``b``: t(b) for the
     term t(x) that reaches each t(a), in the order reached."""
-    moves, meet = target.moves, target.meet
+    action, meet = target.action, target.meet
     image = [b]
     for kind, u, v in derivation[1]:
-        image.append(moves[v][image[u]] if kind == "move" else meet[image[u]][image[v]])
+        image.append(action[v][image[u]] if kind == "move" else meet[image[u]][image[v]])
     return image
 
 
@@ -502,12 +489,12 @@ def hom_extend(
     target from ``b``, which gives the only candidate map.  Every step of
     the closure, in the order ``derive`` walks them, is then checked
     against it: a move or meet of reached elements must land on the move or
-    meet of their images.  At the first step that does not, two derivations
-    of one source element disagree on the target side, so the map is not
-    well-defined; the terms in ``x`` of the two derivations are returned as
-    the witness: they agree at x = ``a`` but not at x = ``b``.  Otherwise
-    the map is the unique homomorphism sending ``a`` to ``b``, and it is
-    surjective onto the subalgebra generated by ``b``.
+    meet of their images (a total f with f.p = q.f has f.p^-1 = q^-1.f).
+    At the first step that does not, two derivations of one source element
+    disagree on the target side, so the map is not well-defined; the terms
+    in ``x`` of the two derivations are returned as the witness: they agree
+    at x = ``a`` but not at x = ``b``.  Otherwise the map is the unique
+    homomorphism sending ``a`` to ``b``, onto the subalgebra ``b`` generates.
     """
     require_valid(source)
     require_valid(target)
@@ -522,7 +509,7 @@ def hom_extend(
 
     def clash(x2: int, step: tuple) -> HomExtendResult:
         group = source.group
-        translations = [elementary(group, i, e) for i in range(group.rank) for e in (1, -1)]
+        translations = [elementary(group, i) for i in range(group.rank)]
         terms = [var("x", group)]
         for kind, u, v in steps + [step]:
             terms.append(
@@ -532,7 +519,7 @@ def hom_extend(
             )
         return HomExtendResult(None, (terms[order.index(x2)], terms[-1]))
 
-    moves = list(zip(source.moves, target.moves))
+    moves = list(zip(source.action, target.action))
     smeet, tmeet = source.meet, target.meet
     for i, x in enumerate(order):
         y = image[x]

@@ -46,7 +46,7 @@ class GroupSpec(NamedTuple("GroupSpec", [("orders", tuple[int, ...])])):
 
     @property
     def is_finite(self) -> bool:
-        return all(k >= 1 for k in self.orders)
+        return 0 not in self.orders
 
     def order(self) -> int | None:
         """Group order, or None when an infinite factor is present."""

@@ -215,13 +215,19 @@ def is_minimal_free(algebra: FSemilattice, a: int) -> MinimalityVerdict:
     Each generator permutation s is an automorphism that commutes with the
     action, so b and s(b) pass or fail together: when b passes, its orbit is
     marked as passed and skipped, and the first failing element is the one
-    the element-by-element scan finds.
+    the element-by-element scan finds.  a's orbit is a and what moves reach
+    from it in the derivation (no meet first reaches g(a), as g(a) <= h(a)
+    forces g(a) = h(a)); replayed from b, those positions are b's orbit.
     """
     if algebra.size == 1:
         raise ValueError("minimality test needs a nontrivial algebra")
     derivation = derive(algebra, a)
     if len(derivation[0]) < algebra.size:
         raise NotGeneratedError(f"{algebra.label(a)!r} does not generate the algebra")
+    orbit = {0}
+    for i, (kind, u, _) in enumerate(derivation[1], 1):
+        if kind == "move" and u in orbit:
+            orbit.add(i)
     bottom = zero(algebra)
     passed = [False] * algebra.size
     checked = 0
@@ -231,14 +237,11 @@ def is_minimal_free(algebra: FSemilattice, a: int) -> MinimalityVerdict:
         checked += 1
         if passed[b]:
             continue
-        if len(set(replay(derivation, algebra, b))) < algebra.size:
+        image = replay(derivation, algebra, b)
+        if len(set(image)) < algebra.size:
             return MinimalityVerdict(False, b, checked)
-        orbit = [b]
-        for x in orbit:
-            for p in algebra.action:
-                if not passed[p[x]]:
-                    passed[p[x]] = True
-                    orbit.append(p[x])
+        for i in orbit:
+            passed[image[i]] = True
     return MinimalityVerdict(True, None, checked)
 
 
@@ -361,14 +364,15 @@ def verify_bijection(group: GroupSpec) -> BijectionReport:
     the table's closure test turns into its element set.  Every fan is
     still validated before its stabilizer is read.
     """
-    table = AdditionTable(group)
+    table, order = AdditionTable(group), group.order()
     entries, stabilizers = [], set()
     for sub in subgroups(group, table):
         fan = maroti(group, sub, table)
-        minimal = is_minimal_free(fan, 0).minimal if sub.is_proper else None
+        proper = sub.size < order
+        minimal = is_minimal_free(fan, 0).minimal if proper else None
         stab = stabilizer(fan, 0, table).elements
         stabilizers.add(stab)
-        entries.append(BijectionEntry(sub, fan.size, sub.is_proper, minimal, stab == sub.elements))
+        entries.append(BijectionEntry(sub, fan.size, proper, minimal, stab == sub.elements))
     return BijectionReport(group, tuple(entries), len(stabilizers) == len(entries))
 
 

@@ -25,7 +25,6 @@ from fslat.algebras import (
     meet_terms,
     perm_compose,
     perm_identity,
-    perm_inverse,
     var,
     zero,
 )
@@ -55,6 +54,13 @@ from fslat.quasivar import (
     StabilizerImage,
     make_quasi_identity,
 )
+
+
+def perm_inverse(p: Perm) -> Perm:
+    out = [0] * len(p)
+    for i, v in enumerate(p):
+        out[v] = i
+    return tuple(out)
 
 
 def _close_mul(group: GroupSpec, seed):
@@ -223,12 +229,9 @@ def witness_violates(algebra: FSemilattice, axiom: str, witness) -> bool:
 
 
 def _generator_moves(algebra: FSemilattice):
-    """Generator and inverse-generator permutations with their group elements."""
-    moves = []
-    for i, p in enumerate(algebra.action):
-        moves.append((elementary(algebra.group, i, 1), p))
-        moves.append((elementary(algebra.group, i, -1), perm_inverse(p)))
-    return moves
+    """Generator permutations with their group elements; a set closed under
+    each permutation of a finite carrier is closed under its inverse."""
+    return [(elementary(algebra.group, i), p) for i, p in enumerate(algebra.action)]
 
 
 def reference_hom_extend(
@@ -239,10 +242,10 @@ def reference_hom_extend(
 
     Try to extend ``a -> b`` to the canonical homomorphism t(a) -> t(b).
 
-    The relation {(a, b)} is closed under generator application (both
-    directions) and meet-pairing while tracking, for each reached source
-    element, one term in ``x`` that produced it.  If two derivations of the
-    same source element disagree on the target side, the map is not
+    The relation {(a, b)} is closed under generator application (forward
+    only, as in ``derive``) and meet-pairing while tracking, for each
+    reached source element, one term in ``x`` that produced it.  If two
+    derivations of the same source element disagree on the target side, the map is not
     well-defined and the two terms form the returned witness: they agree at
     x = ``a`` but not at x = ``b``.  Otherwise the closure is the unique homomorphism sending
     ``a`` to ``b``, and it is surjective onto the subalgebra generated by ``b``.
@@ -440,6 +443,33 @@ def reference_act(algebra: FSemilattice, g: Element, x: int) -> int:
         for _ in range(c % reference_perm_order(p)):
             y = p[y]
     return y
+
+
+def reference_eval_unary(algebra: FSemilattice, term: Term, x: int) -> int:
+    """A term in one variable at ``x``: the meet of its translates g(x),
+    each applied step by step (``reference_act``)."""
+    values = [reference_act(algebra, g, x) for g, _ in term.pairs]
+    value = values[0]
+    for other in values[1:]:
+        value = algebra.meet[value][other]
+    return value
+
+
+def reference_orbits(algebra: FSemilattice) -> list[frozenset[int]]:
+    """Each element's orbit under the action: the closure of {x} under every
+    generator permutation and its inverse, searched from each x alone."""
+    moves = [m for p in algebra.action for m in (p, perm_inverse(p))]
+    orbits = []
+    for x in range(algebra.size):
+        orbit, queue = {x}, [x]
+        while queue:
+            y = queue.pop()
+            for p in moves:
+                if p[y] not in orbit:
+                    orbit.add(p[y])
+                    queue.append(p[y])
+        orbits.append(frozenset(orbit))
+    return orbits
 
 
 def reference_stabilizer_image(algebra: FSemilattice, a: int) -> StabilizerImage:

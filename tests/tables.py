@@ -9,6 +9,7 @@ from __future__ import annotations
 from fslat import algebras as A
 from fslat import constructions as C
 from fslat import groups as G
+from oracles import perm_inverse
 
 
 def random_tables(rng, group, count):
@@ -146,7 +147,7 @@ def opposite(algebra):
         group=algebra.group,
         carrier=algebra.carrier,
         meet=algebra.meet,
-        action=tuple(A.perm_inverse(p) for p in algebra.action),
+        action=tuple(perm_inverse(p) for p in algebra.action),
     )
 
 

@@ -21,6 +21,7 @@ from oracles import (
     reference_hom_extend,
     reference_is_isomorphic_1gen,
     reference_act,
+    reference_eval_unary,
     reference_perm_order,
     reference_principal_congruence,
     reference_validate_axioms,
@@ -789,7 +790,11 @@ def _hom_extend_outcome(extend, src, a, dst, b):
 
 
 def test_hom_extend_matches_reference_on_small_groups():
+    # every clash witness is also checked by its defining property, with
+    # the reference action: its terms agree at x = a in the source and
+    # differ at x = b in the target
     kinds = set()
+    clashes = 0
     for algebras in _fans_opposites_and_a7(8).values():
         for src in algebras:
             for dst in algebras:
@@ -799,8 +804,13 @@ def test_hom_extend_matches_reference_on_small_groups():
                         want = _hom_extend_outcome(reference_hom_extend, src, a, dst, b)
                         assert got == want, (src, a, dst, b)
                         kinds.add(got if isinstance(got, type) else got[0])
+                        if not isinstance(got, type) and not got[0]:
+                            s, t = got[2]
+                            assert reference_eval_unary(src, s, a) == reference_eval_unary(src, t, a)
+                            assert reference_eval_unary(dst, s, b) != reference_eval_unary(dst, t, b)
+                            clashes += 1
     # the cases cover extensions, conflicts and non-generating sources
-    assert kinds == {True, False, A.NotGeneratedError}
+    assert kinds == {True, False, A.NotGeneratedError} and clashes > 100, clashes
 
 
 def _extension_map_outcome(extend, src, a, dst, b):

@@ -17,6 +17,7 @@ from fslat import cli
 from fslat import constructions as C
 from fslat import groups as G
 from fslat.cli import hasse_dot, run
+from fslat.irrationals import MAX_DIGITS
 from tables import rotated_hexagon_fan
 
 
@@ -823,6 +824,39 @@ def test_hostile_sizes_are_usage_errors(capsys, tmp_path, argv, accepted):
     # a size at the cap, above every size the tests and the benchmark use
     assert run([arg.format(**paths) for arg in accepted]) == 0
     capsys.readouterr()
+
+
+def _balpha_at_digit_cap(longer=None):
+    """A balpha request whose P, Q, D and R all have ``MAX_DIGITS`` digits,
+    D zero-padded, in lowest terms; the one named ``longer`` gets one more."""
+    n = MAX_DIGITS
+    numbers = {"P": "1" + "0" * (n - 1), "Q": "9" * n, "D": "999999937".zfill(n), "R": "7" * n}
+    if longer:
+        numbers[longer] = ("0" if longer == "D" else "1") + numbers[longer]
+    alpha = "({P}+{Q}*sqrt:{D})/{R}".format(**numbers)
+    beta = "(-{R}+{Q}*sqrt:{D})/{P}".format(**{**numbers, "R": "8" * n})
+    return ["balpha", "--alpha", alpha, "--beta", beta]
+
+
+def test_balpha_at_the_digit_cap_prints_its_payload(capsys):
+    argv = _balpha_at_digit_cap()
+    code, payload = invoke_json(capsys, argv)
+    assert code == 0 and payload["report"]["separates"]
+    # printed as given, in lowest terms, but for D's leading zeros
+    padded = "sqrt:" + "999999937".zfill(MAX_DIGITS)
+    assert [payload["alpha"], payload["beta"]] == [
+        arg.replace(padded, "sqrt:999999937") for arg in argv[2::2]
+    ]
+
+
+@pytest.mark.parametrize("longer", ["P", "Q", "D", "R"])
+def test_balpha_past_the_digit_cap_is_a_usage_error(capsys, longer):
+    # refused at parse time, before the search that once ran to the end
+    # and then failed to print a 4,000-digit payload
+    assert run(_balpha_at_digit_cap(longer)) == 2
+    captured = capsys.readouterr()
+    assert_usage_error(captured.out, captured.err)
+    assert f"a {MAX_DIGITS + 1}-digit number" in captured.err
 
 
 # Groups of thousands of cyclic factors: validation compares every pair of

@@ -18,6 +18,7 @@ from oracles import (
     reference_holds_quasi_identity,
     reference_is_isomorphic_1gen,
     reference_is_minimal_free,
+    reference_orbits,
     reference_perm_order,
     reference_separating_quasi_identity,
     reference_stabilizer,
@@ -702,7 +703,9 @@ def test_generated_by_matches_reference_closure():
     # ``subalgebra_generated``, which reads the closure of ``derive`` in
     # place of ``generated_by``'s leak-checked one, returns the subset and
     # the induced algebra of the verbatim ``generated_by`` on every valid
-    # table; a random table that fails an axiom is refused
+    # table; a random table that fails an axiom is refused.  The a_k put
+    # derive's forward moves against the reference's two-way ones on cycles
+    # of lengths 1 to 6 under an infinite cyclic factor
     rng = random.Random(977)
     built = refused = 0
     for orders in ([2], [4], [2, 2], [0], [2, 3]):
@@ -710,6 +713,8 @@ def test_generated_by_matches_reference_closure():
         tables = random_tables(rng, group, 30)
         if group.is_finite:
             tables += random_semilattices(rng, group, 10)
+        else:
+            tables += [C.a_k(k) for k in range(1, 7)]
         for table in tables:
             if refusal(table):
                 with pytest.raises(A.InvalidAlgebraError, match=re.escape(refusal(table)[1])):
@@ -735,9 +740,11 @@ def test_is_minimal_free_matches_reference(monkeypatch):
     # one injective replay of the generator's derivation per element, with
     # the orbit skip, leaves verdict, counterexample and checked as the
     # element-by-element scan with a subalgebra closure and two extensions
-    # has them, on every valid algebra; ``tested`` counts the elements the
-    # fast scan really replays, to show that it skips some.  A table that
-    # fails an axiom is refused
+    # has them, on every valid algebra; ``tested`` lists the elements the
+    # fast scan really replays: one per orbit of nonzero elements decided
+    # up to the verdict, its least, with the orbits found by the reference
+    # search, so an orbit read off the replay too small would show.  A table
+    # that fails an axiom is refused
     tested = []
     replay = Q.replay
     monkeypatch.setattr(
@@ -756,6 +763,7 @@ def test_is_minimal_free_matches_reference(monkeypatch):
     verdicts = set()
     refused = 0
     for kind, algebra in cases:
+        least = [min(orbit) for orbit in reference_orbits(algebra)]
         for a in range(algebra.size):
             tested.clear()
             got = _minimality_outcome(Q.is_minimal_free, algebra, a)
@@ -767,6 +775,9 @@ def test_is_minimal_free_matches_reference(monkeypatch):
             if isinstance(got, Q.MinimalityVerdict):
                 verdicts.add(got.minimal)
                 skipped[kind] += got.checked - len(tested)
+                bottom = A.zero(algebra)
+                decided = [b for b in range(algebra.size) if b != bottom][: got.checked]
+                assert tested == [b for b in decided if least[b] == b], (algebra, a)
     assert verdicts == {True, False} and refused > 500
     # valid algebras, built or drawn at random, skip elements
     assert skipped[None] > 1000 and skipped["random"] > 20, skipped

@@ -268,5 +268,4 @@ def test_checked_records_refuse_bad_fields(build, message):
 def test_semilattice_tables_are_cached():
     fan = _four()[1]
     assert fan.validation.ok and fan.validation is fan.validation
-    assert fan.moves is fan.moves and fan.moves == ((1, 0, 2), (1, 0, 2))
-    assert {"validation", "moves"} <= set(vars(fan))
+    assert "validation" in vars(fan)
