@@ -23,7 +23,7 @@ from fslat.cli import MAX_GROUP_ORDER, dumps
 
 def max_order(text: str) -> int:
     """A group order bound in [1, MAX_GROUP_ORDER], the range ``fslat`` accepts."""
-    value = int(text)
+    value = G.parse_int(text)
     if not 1 <= value <= MAX_GROUP_ORDER:
         raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_GROUP_ORDER}, got {value}")
     return value

@@ -12,12 +12,13 @@ Usage: python scripts/separating_demo.py sqrt:2 sqrt:3
 
 import argparse
 
+from fslat import groups as G
 from fslat import irrationals as I
 
 
 def sample_count(text: str) -> int:
     """A trace length in [0, MAX_SAMPLES], the window ``fslat balpha`` traces."""
-    value = int(text)
+    value = G.parse_int(text)
     if not 0 <= value <= I.MAX_SAMPLES:
         raise argparse.ArgumentTypeError(f"must be between 0 and {I.MAX_SAMPLES}, got {value}")
     return value

@@ -55,7 +55,6 @@ from .quasivar import (
     separating_quasi_identity,
     simplicity_and_quotient_report,
     stabilizer,
-    stabilizer_image,
     verify_bijection,
 )
 from .irrationals import (

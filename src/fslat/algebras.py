@@ -84,11 +84,6 @@ def perm_identity(n: int) -> Perm:
     return tuple(range(n))
 
 
-def perm_compose(p: Perm, q: Perm) -> Perm:
-    """(p . q)(x) = p(q(x))."""
-    return tuple(map(p.__getitem__, q))
-
-
 def cycle(p: Perm, x: int) -> list[int]:
     """x's cycle under p, from x: p^c(x) is ``orbit[c % len(orbit)]`` for
     ``orbit = cycle(p, x)`` and every integer c, negative or huge."""

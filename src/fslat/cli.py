@@ -42,9 +42,17 @@ def _check_orders(orders) -> None:
 
 
 def _parse_orders(text: str) -> groups.GroupSpec:
-    orders = [int(p) for p in text.split(",")]
+    orders = [groups.parse_int(p) for p in text.split(",")]
     _check_orders(orders)
     return groups.make_group(orders)
+
+
+def _int_flag(text: str) -> int:
+    """``groups.parse_int`` for argparse, which prints this error's message, not the type's name."""
+    try:
+        return groups.parse_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_elements(text: str) -> list[groups.Element]:
@@ -428,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--transversal", help="coset representatives, same syntax as --subgroup")
     p_build.add_argument("--u", choices=["trivial", "chain2"],
                          help="factor algebra for twisted builds (default: trivial)")
-    p_build.add_argument("--k", type=int, help="atom count for ak")
+    p_build.add_argument("--k", type=_int_flag, help="atom count for ak")
     common(p_build)
     p_build.set_defaults(func=_cmd_build)
 
@@ -469,17 +477,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_simp = sub.add_parser("simplicity", help="congruence census and quotient exclusion")
     p_simp.add_argument("--algebra", required=True)
     p_simp.add_argument("--generator")
-    p_simp.add_argument("--limit", type=int, default=24, help="congruence carrier limit")
+    p_simp.add_argument("--limit", type=_int_flag, default=24, help="congruence carrier limit")
     common(p_simp)
     p_simp.set_defaults(func=_cmd_simplicity)
 
     p_balpha = sub.add_parser("balpha", help="exact separating-identity demo on {m+n*alpha}")
     p_balpha.add_argument("--alpha", required=True, help="sqrt:D or (P+Q*sqrt:D)/R")
     p_balpha.add_argument("--beta", required=True)
-    p_balpha.add_argument("--p", type=int,
+    p_balpha.add_argument("--p", type=_int_flag,
                           help="numerator of a rational between, with --q (default: search)")
-    p_balpha.add_argument("--q", type=int, help="denominator of a rational between, with --p")
-    p_balpha.add_argument("--samples", type=int, default=25,
+    p_balpha.add_argument("--q", type=_int_flag, help="denominator of a rational between, with --p")
+    p_balpha.add_argument("--samples", type=_int_flag, default=25,
                           help=f"sample points to trace, 0..{irrationals.MAX_SAMPLES}")
     common(p_balpha)
     p_balpha.set_defaults(func=_cmd_balpha)

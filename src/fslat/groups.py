@@ -11,6 +11,7 @@ routines work on integer codes added through one ``AdditionTable`` per call.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import cached_property
 from math import gcd, prod
 from typing import NamedTuple
@@ -89,11 +90,9 @@ def inv(group: GroupSpec, a: Element) -> Element:
     return reduce_element(group, tuple(-x for x in a))
 
 
-def elementary(group: GroupSpec, i: int, power: int = 1) -> Element:
-    """The i-th coordinate generator raised to ``power``."""
-    coords = [0] * group.rank
-    coords[i] = power
-    return reduce_element(group, coords)
+def elementary(group: GroupSpec, i: int) -> Element:
+    """The i-th coordinate generator."""
+    return reduce_element(group, [int(j == i) for j in range(group.rank)])
 
 
 def element_order(group: GroupSpec, a: Element) -> int:
@@ -113,8 +112,15 @@ def format_element(a: Element) -> str:
     return ",".join(map(str, a))
 
 
+def parse_int(text: str) -> int:
+    """An integer in ASCII digits, with an optional leading ``-`` and spaces around it."""
+    if not re.fullmatch(r"\s*-?[0-9]+\s*", text):
+        raise ValueError(f"invalid integer {text!r}; use ASCII digits with an optional leading '-'")
+    return int(text)
+
+
 def parse_element(text: str) -> Element:
-    return tuple(int(part) for part in text.split(","))
+    return tuple(map(parse_int, text.split(",")))
 
 
 class AdditionTable(dict):

@@ -34,7 +34,6 @@ from .algebras import (
     generates,
     is_isomorphism,
     meet_terms,
-    perm_compose,
     perm_identity,
     quotient,
     replay,
@@ -258,7 +257,7 @@ def stabilizer(algebra: FSemilattice, a: int, table: AdditionTable | None = None
     require_valid(algebra)
     group = algebra.group
     if not group.is_finite:
-        raise InfiniteGroupError("use stabilizer_image over infinite factors")
+        raise InfiniteGroupError("stabilizers need a finite group")
     table = AdditionTable.of(group, table)
     images = [a]
     for p, k in zip(algebra.action, group.orders):
@@ -271,38 +270,6 @@ def stabilizer(algebra: FSemilattice, a: int, table: AdditionTable | None = None
     if sub is None:  # the action of a valid algebra is a group action
         raise NotASubgroupError(f"the elements fixing {algebra.label(a)!r} are not closed")
     return sub
-
-
-class StabilizerImage(NamedTuple):
-    """Stabilizer computed inside the finite group generated by the action
-    permutations; it is the image of the true stabilizer."""
-
-    image: tuple[tuple[int, ...], ...]
-    stabilizer: tuple[tuple[int, ...], ...]
-
-    @property
-    def image_size(self) -> int:
-        return len(self.image)
-
-    @property
-    def stabilizer_size(self) -> int:
-        return len(self.stabilizer)
-
-
-def stabilizer_image(algebra: FSemilattice, a: int) -> StabilizerImage:
-    """The action image, and the permutations in it fixing ``a``.  The
-    generator permutations commute on a valid algebra, so they are joined
-    in one at a time, coset by coset, as ``AdditionTable.subgroup`` joins
-    codes: <S, p> is S u pS u p^2 S u ... up to the first coset that meets
-    S."""
-    require_valid(algebra)
-    image = {perm_identity(algebra.size)}
-    for p in algebra.action:
-        coset, joined = image, set(image)
-        while (coset := {perm_compose(p, s) for s in coset}).isdisjoint(image):
-            joined |= coset
-        image = joined
-    return StabilizerImage(tuple(sorted(image)), tuple(sorted(p for p in image if p[a] == a)))
 
 
 class BijectionEntry(NamedTuple):
@@ -492,12 +459,16 @@ def simplicity_and_quotient_report(
 # infix ^, premises are joined by & before ->, and zero premises are written
 # with a leading ->.
 
-_TOKEN_RE = re.compile(r"->|&|=|\^|\(|\)|g\d+|-?\d+|[a-z_][a-z0-9_]*")
+_TOKEN_RE = re.compile(r"->|&|=|\^|\(|\)|g[0-9]+|-?[0-9]+|[a-z_][a-z0-9_]*")
 
 
 # Deepest parenthesis or generator nesting a term may have; the parser
 # recurses once per level, so deeper input would exhaust the interpreter stack.
 MAX_TERM_DEPTH = 100
+
+# Most digits a power gK^N may have.  A coordinate sums at most one power per
+# nesting level, so it stays far below the 4,300 digits CPython prints an int with.
+MAX_POWER_DIGITS = 1000
 
 
 class QuasiIdentitySyntaxError(ValueError):
@@ -546,25 +517,21 @@ class _TermParser:
             term = self.parse_term()
             self.take(")")
             return term
-        if re.fullmatch(r"g\d+", tok):
+        if re.fullmatch(r"g[0-9]+", tok):
             self.take()
             power = 1
-            if self.peek() == "^" and self.peek(1) is not None and re.fullmatch(
-                r"-?\d+", self.peek(1)
-            ) and self.peek(2) == "(":
+            if self.peek() == "^" and self.peek(2) == "(" and re.fullmatch(r"-?[0-9]+", self.peek(1)):
+                if len(self.peek(1).lstrip("-")) > MAX_POWER_DIGITS:
+                    raise QuasiIdentitySyntaxError(f"powers take at most {MAX_POWER_DIGITS} digits")
                 self.take("^")
                 power = int(self.take())
-            index = int(tok[1:])
-            if index >= self.group.rank:
-                raise QuasiIdentitySyntaxError(
-                    f"generator g{index} out of range for rank {self.group.rank}"
-                )
+            index, rank = int(tok[1:]), self.group.rank
+            if index >= rank:
+                raise QuasiIdentitySyntaxError(f"generator g{index} out of range for rank {rank}")
             self.take("(")
             inner = self.parse_term()
             self.take(")")
-            g = reduce_element(
-                self.group, tuple(power if i == index else 0 for i in range(self.group.rank))
-            )
+            g = reduce_element(self.group, [power * (i == index) for i in range(rank)])
             return translate_term(self.group, g, inner)
         if re.fullmatch(r"[a-z_][a-z0-9_]*", tok):
             self.take()
@@ -577,27 +544,19 @@ class _TermParser:
         right = self.parse_term()
         return left, right
 
-    def at_end(self) -> bool:
-        return self.pos == len(self.tokens)
-
 
 def parse_quasi_identity(text: str, group: GroupSpec) -> QuasiIdentity:
     if "->" not in text:
         raise QuasiIdentitySyntaxError("a quasi-identity needs '->'")
     head, _, tail = text.partition("->")
-    premises = []
     head = head.strip()
-    if head:
-        for part in head.split("&"):
-            parser = _TermParser(part.strip(), group)
-            premises.append(parser.parse_equation())
-            if not parser.at_end():
-                raise QuasiIdentitySyntaxError(f"trailing tokens in {part!r}")
-    parser = _TermParser(tail.strip(), group)
-    conclusion = parser.parse_equation()
-    if not parser.at_end():
-        raise QuasiIdentitySyntaxError(f"trailing tokens in {tail!r}")
-    return make_quasi_identity(premises, conclusion)
+    equations = []
+    for part in (head.split("&") if head else []) + [tail]:
+        parser = _TermParser(part.strip(), group)
+        equations.append(parser.parse_equation())
+        if parser.pos < len(parser.tokens):
+            raise QuasiIdentitySyntaxError(f"trailing tokens in {part!r}")
+    return make_quasi_identity(equations[:-1], equations[-1])
 
 
 def format_term(term: Term) -> str:

@@ -14,6 +14,7 @@ from fslat.algebras import (
     HomExtendResult,
     Homomorphism,
     NotGeneratedError,
+    Perm,
     Term,
     ValidationReport,
     act,
@@ -23,7 +24,6 @@ from fslat.algebras import (
     generates,
     is_isomorphism,
     meet_terms,
-    perm_compose,
     perm_identity,
     var,
     zero,
@@ -51,7 +51,6 @@ from fslat.quasivar import (
     DecompositionResult,
     MinimalityVerdict,
     QuasiIdentity,
-    StabilizerImage,
     make_quasi_identity,
 )
 
@@ -61,6 +60,11 @@ def perm_inverse(p: Perm) -> Perm:
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
+
+
+def perm_compose(p: Perm, q: Perm) -> Perm:
+    """(p . q)(x) = p(q(x))."""
+    return tuple(map(p.__getitem__, q))
 
 
 def _close_mul(group: GroupSpec, seed):
@@ -472,26 +476,6 @@ def reference_orbits(algebra: FSemilattice) -> list[frozenset[int]]:
     return orbits
 
 
-def reference_stabilizer_image(algebra: FSemilattice, a: int) -> StabilizerImage:
-    """The search-based ``stabilizer_image`` kept as a reference for the
-    product of generator powers: it closes the generator permutations and
-    their inverses under composition, so it needs no commuting generators."""
-    n = algebra.size
-    gens = [tuple(p) for p in algebra.action]
-    gens += [perm_inverse(p) for p in gens]
-    image = {perm_identity(n)}
-    queue = list(image)
-    while queue:
-        p = queue.pop()
-        for g in gens:
-            q = perm_compose(g, p)
-            if q not in image:
-                image.add(q)
-                queue.append(q)
-    fixing = tuple(sorted(p for p in image if p[a] == a))
-    return StabilizerImage(tuple(sorted(image)), fixing)
-
-
 def reference_closure(algebra: FSemilattice, seed: int, perms) -> tuple[int, ...]:
     """The closure loop ``decompose_ku`` and ``subalgebra_generated`` each
     carried before they shared ``generated_by``, kept as its reference: the
@@ -780,7 +764,7 @@ def reference_stabilizer(algebra: FSemilattice, a: int) -> Subgroup:
     """The subgroup of group elements fixing ``a`` (finite groups only)."""
     group = algebra.group
     if not group.is_finite:
-        raise InfiniteGroupError("use stabilizer_image over infinite factors")
+        raise InfiniteGroupError("stabilizers need a finite group")
     fixing = [g for g in group.elements() if act(algebra, g, a) == a]
     return reference_closure_subgroup_from_elements(group, fixing)
 

@@ -16,6 +16,7 @@ from fslat import algebras as A
 from fslat import cli
 from fslat import constructions as C
 from fslat import groups as G
+from fslat import quasivar as Q
 from fslat.cli import hasse_dot, run
 from fslat.irrationals import MAX_DIGITS
 from tables import rotated_hexagon_fan
@@ -883,6 +884,83 @@ def test_wide_groups_are_refused_by_rank_before_validation(capsys, tmp_path, nam
         assert run(argv) == 2
         assert time.perf_counter() - start < 0.5, argv[0]
         assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize(
+    "qi", ["g\u0660(x)=x -> x = x^y", "g0^\u0662(x)=x -> x = x^y"], ids=["generator", "power"]
+)
+def test_qi_digits_are_ascii(capsys, tmp_path, qi):
+    # Arabic-Indic digits were read as g0 and as the power 2
+    c4 = G.make_group([4])
+    fan = C.maroti(c4, G.subgroup_from_elements(c4, [(0,), (2,)]))
+    with pytest.raises(Q.QuasiIdentitySyntaxError, match="^unrecognized characters in "):
+        Q.parse_quasi_identity(qi, c4)
+    assert run(["quasi", "--algebra", write_algebra(tmp_path, fan), "--qi", qi]) == 2
+    captured = capsys.readouterr()
+    assert_usage_error(captured.out, captured.err)
+
+
+@pytest.mark.parametrize("digits", [Q.MAX_POWER_DIGITS, Q.MAX_POWER_DIGITS + 1], ids=["at-cap", "past-cap"])
+def test_qi_power_digit_cap(capsys, tmp_path, monkeypatch, digits):
+    # 10^m - 1 is a multiple of 3, so the check holds on a_3; past the cap
+    # it is refused at parse time, before any valuation runs
+    path = write_algebra(tmp_path, C.a_k(3))
+    checks = []
+    holds = cli.quasivar.holds_quasi_identity
+    monkeypatch.setattr(cli.quasivar, "holds_quasi_identity", lambda *args: checks.append(args) or holds(*args))
+    power = "9" * digits
+    code = run(["quasi", "--algebra", path, "--qi", f"-> g0^{power}(g0^-{power}(x)) = g0^{power}(x)"])
+    captured = capsys.readouterr()
+    if digits <= Q.MAX_POWER_DIGITS:
+        assert (code, len(checks)) == (0, 1)
+        assert json.loads(captured.out)["holds"]
+        return
+    assert (code, checks) == (2, [])
+    assert_usage_error(captured.out, captured.err)
+    assert captured.err == f"error: powers take at most {Q.MAX_POWER_DIGITS} digits\n"
+
+
+# Integers ``int`` reads but the ASCII reader refuses: 1_0 as 10, +2 as 2 and
+# the Arabic-Indic three as 3; the empty text and a suffix fail either way.
+MALFORMED_INTEGERS = ["1_0", "+2", "\u0663", "", "2x"]
+
+
+@pytest.mark.parametrize(
+    "text", MALFORMED_INTEGERS, ids=["underscore", "plus", "arabic-indic", "empty", "suffix"]
+)
+def test_malformed_integers_are_usage_errors(capsys, text):
+    message = f"invalid integer {text!r}; use ASCII digits with an optional leading '-'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        G.parse_int(text)
+    for argv in (
+        ["verify-bijection", "--orders", text],
+        ["group", "subgroups", "--orders", text],
+        ["build", "maroti", "--orders", "4,4", "--subgroup", f"0,0;0,{text}"],
+    ):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+    balpha = ["balpha", "--alpha", "sqrt:2", "--beta", "sqrt:3"]
+    for flag, argv in (
+        ("--k", ["build", "ak", "--k", text]),
+        ("--limit", ["simplicity", "--algebra", "unread.json", "--limit", text]),
+        ("--p", balpha + ["--p", text, "--q", "1"]),
+        ("--q", balpha + ["--p", "3", "--q", text]),
+        ("--samples", balpha + ["--samples", text]),
+    ):
+        # argparse's usage lines, then its error line naming the flag
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert captured.err.endswith(f": error: argument {flag}: {message}\n"), argv
+
+
+def test_integers_keep_their_spaces_and_sign(capsys):
+    assert G.parse_int(" -7\n") == -7
+    assert G.parse_element(" 1, -2 ") == (1, -2)
+    code, spaced = invoke(capsys, ["group", "subgroups", "--orders", " 2 , 3 "])
+    assert (code, spaced) == invoke(capsys, ["group", "subgroups", "--orders", "2,3"])
+    code, payload = invoke_json(capsys, ["build", "ak", "--k", " 3 "])
+    assert code == 0 and payload == A.algebra_to_dict(C.a_k(3))
 
 
 _FUZZ_QIS = ("x^y=x & y^z=y -> x^z=x", "g0(x)=x -> x = x^y", "-> g1^-2(x) ^ y = y ^ x")

@@ -48,7 +48,6 @@ OLD_FIELDS = {
     ),
     Q.QuasiIdentity: (("premises", "conclusion", "variables"), {}),
     Q.MinimalityVerdict: (("minimal", "counterexample", "checked"), {}),
-    Q.StabilizerImage: (("image", "stabilizer"), {}),
     Q.BijectionEntry: (("subgroup", "algebra_size", "is_proper", "minimal", "stabilizer_ok"), {}),
     Q.BijectionReport: (("group", "entries", "pairwise_distinct"), {}),
     Q.DecompositionResult: (
@@ -107,7 +106,6 @@ def _records():
         clash,
         A.congruences(fan)[0],
         Q.is_minimal_free(fan, 0),
-        Q.stabilizer_image(fan, 0),
         separation,
         separation.alpha_certificate,
         G.presentation(c2x4, sub),

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -27,7 +28,7 @@ def run_census(*argv):
     return run_script("bijection_census.py", *argv)
 
 
-@pytest.mark.parametrize("value", ["0", "-5", "65", "200", "four"])
+@pytest.mark.parametrize("value", ["0", "-5", "65", "200", "four", "1_0"])
 def test_census_refuses_orders_outside_the_cli_range(value):
     result = run_census("--max-order", value)
     assert result.returncode == 2
@@ -82,7 +83,7 @@ def test_separating_demo_bad_pairs_are_usage_errors(argv, message):
     assert (result.returncode, result.stdout, result.stderr) == (2, "", message)
 
 
-@pytest.mark.parametrize("value", ["-5", "290", "many"])
+@pytest.mark.parametrize("value", ["-5", "290", "many", "1_0"])
 def test_separating_demo_refuses_samples_outside_the_window(value):
     result = run_script("separating_demo.py", "sqrt:2", "sqrt:3", "--samples", value)
     assert result.returncode == 2
@@ -132,3 +133,17 @@ def test_separating_demo_names_the_sign_case(alpha, beta, reasons):
     assert [line.split("since ")[1] for line in certificates] == [r + "]" for r in reasons]
     assert "holds  [q*alpha < p since" in certificates[0]
     assert "fails  [q*beta > p since" in certificates[1]
+
+
+def test_every_name_perfbench_traces_exists():
+    # perfbench/spans.py looks each name up with getattr when a traced run
+    # starts, so a deleted or renamed function would fail only those runs
+    spec = importlib.util.spec_from_file_location("perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = [(short, name) for table in (spans.SPANS, spans.COUNTS) for short, names in table.items()
+             for name in names]
+    assert len(names) > 10
+    missing = [f"fslat.{short}.{name}" for short, name in names
+               if not callable(getattr(importlib.import_module(f"fslat.{short}"), name, None))]
+    assert missing == []
