@@ -66,8 +66,8 @@ def main() -> None:
     if report.witness is not None:
         print(f"failing witness in the beta algebra: x = {report.witness}")
     print("sample trace (x, equal-in-alpha, equal-in-beta):")
-    for line_a, line_b in zip(report.alpha_samples, report.beta_samples):
-        print(f"  {str(line_a.x):>8}  {line_a.equal!s:>5}  {line_b.equal!s:>5}")
+    for (m, n, equal_a), (_, _, equal_b) in zip(report.alpha_samples, report.beta_samples):
+        print(f"  {str(I.BAlphaElement(m, n)):>8}  {equal_a!s:>5}  {equal_b!s:>5}")
     print("verdict:", "separates" if report.separates else "does NOT separate")
 
 

@@ -18,6 +18,8 @@ from typing import NamedTuple
 
 Element = tuple[int, ...]
 
+MAX_INT_DIGITS = 1000  # most digits of a parsed integer, sign not counted; CPython prints <= 4,300
+
 
 class InfiniteGroupError(ValueError):
     """An operation that needs a finite group met an infinite cyclic factor."""
@@ -113,9 +115,13 @@ def format_element(a: Element) -> str:
 
 
 def parse_int(text: str) -> int:
-    """An integer in ASCII digits, with an optional leading ``-`` and spaces around it."""
-    if not re.fullmatch(r"\s*-?[0-9]+\s*", text):
+    """An integer in ASCII digits, with an optional leading ``-`` and spaces
+    around it, and at most ``MAX_INT_DIGITS`` digits."""
+    m = re.fullmatch(r"\s*-?([0-9]+)\s*", text)
+    if not m:
         raise ValueError(f"invalid integer {text!r}; use ASCII digits with an optional leading '-'")
+    if len(m[1]) > MAX_INT_DIGITS:
+        raise ValueError(f"integers take at most {MAX_INT_DIGITS} digits, got {len(m[1])}")
     return int(text)
 
 

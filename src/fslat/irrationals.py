@@ -295,20 +295,13 @@ def _identity_certificate(alpha: QuadraticIrrational, p: int, q: int) -> Identit
     )
 
 
-class SampleLine(NamedTuple):
-    """Whether the identity holds at the sample point ``x``; a tuple (x, equal)."""
-
-    x: BAlphaElement
-    equal: bool
-
-
 class SeparationReport(NamedTuple):
     p: int
     q: int
     alpha_certificate: IdentityCertificate
     beta_certificate: IdentityCertificate
-    alpha_samples: tuple[SampleLine, ...]
-    beta_samples: tuple[SampleLine, ...]
+    alpha_samples: tuple[tuple[int, int, bool], ...]
+    beta_samples: tuple[tuple[int, int, bool], ...]
     witness: BAlphaElement | None
 
     @property
@@ -323,8 +316,8 @@ class SeparationReport(NamedTuple):
             "alpha": self.alpha_certificate.to_dict(),
             "beta": self.beta_certificate.to_dict(),
             "witness": None if self.witness is None else list(self.witness),
-            "alpha_samples": [[m, n, equal] for (m, n), equal in self.alpha_samples],
-            "beta_samples": [[m, n, equal] for (m, n), equal in self.beta_samples],
+            "alpha_samples": self.alpha_samples,
+            "beta_samples": self.beta_samples,
         }
 
 
@@ -342,13 +335,12 @@ def _sample_translates(
 def _identity_samples(
     alpha: QuadraticIrrational,
     translates: tuple[tuple[BAlphaElement, BAlphaElement, BAlphaElement], ...],
-) -> tuple[SampleLine, ...]:
-    """Whether min((p,0)x, (0,q)x) = (0,q)x at each point x of
-    ``translates`` (``_sample_translates``), evaluated at every point with
-    the alpha-algebra's own ``meet``, one comparison by ``cmp``.  Elements
-    are equal as pairs exactly when equal as values (alpha is irrational),
-    so ``==`` of the two NamedTuple pairs decides the identity at x."""
-    return tuple(SampleLine(x, meet(alpha, lhs, rhs) == rhs) for x, lhs, rhs in translates)
+) -> tuple[tuple[int, int, bool], ...]:
+    """The row (m, n, equal) at each point x = m + n*alpha of ``translates``
+    (``_sample_translates``): whether min((p,0)x, (0,q)x) = (0,q)x there, by
+    the alpha-algebra's own ``meet``, one ``cmp`` per point.  Pairs are equal
+    exactly when their values are (alpha is irrational), so ``==`` decides."""
+    return tuple((m, n, meet(alpha, lhs, rhs) == rhs) for (m, n), lhs, rhs in translates)
 
 
 def check_separating_identity(
@@ -362,20 +354,20 @@ def check_separating_identity(
     and fails in the beta-algebra, given alpha < p/q < beta.
 
     The universal verdict is the exact sign of p - q*alpha (the identity never
-    depends on x); the samples are an illustrative trace on a finite window
-    of ``MAX_SAMPLES`` points, and a count outside 0..``MAX_SAMPLES`` raises
-    ``ValueError``.  Each point's two translates are formed once, by ``act``,
-    and shared by both algebras; each algebra then decides the identity there
-    with its own ``meet``, one comparison per point and side.
+    depends on x), so the two verdicts also decide whether alpha < p/q < beta.
+    The samples are an illustrative trace on a window of ``MAX_SAMPLES``
+    points; a count outside 0..``MAX_SAMPLES`` raises ``ValueError``.  Each
+    point's two translates are formed once, by ``act``, and shared by both
+    algebras; each algebra then decides the identity there with its own
+    ``meet``, one comparison per point and side.
     """
     if q <= 0:
         raise ValueError("q must be positive")
-    if not (compare_with_rational(alpha, p, q) > 0 and compare_with_rational(beta, p, q) < 0):
-        raise ValueError("need alpha < p/q < beta")
     cert_a = _identity_certificate(alpha, p, q)
     cert_b = _identity_certificate(beta, p, q)
+    if not (cert_a.holds and not cert_b.holds):
+        raise ValueError("need alpha < p/q < beta")
     translates = _sample_translates(alpha, p, q, sample_count)
-    samples_a = _identity_samples(alpha, translates)
-    samples_b = _identity_samples(beta, translates)
-    witness = next((s.x for s in samples_b if not s.equal), None)
+    samples_a, samples_b = (_identity_samples(side, translates) for side in (alpha, beta))
+    witness = next((BAlphaElement(m, n) for m, n, equal in samples_b if not equal), None)
     return SeparationReport(p, q, cert_a, cert_b, samples_a, samples_b, witness)

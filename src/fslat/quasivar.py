@@ -52,6 +52,7 @@ from .groups import (
     Subgroup,
     elementary,
     identity,
+    parse_int,
     reduce_element,
     subgroups,
     transversal,
@@ -525,7 +526,7 @@ class _TermParser:
                     raise QuasiIdentitySyntaxError(f"powers take at most {MAX_POWER_DIGITS} digits")
                 self.take("^")
                 power = int(self.take())
-            index, rank = int(tok[1:]), self.group.rank
+            index, rank = parse_int(tok[1:]), self.group.rank
             if index >= rank:
                 raise QuasiIdentitySyntaxError(f"generator g{index} out of range for rank {rank}")
             self.take("(")

@@ -390,7 +390,7 @@ def _sign_plus_root(a: int, b: int, d: int) -> int:
 
 def reference_identity_samples(
     alpha: QuadraticIrrational, p: int, q: int
-) -> list[tuple[int, int, bool]]:
+) -> tuple[tuple[int, int, bool], ...]:
     """Every point m + n*alpha of the window |m|, |n| <= 8, ordered by
     (max(|m|, |n|), m, n), with whether min(x + p, x + q*alpha) = x + q*alpha
     there, kept as a reference for ``_identity_samples``.
@@ -407,7 +407,7 @@ def reference_identity_samples(
         dm, dn = (m + p) - m, n - (n + q)
         sign = _sign_plus_root(dm * alpha.r + dn * alpha.p, dn * alpha.q, alpha.d)
         lines.append((m, n, sign >= 0))
-    return lines
+    return tuple(lines)
 
 
 def reference_rational_between(

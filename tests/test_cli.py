@@ -963,6 +963,88 @@ def test_integers_keep_their_spaces_and_sign(capsys):
     assert code == 0 and payload == A.algebra_to_dict(C.a_k(3))
 
 
+# Each integer reader: a request with {v} standing for the value, the
+# library call that does the request's work once its integers are read, and
+# the later check that a MAX_INT_DIGITS-digit value of the given digit meets
+# once the reader has passed it.
+_INT_READERS = {
+    "orders": (["group", "subgroups", "--orders", "{v}"], (G, "subgroups"), "9", "multiply to more than 64"),
+    "subgroup": (
+        ["build", "maroti", "--orders", "4", "--subgroup", "0;{v}"],
+        (G, "subgroup_from_elements"),
+        "1",
+        "not closed under inverse",
+    ),
+    "transversal": (
+        ["build", "twisted", "--orders", "6", "--subgroup", "0;3", "--u", "chain2", "--transversal", "3;1;{v}"],
+        (G, "make_transversal"),
+        "1",
+        "representatives do not meet every coset exactly once",
+    ),
+    "k": (["build", "ak", "--k", "{v}"], (C, "a_k"), "9", "atoms"),
+    "limit": (
+        ["simplicity", "--algebra", "{fan}", "--limit", "-{v}"],
+        (cli.quasivar, "simplicity_and_quotient_report"),
+        "9",
+        "exceeds congruence limit -",
+    ),
+    "p": (
+        ["balpha", "--alpha", "sqrt:2", "--beta", "sqrt:3", "--p", "{v}", "--q", "1"],
+        (cli.irrationals, "check_separating_identity"),
+        "9",
+        "need alpha < p/q < beta",
+    ),
+    "q": (
+        ["balpha", "--alpha", "sqrt:2", "--beta", "sqrt:3", "--p", "3", "--q", "{v}"],
+        (cli.irrationals, "check_separating_identity"),
+        "9",
+        "need alpha < p/q < beta",
+    ),
+    "samples": (
+        ["balpha", "--alpha", "sqrt:2", "--beta", "sqrt:3", "--samples", "{v}"],
+        (cli.irrationals, "rational_between"),
+        "9",
+        "sample count must be",
+    ),
+    "qi-index": (
+        ["quasi", "--algebra", "{fan}", "--qi", "-> g{v}(x) = x"],
+        (cli.quasivar, "holds_quasi_identity"),
+        "9",
+        "out of range for rank 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("digits", [G.MAX_INT_DIGITS, G.MAX_INT_DIGITS + 1], ids=["at-cap", "past-cap"])
+@pytest.mark.parametrize("reader", sorted(_INT_READERS))
+def test_integer_digit_cap(capsys, tmp_path, monkeypatch, reader, digits):
+    # past the cap, each once ran its request and then failed to print with
+    # CPython's 4,300-digit message, which names no flag
+    argv, (module, name), digit, later = _INT_READERS[reader]
+    fan = write_algebra(tmp_path, C.maroti(G.make_group([6]), G.trivial_subgroup(G.make_group([6]))))
+    calls = []
+    work = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args, **kw: calls.append(args) or work(*args, **kw))
+    assert run([arg.format(v=digit * digits, fan=fan) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error: " in line]
+    assert len(errors) == 1, captured.err
+    if digits <= G.MAX_INT_DIGITS:
+        assert later in errors[0]
+        return
+    assert calls == []
+    assert errors[0].endswith(f"integers take at most {G.MAX_INT_DIGITS} digits, got {digits}")
+
+
+def test_integer_digit_cap_counts_digits_not_the_sign():
+    assert G.parse_int(" -" + "9" * G.MAX_INT_DIGITS + " ") == -(10**G.MAX_INT_DIGITS - 1)
+    with pytest.raises(ValueError, match=f"^integers take at most {G.MAX_INT_DIGITS} digits, got 1001$"):
+        G.parse_int("-0" + "9" * G.MAX_INT_DIGITS)
+    with pytest.raises(ValueError, match=f"^integers take at most {G.MAX_INT_DIGITS} digits, got 1001$"):
+        Q.parse_quasi_identity("-> g0" + "9" * G.MAX_INT_DIGITS + "(x) = x", G.make_group([2]))
+
+
 _FUZZ_QIS = ("x^y=x & y^z=y -> x^z=x", "g0(x)=x -> x = x^y", "-> g1^-2(x) ^ y = y ^ x")
 
 

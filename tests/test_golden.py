@@ -73,6 +73,8 @@ REQUESTS = {
     "verify-bijection": ["verify-bijection", "--orders", "2,4"],
     "group-subgroups": ["group", "subgroups", "--orders", "2,6"],
     "balpha": ["balpha", "--alpha", "sqrt:2", "--beta", "sqrt:3", "--samples", "7"],
+    "balpha-no-samples": ["balpha", "--alpha", "sqrt:2", "--beta", "sqrt:3", "--samples", "0"],
+    "balpha-one-sample": ["balpha", "--alpha", "sqrt:2", "--beta", "sqrt:3", "--samples", "1"],
     "balpha-negative-alpha": [
         "balpha", "--alpha", "(1+-1*sqrt:5)/2", "--beta", "sqrt:2", "--samples", "289",
     ],
@@ -82,11 +84,14 @@ REQUESTS = {
 # Recorded with the tuple-coded twisted multiple and the pairwise separating
 # search, and balpha-negative-alpha and validate-escaped-labels with
 # ``json.dumps(payload, indent=2)``, and quasi-tower-fails (a witness) with
-# the valuation-by-valuation quasi-identity scan; the coded versions,
-# ``cli.dumps`` and the value-mask scan must reproduce every byte.
+# the valuation-by-valuation quasi-identity scan, and balpha-no-samples and
+# balpha-one-sample with the samples as lists of lists; the coded versions,
+# ``cli.dumps``, the value-mask scan and the tuple rows must reproduce every byte.
 GOLDEN = {
     "balpha": ("9bb173704871ab7eaca6e17e6a69ed66e562849fa8e5c21c1fee7783d1d3f56c", 0),
     "balpha-negative-alpha": ("c2aad3fb9d5617e5528324ad8a5a83f9f0576ceb92cecaab01d97c2edd0d213e", 0),
+    "balpha-no-samples": ("ab6339c17c04ce1e7979fde52806ca56a064df4e62f6301a6a57b38a4ad302d8", 0),
+    "balpha-one-sample": ("ae86fd6edbf002ccd41bcbadb33487f26c34f776f3a79f19fab610f61fb12793", 0),
     "build-twisted-chain2": ("9c6e0b20969aea8a6dd8a5941f92eb3048b7b04392062a04cd4c456ef3cd695c", 0),
     "check-minimal-tower": ("0a72ca46c354bdba27671aa7747dc3f429732ee3490efaf27db6368fd275ea8f", 1),
     "decompose-fan": ("a197ff4da634a5a40dc84e8d25f4f5b3c9bb5db91532a9b098adf3c3aebc90e8", 0),

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from decimal import Decimal, getcontext
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from fslat import cli
 from fslat import irrationals as I
-from oracles import reference_identity_samples, reference_rational_between
+from oracles import _sign_plus_root, reference_identity_samples, reference_rational_between
 
 SQRT2 = I.sqrt_of(2)
 SQRT3 = I.sqrt_of(3)
@@ -168,8 +169,8 @@ def test_check_separating_identity_full_example():
     assert report.beta_certificate.a_squared == 9
     assert report.beta_certificate.b_squared_d == 12
     assert report.witness == I.BAlphaElement(0, 0)
-    assert all(line.equal for line in report.alpha_samples)
-    assert not any(line.equal for line in report.beta_samples)
+    assert all(equal for _, _, equal in report.alpha_samples)
+    assert not any(equal for _, _, equal in report.beta_samples)
 
 
 def test_check_separating_identity_preconditions():
@@ -181,11 +182,55 @@ def test_check_separating_identity_preconditions():
         I.check_separating_identity(SQRT2, SQRT3, 3, -2)
 
 
+def test_separation_precondition_matches_the_oracle_signs():
+    # the precondition is read off the two certificates; the oracle decides
+    # the signs of p - q*alpha and q*beta - p by its own squared comparisons
+    rng = random.Random(20261020)
+    radicands = [d for d in range(2, 30) if I._sqrtfree(d)]
+    sides = Counter()
+    for _ in range(150):
+        alpha, beta = (
+            I.QuadraticIrrational(
+                rng.randint(-30, 30), rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 9),
+                rng.choice(radicands),
+            )
+            for _ in range(2)
+        )
+        order = I.compare_values(alpha, beta)
+        if order == 0:
+            continue
+        if order > 0:
+            alpha, beta = beta, alpha
+        # the Stern-Brocot answer, the two neighbours whose mediant it is,
+        # its mediant with each, and rationals anywhere
+        p, q = I.rational_between(alpha, beta)
+        if q == 1:
+            neighbours = [(p - 1, 1), (p + 1, 1)]
+        else:
+            b = pow(p, -1, q)  # p*b - a*q = 1 with 0 < b < q
+            a = (p * b - 1) // q
+            neighbours = [(a, b), (p - a, q - b)]
+        candidates = [(p, q), *neighbours, *((p + a, q + b) for a, b in neighbours)]
+        candidates += [(rng.randint(-60, 60), rng.randint(1, 12)) for _ in range(4)]
+        for p, q in candidates:
+            above_alpha = _sign_plus_root(p * alpha.r - q * alpha.p, -q * alpha.q, alpha.d) > 0
+            below_beta = _sign_plus_root(q * beta.p - p * beta.r, q * beta.q, beta.d) > 0
+            sides[above_alpha, below_beta] += 1
+            if above_alpha and below_beta:
+                assert I.check_separating_identity(alpha, beta, p, q, 0).separates
+            else:
+                with pytest.raises(ValueError, match=r"^need alpha < p/q < beta$"):
+                    I.check_separating_identity(alpha, beta, p, q, 0)
+    # below alpha, strictly between, above beta
+    assert sides.keys() == {(False, True), (True, True), (True, False)}
+    assert min(sides.values()) > 100, sides
+
+
 def test_sample_counts_outside_the_window_are_refused():
     # the window holds every m + n*alpha with |m|, |n| <= 8
     assert I.MAX_SAMPLES == 17 * 17
     report = I.check_separating_identity(SQRT2, SQRT3, 3, 2, I.MAX_SAMPLES)
-    assert len({line.x for line in report.alpha_samples}) == I.MAX_SAMPLES
+    assert len({(m, n) for m, n, _ in report.alpha_samples}) == I.MAX_SAMPLES
     for count in (-5, -1, I.MAX_SAMPLES + 1, 1000):
         with pytest.raises(ValueError, match="sample count must be between 0 and 289"):
             I.check_separating_identity(SQRT2, SQRT3, 3, 2, count)
@@ -219,9 +264,9 @@ def test_identity_samples_match_the_reference_on_the_whole_window():
     for (alpha, p, q), (beta, _, _) in zip(cases, cases[1:] + cases[:1]):
         translates = I._sample_translates(alpha, p, q, I.MAX_SAMPLES)
         for side in (alpha, beta):
-            lines = I._identity_samples(side, translates)
-            assert [(m, n, equal) for (m, n), equal in lines] == reference_identity_samples(side, p, q)
-            verdicts.update(equal for _, equal in lines)
+            rows = I._identity_samples(side, translates)
+            assert rows == reference_identity_samples(side, p, q)
+            verdicts.update(equal for _, _, equal in rows)
     assert verdicts == {True, False}
 
 
