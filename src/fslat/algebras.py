@@ -12,6 +12,7 @@ All values are immutable after construction; every operation here is pure.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain, combinations, compress, product
@@ -112,23 +113,35 @@ def perm_order(p: Perm) -> int:
 
 class MeetTable(tuple):
     """A meet table, a tuple of index rows, caching the facts about the table
-    alone: algebras sharing one (every coset fan of a size) compute them once."""
+    alone: algebras sharing one (every coset fan of a size, every loaded
+    payload of one ``exact`` table) compute them once."""
 
     def __new__(cls, rows):
         return rows if type(rows) is cls else super().__new__(cls, map(tuple, rows))
 
     @cached_property
+    def exact(self) -> bool:
+        """Whether the table is square and every entry an exact ``int`` below its
+        size.  ``==`` cannot tell: it takes ``True`` and ``1.0`` for ``1``."""
+        n = len(self)
+        return (
+            set(map(len, self)) == {n}
+            and set(map(type, chain.from_iterable(self))) == {int}
+            and 0 <= min(map(min, self)) <= max(map(max, self)) < n
+        )
+
+    @cached_property
     def shape_error(self) -> str | None:
         """Why this is not a square table of indices below its size, or None."""
         n = len(self)
+        if self.exact:
+            return None
         if set(map(len, self)) != {n}:
             return "meet table is not square of carrier size"
-        types = set(map(type, chain.from_iterable(self)))
-        if types != {int} or not 0 <= min(map(min, self)) <= max(map(max, self)) < n:
-            for v in chain.from_iterable(self):  # name the first bad entry
-                if not _is_index(v) or not 0 <= v < n:
-                    return f"meet entry {v!r} is not an index below {n}"
-        return None
+        for v in chain.from_iterable(self):  # name the first bad entry
+            if not _is_index(v) or not 0 <= v < n:
+                return f"meet entry {v!r} is not an index below {n}"
+        return None  # int subclasses other than bool pass
 
     @cached_property
     def failure(self) -> tuple[str, tuple[int, ...], str] | None:
@@ -361,9 +374,9 @@ def element_action(algebra: FSemilattice, g: Element) -> Perm:
 
 def zero(algebra: FSemilattice) -> int:
     """The least element: the meet of the whole carrier."""
-    x = 0
+    meet, x = tuple(algebra.meet), 0  # CPython specialises exact tuples' subscript only
     for y in range(1, algebra.size):
-        x = algebra.meet[x][y]
+        x = meet[x][y]
     return x
 
 
@@ -455,8 +468,8 @@ def is_homomorphism(hom: Homomorphism) -> bool:
     if src.group != dst.group or len(f) != src.size:
         return False
     n = src.size
-    pairs = ((x, y) for x in range(n) for y in range(x, n))
-    return all(f[src.meet[x][y]] == dst.meet[f[x]][f[y]] for x, y in pairs) and all(
+    rows = ((x, src.meet[x], dst.meet[f[x]]) for x in range(n))  # each row read once
+    return all(f[srow[y]] == drow[f[y]] for x, srow, drow in rows for y in range(x, n)) and all(
         f[p[x]] == q[f[x]] for p, q in zip(src.action, dst.action) for x in range(n)
     )
 
@@ -688,8 +701,35 @@ def algebra_to_dict(algebra: FSemilattice) -> dict:
     }
 
 
+# Meet tables loaded by ``algebra_from_dict``, each the first of its value:
+# a payload with an equal table gets that one, and with it the table's
+# cached facts.  Only ``exact`` tables are kept, the oldest leave first once
+# the kept ones hold more than LOADED_CELLS cells, and a larger table is not
+# kept.  Worst case about 10 MiB of rows (an 8-byte slot per cell, and a
+# 32-byte int per entry above 256), plus each table's down-sets and covers.
+LOADED_CELLS = 1 << 18
+_loaded: OrderedDict[MeetTable, MeetTable] = OrderedDict()
+_loaded_cells = 0
+
+
+def _loaded_table(meet: MeetTable) -> MeetTable:
+    """The kept table equal to ``meet``, else ``meet``, kept when it is
+    ``exact`` and within the budget."""
+    global _loaded_cells
+    cells = len(meet) ** 2
+    if cells > LOADED_CELLS or not meet.exact:
+        return meet
+    kept = _loaded.setdefault(meet, meet)
+    if kept is meet:
+        _loaded_cells += cells
+        while _loaded_cells > LOADED_CELLS:
+            _loaded_cells -= len(_loaded.popitem(last=False)[0]) ** 2
+    return kept
+
+
 def algebra_from_dict(data: dict) -> FSemilattice:
-    """The algebra of a payload, shape-checked once, its axiom report cached.
+    """The algebra of a payload, shape-checked once, its axiom report cached;
+    its meet table is the kept one of its value (``_loaded_table``).
     Its carrier and tables must be arrays: a JSON string or object would
     pass as the sequence of its characters or keys."""
     try:
@@ -697,7 +737,8 @@ def algebra_from_dict(data: dict) -> FSemilattice:
         for name in ("carrier", "meet", "action"):
             if not isinstance(data[name], (list, tuple)):
                 raise ShapeError(f"malformed algebra payload: {name!r} is not a JSON array")
-        algebra = FSemilattice(group, data["carrier"], data["meet"], data["action"])
+        meet = _loaded_table(MeetTable(data["meet"]))
+        algebra = FSemilattice(group, data["carrier"], meet, data["action"])
     except (KeyError, TypeError) as exc:
         raise ShapeError(f"malformed algebra payload: {exc}") from exc
     algebra.validation  # raises ShapeError before the axioms are checked

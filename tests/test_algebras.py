@@ -1,6 +1,8 @@
 import json
 import random
 import re
+from collections import OrderedDict
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -374,6 +376,114 @@ def test_meet_table_of_booleans_is_a_shape_error():
         for _ in range(2):  # the cached check raises again
             with pytest.raises(A.ShapeError, match="^meet entry (True|False) is not an index below 2$"):
                 A.validate_axioms(A.FSemilattice(Z2, ("a", "b"), meet, ((0, 1),)))
+
+
+@pytest.fixture
+def loaded(monkeypatch):
+    """An empty registry of loaded meet tables for one test; the old one comes back after it."""
+    monkeypatch.setattr(A, "_loaded", OrderedDict())
+    monkeypatch.setattr(A, "_loaded_cells", 0)
+    return A._loaded
+
+
+def _payload(meet, carrier=("a", "b", "o"), action=((1, 0, 2),)):
+    return {"group": {"orders": [2]}, "carrier": list(carrier), "meet": meet, "action": list(action)}
+
+
+def _loaded_outcome(meet):
+    """The report of the loaded algebra over ``meet`` and its table, or its ``ShapeError`` message."""
+    try:
+        algebra = A.algebra_from_dict(_payload(meet))
+    except A.ShapeError as exc:
+        return str(exc), None
+    return algebra.validation, algebra.meet
+
+
+class Index(int):
+    pass
+
+
+FAN_MEET = [[0, 2, 2], [2, 1, 2], [2, 2, 2]]
+
+
+@pytest.mark.parametrize("exact_first", [True, False], ids=["exact-first", "other-first"])
+@pytest.mark.parametrize(
+    "cell, entry, outcome",
+    [
+        ((1, 1), True, "meet entry True is not an index below 3"),
+        ((0, 0), False, "meet entry False is not an index below 3"),
+        ((1, 1), 1.0, "meet entry 1.0 is not an index below 3"),
+        ((2, 2), Index(2), A.ValidationReport(True)),
+    ],
+    ids=["true", "false", "float", "int-subclass"],
+)
+def test_tables_equal_under_eq_are_shared_only_when_exact(loaded, exact_first, cell, entry, outcome):
+    # True, False, 1.0 and Index(2) are == to 1, 0, 1 and 2, so each other
+    # table equals the all-int one; only that one is kept, and neither
+    # payload gets the other's table, in either load order
+    x, y = cell
+    other = [list(row) for row in FAN_MEET]
+    other[x][y] = entry
+    assert other == FAN_MEET
+    loads = [FAN_MEET, other] * 2 if exact_first else [other, FAN_MEET] * 2
+    outcomes = [(meet is other, _loaded_outcome(meet)) for meet in loads]
+    kept = [table for is_other, (_, table) in outcomes if not is_other]
+    assert kept[0] is kept[1] and list(loaded) == [kept[0]] and loaded[kept[0]] is kept[0]
+    assert {type(v) for v in chain.from_iterable(kept[0])} == {int}
+    for is_other, (report, table) in outcomes:
+        if not is_other:
+            assert report == A.ValidationReport(True)
+            continue
+        assert report == outcome
+        # an int subclass passes the shape check but is not kept
+        assert table is None or (table is not kept[0] and type(table[x][y]) is Index and not table.exact)
+
+
+def test_loads_of_one_payload_share_one_table(loaded):
+    # every fan of order <= 8, and a table that fails commutativity under two
+    # labellings; each payload is loaded twice, as from a file
+    payloads = [A.algebra_to_dict(C.maroti(spec, sub)) for spec in G.all_group_specs(8) for sub in G.subgroups(spec)]
+    payloads += [_payload([[0, 0], [1, 1]], labels, [(0, 1)]) for labels in (("a", "b"), ("s", "t"))]
+    reports = []
+    for data in payloads:
+        text = json.dumps(data)
+        one, two = (A.algebra_from_dict(json.loads(text)) for _ in range(2))
+        assert one.meet is two.meet and loaded[one.meet] is one.meet
+        fresh = A.MeetTable(data["meet"])
+        assert fresh is not one.meet
+        for fact in ("exact", "shape_error", "failure", "down_sets", "covers"):
+            assert getattr(one.meet, fact) == getattr(fresh, fact), fact
+        plain = A.FSemilattice(one.group, one.carrier, data["meet"], one.action)
+        assert one.validation == two.validation == A.validate_axioms(plain) == reference_validate_axioms(plain)
+        reports.append(one.validation)
+    assert len(loaded) == len({json.dumps(data["meet"]) for data in payloads}) < len(payloads)
+    # the failure is a fact of the table; each algebra names it by its own labels
+    assert [report.detail for report in reports[-2:]] == ["a ^ b != b ^ a", "s ^ t != t ^ s"]
+
+
+def _chain_table(n):
+    return A.MeetTable([[min(x, y) for y in range(n)] for x in range(n)])
+
+
+def test_loaded_tables_leave_oldest_first_within_the_cell_budget(loaded):
+    def kept():
+        return [id(table) for table in loaded]
+
+    assert A.LOADED_CELLS == 512**2
+    first, second, large = _chain_table(31), _chain_table(10), _chain_table(511)
+    assert 31**2 + 10**2 + 511**2 > A.LOADED_CELLS >= 10**2 + 511**2
+    for table in (first, second, large):
+        assert A._loaded_table(table) is table
+    assert kept() == [id(second), id(large)] and A._loaded_cells == 10**2 + 511**2
+    assert A._loaded_table(_chain_table(511)) is large and A._loaded_table(_chain_table(10)) is second
+    # an equal table is kept anew once its predecessor left, and the oldest leaves for it
+    again = _chain_table(31)
+    assert A._loaded_table(again) is again
+    assert kept() == [id(large), id(again)] and A._loaded_cells == 511**2 + 31**2
+    # a table over the budget is never kept
+    huge = _chain_table(513)
+    assert A._loaded_table(huge) is huge and A._loaded_table(_chain_table(513)) is not huge
+    assert kept() == [id(large), id(again)] and A._loaded_cells == 511**2 + 31**2
 
 
 def test_act_examples():

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -532,6 +534,36 @@ def test_module_entrypoint_subprocess():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["count"] == 8
+
+
+def _fresh_process(argv):
+    """Exit code, stdout and stderr of ``python -m fslat`` on argv, in a new process."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-m", "fslat", *argv], capture_output=True, text=True, timeout=60, env=env
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_a_rewritten_algebra_file_gets_a_fresh_process_answer(capsys, tmp_path):
+    # loaded meet tables are kept by content, not by path: one path holds a
+    # valid fan, then that table with one entry a JSON true (== 1), then a
+    # valid algebra on another table, between in-process requests
+    fan = A.algebra_to_dict(C.maroti(G.make_group([6]), G.subgroup_from_elements(G.make_group([6]), [(0,), (3,)])))
+    true_entry = json.loads(json.dumps(fan))
+    true_entry["meet"][1][1] = True
+    contents = [fan, true_entry, A.algebra_to_dict(C.counterexample_a7())]
+    path = str(tmp_path / "algebra.json")
+    codes = []
+    for data in contents:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        for command in ("check-minimal", "decompose"):
+            argv = [command, "--algebra", path]
+            first, second = _outcomes(capsys, [argv, argv])
+            assert first == second == _fresh_process(argv)
+            codes.append(first[0])
+    assert codes == [0, 0, 2, 2, 1, 2]
 
 
 def _parser_corpus(tmp_path):
