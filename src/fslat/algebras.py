@@ -12,7 +12,6 @@ All values are immutable after construction; every operation here is pure.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain, combinations, compress, product
@@ -374,9 +373,9 @@ def element_action(algebra: FSemilattice, g: Element) -> Perm:
 
 def zero(algebra: FSemilattice) -> int:
     """The least element: the meet of the whole carrier."""
-    meet, x = tuple(algebra.meet), 0  # CPython specialises exact tuples' subscript only
+    x = 0
     for y in range(1, algebra.size):
-        x = meet[x][y]
+        x = algebra.meet[x][y]
     return x
 
 
@@ -468,8 +467,8 @@ def is_homomorphism(hom: Homomorphism) -> bool:
     if src.group != dst.group or len(f) != src.size:
         return False
     n = src.size
-    rows = ((x, src.meet[x], dst.meet[f[x]]) for x in range(n))  # each row read once
-    return all(f[srow[y]] == drow[f[y]] for x, srow, drow in rows for y in range(x, n)) and all(
+    pairs = ((x, y) for x in range(n) for y in range(x, n))
+    return all(f[src.meet[x][y]] == dst.meet[f[x]][f[y]] for x, y in pairs) and all(
         f[p[x]] == q[f[x]] for p, q in zip(src.action, dst.action) for x in range(n)
     )
 
@@ -708,23 +707,23 @@ def algebra_to_dict(algebra: FSemilattice) -> dict:
 # kept.  Worst case about 10 MiB of rows (an 8-byte slot per cell, and a
 # 32-byte int per entry above 256), plus each table's down-sets and covers.
 LOADED_CELLS = 1 << 18
-_loaded: OrderedDict[MeetTable, MeetTable] = OrderedDict()
+_loaded: dict[MeetTable, MeetTable] = {}
 _loaded_cells = 0
 
 
 def _loaded_table(meet: MeetTable) -> MeetTable:
-    """The kept table equal to ``meet``, else ``meet``, kept when it is
+    """The kept table equal to ``meet``; else ``meet``, kept when it is
     ``exact`` and within the budget."""
     global _loaded_cells
-    cells = len(meet) ** 2
+    cells, entries = len(meet) ** 2, len(_loaded)
     if cells > LOADED_CELLS or not meet.exact:
         return meet
-    kept = _loaded.setdefault(meet, meet)
-    if kept is meet:
+    table = _loaded.setdefault(meet, meet)
+    if len(_loaded) > entries:  # only a new entry adds to the count, not ``meet`` kept already
         _loaded_cells += cells
         while _loaded_cells > LOADED_CELLS:
-            _loaded_cells -= len(_loaded.popitem(last=False)[0]) ** 2
-    return kept
+            _loaded_cells -= len(_loaded.pop(next(iter(_loaded)))) ** 2
+    return table
 
 
 def algebra_from_dict(data: dict) -> FSemilattice:
@@ -737,9 +736,9 @@ def algebra_from_dict(data: dict) -> FSemilattice:
         for name in ("carrier", "meet", "action"):
             if not isinstance(data[name], (list, tuple)):
                 raise ShapeError(f"malformed algebra payload: {name!r} is not a JSON array")
-        meet = _loaded_table(MeetTable(data["meet"]))
-        algebra = FSemilattice(group, data["carrier"], meet, data["action"])
+        meet, action = MeetTable(data["meet"]), tuple(map(tuple, data["action"]))
     except (KeyError, TypeError) as exc:
         raise ShapeError(f"malformed algebra payload: {exc}") from exc
+    algebra = FSemilattice(group, data["carrier"], _loaded_table(meet), action)
     algebra.validation  # raises ShapeError before the axioms are checked
     return algebra

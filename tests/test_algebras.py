@@ -1,7 +1,6 @@
 import json
 import random
 import re
-from collections import OrderedDict
 from itertools import chain
 
 import pytest
@@ -381,7 +380,7 @@ def test_meet_table_of_booleans_is_a_shape_error():
 @pytest.fixture
 def loaded(monkeypatch):
     """An empty registry of loaded meet tables for one test; the old one comes back after it."""
-    monkeypatch.setattr(A, "_loaded", OrderedDict())
+    monkeypatch.setattr(A, "_loaded", {})
     monkeypatch.setattr(A, "_loaded_cells", 0)
     return A._loaded
 
@@ -459,6 +458,26 @@ def test_loads_of_one_payload_share_one_table(loaded):
     assert len(loaded) == len({json.dumps(data["meet"]) for data in payloads}) < len(payloads)
     # the failure is a fact of the table; each algebra names it by its own labels
     assert [report.detail for report in reports[-2:]] == ["a ^ b != b ^ a", "s ^ t != t ^ s"]
+
+
+def test_a_kept_table_loaded_again_is_counted_once(loaded):
+    # a payload may carry a table the registry already keeps, as
+    # {**algebra_to_dict(a), "meet": a.meet} does for a loaded algebra
+    data = A.algebra_to_dict(C.maroti(G.make_group([4]), G.subgroup_from_elements(G.make_group([4]), [(0,), (2,)])))
+    kept = A.algebra_from_dict(data).meet
+    assert list(loaded) == [kept] and A._loaded_cells == len(kept) ** 2
+    for _ in range(2):
+        assert A.algebra_from_dict({**data, "meet": kept}).meet is kept
+    assert list(loaded) == [kept] and A._loaded_cells == len(kept) ** 2
+
+
+def test_a_fault_in_the_registry_is_not_a_payload_error(loaded, monkeypatch):
+    def broken(meet):
+        raise TypeError("registry fault")
+
+    monkeypatch.setattr(A, "_loaded_table", broken)
+    with pytest.raises(TypeError, match="registry fault"):
+        A.algebra_from_dict(_payload(FAN_MEET))
 
 
 def _chain_table(n):
