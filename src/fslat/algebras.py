@@ -13,10 +13,10 @@ All values are immutable after construction; every operation here is pure.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations, compress, product
 from math import lcm
-from operator import attrgetter, eq, itemgetter
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .groups import (
@@ -218,9 +218,6 @@ class FSemilattice(
         """The ``validate_axioms`` report, computed on first use."""
         return validate_axioms(self)
 
-    down_sets = property(attrgetter("meet.down_sets"), doc="``MeetTable.down_sets``")
-    covers = property(attrgetter("meet.covers"), doc="``MeetTable.covers``")
-
 
 class ValidationReport(NamedTuple):
     ok: bool
@@ -388,7 +385,7 @@ def atoms(algebra: FSemilattice) -> tuple[int, ...]:
 def cover_edges(algebra: FSemilattice) -> tuple[tuple[int, int], ...]:
     """Edges (lower, upper) of the covering relation of the induced order."""
     require_valid(algebra)
-    return algebra.covers
+    return algebra.meet.covers
 
 
 def derive(algebra: FSemilattice, a: int) -> tuple[list[int], list[tuple]]:
@@ -700,35 +697,23 @@ def algebra_to_dict(algebra: FSemilattice) -> dict:
     }
 
 
-# Meet tables loaded by ``algebra_from_dict``, each the first of its value:
-# a payload with an equal table gets that one, and with it the table's
-# cached facts.  Only ``exact`` tables are kept, the oldest leave first once
-# the kept ones hold more than LOADED_CELLS cells, and a larger table is not
-# kept.  Worst case about 10 MiB of rows (an 8-byte slot per cell, and a
-# 32-byte int per entry above 256), plus each table's down-sets and covers.
-LOADED_CELLS = 1 << 18
-_loaded: dict[MeetTable, MeetTable] = {}
-_loaded_cells = 0
+# Most rows of a meet table ``algebra_from_dict`` keeps, and most tables it
+# keeps: at worst 2^18 cells, about 2 MiB of rows (an 8-byte slot per cell;
+# entries below 64 are CPython's shared small ints), plus down-sets and covers.
+LOADED_ROWS = 64
 
 
+@lru_cache(maxsize=LOADED_ROWS)
 def _loaded_table(meet: MeetTable) -> MeetTable:
-    """The kept table equal to ``meet``; else ``meet``, kept when it is
-    ``exact`` and within the budget."""
-    global _loaded_cells
-    cells, entries = len(meet) ** 2, len(_loaded)
-    if cells > LOADED_CELLS or not meet.exact:
-        return meet
-    table = _loaded.setdefault(meet, meet)
-    if len(_loaded) > entries:  # only a new entry adds to the count, not ``meet`` kept already
-        _loaded_cells += cells
-        while _loaded_cells > LOADED_CELLS:
-            _loaded_cells -= len(_loaded.pop(next(iter(_loaded)))) ** 2
-    return table
+    """The kept table equal to ``meet``, the least recently used leaving first;
+    only ``exact`` tables are passed, since ``==`` takes ``True`` for ``1``."""
+    return meet
 
 
 def algebra_from_dict(data: dict) -> FSemilattice:
     """The algebra of a payload, shape-checked once, its axiom report cached;
-    its meet table is the kept one of its value (``_loaded_table``).
+    an ``exact`` meet table of at most ``LOADED_ROWS`` rows is the kept one
+    of its value (``_loaded_table``), with that table's cached facts.
     Its carrier and tables must be arrays: a JSON string or object would
     pass as the sequence of its characters or keys."""
     try:
@@ -739,6 +724,8 @@ def algebra_from_dict(data: dict) -> FSemilattice:
         meet, action = MeetTable(data["meet"]), tuple(map(tuple, data["action"]))
     except (KeyError, TypeError) as exc:
         raise ShapeError(f"malformed algebra payload: {exc}") from exc
-    algebra = FSemilattice(group, data["carrier"], _loaded_table(meet), action)
+    if len(meet) <= LOADED_ROWS and meet.exact:
+        meet = _loaded_table(meet)
+    algebra = FSemilattice(group, data["carrier"], meet, action)
     algebra.validation  # raises ShapeError before the axioms are checked
     return algebra

@@ -114,10 +114,13 @@ def format_element(a: Element) -> str:
     return ",".join(map(str, a))
 
 
+_INT_MATCH = re.compile(r"\s*-?([0-9]+)\s*").fullmatch
+
+
 def parse_int(text: str) -> int:
     """An integer in ASCII digits, with an optional leading ``-`` and spaces
     around it, and at most ``MAX_INT_DIGITS`` digits."""
-    m = re.fullmatch(r"\s*-?([0-9]+)\s*", text)
+    m = _INT_MATCH(text)
     if not m:
         raise ValueError(f"invalid integer {text!r}; use ASCII digits with an optional leading '-'")
     if len(m[1]) > MAX_INT_DIGITS:

@@ -14,13 +14,12 @@ import re
 from math import gcd, isqrt
 from typing import NamedTuple
 
+from .groups import parse_int
+
 
 # Largest radicand accepted: square-freeness is decided by trial division,
 # which takes about sqrt(d) steps.
 MAX_RADICAND = 10**9
-
-# Most digits of a parsed number: far longer ones ran the whole search, then failed to print.
-MAX_DIGITS = 1000
 
 
 def _sign(n: int) -> int:
@@ -94,17 +93,15 @@ _IRRATIONAL_RE = re.compile(
 
 
 def parse_irrational(text: str) -> QuadraticIrrational:
-    """Accepts ``sqrt:D`` or ``(P+Q*sqrt:D)/R``, numbers of ``MAX_DIGITS`` digits at most."""
+    """Accepts ``sqrt:D`` or ``(P+Q*sqrt:D)/R``, each number read by ``parse_int``
+    (so refused past its digit cap, before any search)."""
     text = text.strip()
     m = _IRRATIONAL_RE.fullmatch(text)
     if not m:
         raise ValueError(f"cannot parse irrational {text!r}; use sqrt:D or (P+Q*sqrt:D)/R")
-    digits = max(len(n.lstrip("-")) for n in m.groups() if n is not None)
-    if digits > MAX_DIGITS:
-        raise ValueError(f"cannot parse irrational with a {digits}-digit number; the cap is {MAX_DIGITS}")
     if m.group(1) is not None:
-        return sqrt_of(int(m.group(1)))
-    p, q, d, r = (int(m.group(i)) for i in (2, 3, 4, 5))
+        return sqrt_of(parse_int(m.group(1)))
+    p, q, d, r = map(parse_int, m.group(2, 3, 4, 5))
     return QuadraticIrrational(p, q, r, d)
 
 

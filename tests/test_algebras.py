@@ -310,7 +310,7 @@ def test_shared_meet_tables_match_plain_copies():
             report = A.validate_axioms(fan)
             assert report == A.validate_axioms(plain) == reference_validate_axioms(plain)
             assert report.ok
-            assert (fan.down_sets, fan.covers) == (plain.down_sets, plain.covers)
+            assert (fan.meet.down_sets, fan.meet.covers) == (plain.meet.down_sets, plain.meet.covers)
             count += 1
     assert count > 200
 
@@ -378,11 +378,11 @@ def test_meet_table_of_booleans_is_a_shape_error():
 
 
 @pytest.fixture
-def loaded(monkeypatch):
-    """An empty registry of loaded meet tables for one test; the old one comes back after it."""
-    monkeypatch.setattr(A, "_loaded", {})
-    monkeypatch.setattr(A, "_loaded_cells", 0)
-    return A._loaded
+def loaded():
+    """No loaded meet table kept before or after one test: its ``cache_info``."""
+    A._loaded_table.cache_clear()
+    yield A._loaded_table.cache_info
+    A._loaded_table.cache_clear()
 
 
 def _payload(meet, carrier=("a", "b", "o"), action=((1, 0, 2),)):
@@ -427,7 +427,7 @@ def test_tables_equal_under_eq_are_shared_only_when_exact(loaded, exact_first, c
     loads = [FAN_MEET, other] * 2 if exact_first else [other, FAN_MEET] * 2
     outcomes = [(meet is other, _loaded_outcome(meet)) for meet in loads]
     kept = [table for is_other, (_, table) in outcomes if not is_other]
-    assert kept[0] is kept[1] and list(loaded) == [kept[0]] and loaded[kept[0]] is kept[0]
+    assert kept[0] is kept[1] and loaded().currsize == 1
     assert {type(v) for v in chain.from_iterable(kept[0])} == {int}
     for is_other, (report, table) in outcomes:
         if not is_other:
@@ -447,28 +447,28 @@ def test_loads_of_one_payload_share_one_table(loaded):
     for data in payloads:
         text = json.dumps(data)
         one, two = (A.algebra_from_dict(json.loads(text)) for _ in range(2))
-        assert one.meet is two.meet and loaded[one.meet] is one.meet
+        assert one.meet is two.meet
         fresh = A.MeetTable(data["meet"])
-        assert fresh is not one.meet
+        assert fresh is not one.meet and A._loaded_table(fresh) is one.meet
         for fact in ("exact", "shape_error", "failure", "down_sets", "covers"):
             assert getattr(one.meet, fact) == getattr(fresh, fact), fact
         plain = A.FSemilattice(one.group, one.carrier, data["meet"], one.action)
         assert one.validation == two.validation == A.validate_axioms(plain) == reference_validate_axioms(plain)
         reports.append(one.validation)
-    assert len(loaded) == len({json.dumps(data["meet"]) for data in payloads}) < len(payloads)
+    assert loaded().currsize == len({json.dumps(data["meet"]) for data in payloads}) < len(payloads)
     # the failure is a fact of the table; each algebra names it by its own labels
     assert [report.detail for report in reports[-2:]] == ["a ^ b != b ^ a", "s ^ t != t ^ s"]
 
 
 def test_a_kept_table_loaded_again_is_counted_once(loaded):
-    # a payload may carry a table the registry already keeps, as
+    # a payload may carry a table already kept, as
     # {**algebra_to_dict(a), "meet": a.meet} does for a loaded algebra
     data = A.algebra_to_dict(C.maroti(G.make_group([4]), G.subgroup_from_elements(G.make_group([4]), [(0,), (2,)])))
     kept = A.algebra_from_dict(data).meet
-    assert list(loaded) == [kept] and A._loaded_cells == len(kept) ** 2
+    assert loaded().currsize == 1
     for _ in range(2):
         assert A.algebra_from_dict({**data, "meet": kept}).meet is kept
-    assert list(loaded) == [kept] and A._loaded_cells == len(kept) ** 2
+    assert loaded().currsize == 1 and loaded().hits == 2
 
 
 def test_a_fault_in_the_registry_is_not_a_payload_error(loaded, monkeypatch):
@@ -484,25 +484,33 @@ def _chain_table(n):
     return A.MeetTable([[min(x, y) for y in range(n)] for x in range(n)])
 
 
-def test_loaded_tables_leave_oldest_first_within_the_cell_budget(loaded):
-    def kept():
-        return [id(table) for table in loaded]
+def _chain_payload(meet):
+    """A payload over the trivial group, carrying ``meet`` itself."""
+    n = len(meet)
+    return {"group": {"orders": [1]}, "carrier": list(map(str, range(n))), "meet": meet, "action": [range(n)]}
 
-    assert A.LOADED_CELLS == 512**2
-    first, second, large = _chain_table(31), _chain_table(10), _chain_table(511)
-    assert 31**2 + 10**2 + 511**2 > A.LOADED_CELLS >= 10**2 + 511**2
-    for table in (first, second, large):
-        assert A._loaded_table(table) is table
-    assert kept() == [id(second), id(large)] and A._loaded_cells == 10**2 + 511**2
-    assert A._loaded_table(_chain_table(511)) is large and A._loaded_table(_chain_table(10)) is second
-    # an equal table is kept anew once its predecessor left, and the oldest leaves for it
-    again = _chain_table(31)
-    assert A._loaded_table(again) is again
-    assert kept() == [id(large), id(again)] and A._loaded_cells == 511**2 + 31**2
-    # a table over the budget is never kept
-    huge = _chain_table(513)
-    assert A._loaded_table(huge) is huge and A._loaded_table(_chain_table(513)) is not huge
-    assert kept() == [id(large), id(again)] and A._loaded_cells == 511**2 + 31**2
+
+def test_loaded_tables_leave_least_recently_used_first(loaded):
+    assert A.LOADED_ROWS == 64
+    # a table for each size 1..64, then one of size 1 again: the first is a hit
+    # and becomes the most recently used, so the 65th table evicts size 2
+    tables = [_chain_table(n) for n in range(1, 65)]
+    for table in tables:
+        assert A.algebra_from_dict(_chain_payload(table)).meet is table
+    assert A.algebra_from_dict(_chain_payload(_chain_table(1))).meet is tables[0]
+    assert loaded().currsize == 64 and loaded().hits == 1
+    newcomer = A.MeetTable([[0, 1], [1, 1]])
+    assert A.algebra_from_dict(_chain_payload(newcomer)).meet is newcomer
+    # size 2 left for the newcomer; loaded anew, it evicts size 3
+    assert A.algebra_from_dict(_chain_payload(_chain_table(2))).meet is not tables[1]
+    for table in (tables[0], newcomer, *tables[3:]):
+        assert A.algebra_from_dict(_chain_payload([list(row) for row in table])).meet is table
+    # a table of more than LOADED_ROWS rows is returned as is and never kept
+    before = loaded()
+    large = _chain_table(65)
+    assert A.algebra_from_dict(_chain_payload(large)).meet is large
+    assert A.algebra_from_dict(_chain_payload(_chain_table(65))).meet is not large
+    assert loaded()[:2] == before[:2]
 
 
 def test_act_examples():

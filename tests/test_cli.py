@@ -20,7 +20,6 @@ from fslat import constructions as C
 from fslat import groups as G
 from fslat import quasivar as Q
 from fslat.cli import hasse_dot, run
-from fslat.irrationals import MAX_DIGITS
 from tables import rotated_hexagon_fan
 
 
@@ -860,9 +859,9 @@ def test_hostile_sizes_are_usage_errors(capsys, tmp_path, argv, accepted):
 
 
 def _balpha_at_digit_cap(longer=None):
-    """A balpha request whose P, Q, D and R all have ``MAX_DIGITS`` digits,
+    """A balpha request whose P, Q, D and R all have ``MAX_INT_DIGITS`` digits,
     D zero-padded, in lowest terms; the one named ``longer`` gets one more."""
-    n = MAX_DIGITS
+    n = G.MAX_INT_DIGITS
     numbers = {"P": "1" + "0" * (n - 1), "Q": "9" * n, "D": "999999937".zfill(n), "R": "7" * n}
     if longer:
         numbers[longer] = ("0" if longer == "D" else "1") + numbers[longer]
@@ -876,20 +875,22 @@ def test_balpha_at_the_digit_cap_prints_its_payload(capsys):
     code, payload = invoke_json(capsys, argv)
     assert code == 0 and payload["report"]["separates"]
     # printed as given, in lowest terms, but for D's leading zeros
-    padded = "sqrt:" + "999999937".zfill(MAX_DIGITS)
+    padded = "sqrt:" + "999999937".zfill(G.MAX_INT_DIGITS)
     assert [payload["alpha"], payload["beta"]] == [
         arg.replace(padded, "sqrt:999999937") for arg in argv[2::2]
     ]
 
 
 @pytest.mark.parametrize("longer", ["P", "Q", "D", "R"])
-def test_balpha_past_the_digit_cap_is_a_usage_error(capsys, longer):
+def test_balpha_past_the_digit_cap_is_a_usage_error(capsys, monkeypatch, longer):
     # refused at parse time, before the search that once ran to the end
     # and then failed to print a 4,000-digit payload
+    searches = []
+    monkeypatch.setattr(cli.irrationals, "rational_between", lambda *args: searches.append(args))
     assert run(_balpha_at_digit_cap(longer)) == 2
     captured = capsys.readouterr()
     assert_usage_error(captured.out, captured.err)
-    assert f"a {MAX_DIGITS + 1}-digit number" in captured.err
+    assert (captured.err, searches) == (f"error: integers take at most {G.MAX_INT_DIGITS} digits, got 1001\n", [])
 
 
 # Groups of thousands of cyclic factors: validation compares every pair of
@@ -932,7 +933,7 @@ def test_qi_digits_are_ascii(capsys, tmp_path, qi):
     assert_usage_error(captured.out, captured.err)
 
 
-@pytest.mark.parametrize("digits", [Q.MAX_POWER_DIGITS, Q.MAX_POWER_DIGITS + 1], ids=["at-cap", "past-cap"])
+@pytest.mark.parametrize("digits", [G.MAX_INT_DIGITS, G.MAX_INT_DIGITS + 1], ids=["at-cap", "past-cap"])
 def test_qi_power_digit_cap(capsys, tmp_path, monkeypatch, digits):
     # 10^m - 1 is a multiple of 3, so the check holds on a_3; past the cap
     # it is refused at parse time, before any valuation runs
@@ -943,13 +944,13 @@ def test_qi_power_digit_cap(capsys, tmp_path, monkeypatch, digits):
     power = "9" * digits
     code = run(["quasi", "--algebra", path, "--qi", f"-> g0^{power}(g0^-{power}(x)) = g0^{power}(x)"])
     captured = capsys.readouterr()
-    if digits <= Q.MAX_POWER_DIGITS:
+    if digits <= G.MAX_INT_DIGITS:
         assert (code, len(checks)) == (0, 1)
         assert json.loads(captured.out)["holds"]
         return
     assert (code, checks) == (2, [])
     assert_usage_error(captured.out, captured.err)
-    assert captured.err == f"error: powers take at most {Q.MAX_POWER_DIGITS} digits\n"
+    assert captured.err == f"error: integers take at most {G.MAX_INT_DIGITS} digits, got 1001\n"
 
 
 # Integers ``int`` reads but the ASCII reader refuses: 1_0 as 10, +2 as 2 and
