@@ -110,6 +110,19 @@ def perm_order(p: Perm) -> int:
     return lcm(*lengths)
 
 
+# Most entries of each memo of a generator permutation fact: orders and
+# commuting pairs by value; per meet table, points of ``cover_keepers``.
+PERM_MEMO = 4096
+
+_order = lru_cache(maxsize=PERM_MEMO)(perm_order)
+
+
+@lru_cache(maxsize=PERM_MEMO)
+def _commute(p: Perm, q: Perm) -> bool:
+    """Whether p(q(x)) = q(p(x)) for every x."""
+    return itemgetter(*q)(p) == itemgetter(*p)(q)
+
+
 class MeetTable(tuple):
     """A meet table, a tuple of index rows, caching the facts about the table
     alone: algebras sharing one (every coset fan of a size, every loaded
@@ -188,6 +201,23 @@ class MeetTable(tuple):
                 edges.append((low.bit_length() - 1, y))
                 rest ^= low
         return tuple(sorted(edges))
+
+    @cached_property
+    def cover_keepers(self) -> set[Perm]:
+        """The permutations ``keeps_covers`` has found to keep every cover in order."""
+        return set()
+
+    def keeps_covers(self, p: Perm) -> bool:
+        """Whether p keeps each cover in order; one that does is kept in
+        ``cover_keepers``, up to ``PERM_MEMO`` points of permutations."""
+        kept = self.cover_keepers
+        if p in kept:
+            return True
+        if not all(self[p[x]][p[y]] == p[x] for x, y in self.covers):
+            return False
+        if len(kept) < PERM_MEMO // len(self):
+            kept.add(p)
+        return True
 
 
 class FSemilattice(
@@ -286,7 +316,10 @@ def validate_axioms(algebra: FSemilattice) -> ValidationReport:
     the first witness; it compares the rows (x ^ y) ^ z and x ^ (y ^ z) over
     all z whole for each pair (x, y).  The other checks likewise compare
     whole tables, permutations or covers before an element loop names a
-    witness.
+    witness.  The three action checks are memoized by value (``keeps_covers``,
+    ``_commute``, ``_order``), read only after ``check_shape`` has found every
+    entry an int, since ``==`` takes ``True`` for ``1``; a witness scan runs
+    on the failing algebra itself.
     """
     check_shape(algebra)
     n = algebra.size
@@ -298,19 +331,19 @@ def validate_axioms(algebra: FSemilattice) -> ValidationReport:
     for i, p in enumerate(algebra.action):
         # a bijection that keeps each cover in order keeps the whole order,
         # so it preserves greatest lower bounds
-        if not all(meet[p[x]][p[y]] == p[x] for x, y in meet.covers):
+        if not meet.keeps_covers(p):
             pairs = ((x, y) for x in range(n) for y in range(x, n))
             x, y = next((x, y) for x, y in pairs if p[meet[x][y]] != meet[p[x]][p[y]])
             detail = f"g{i}({lab(x)} ^ {lab(y)}) != g{i}({lab(x)}) ^ g{i}({lab(y)})"
             return ValidationReport(False, "action-automorphism", (i, x, y), detail)
     for i, j in combinations(range(len(algebra.action)), 2):
         p, q = algebra.action[i], algebra.action[j]
-        if itemgetter(*q)(p) != itemgetter(*p)(q):  # p(q(x)) against q(p(x)), every x
+        if not _commute(p, q):
             x = next(x for x in range(n) if p[q[x]] != q[p[x]])
             detail = f"g{i}(g{j}({lab(x)})) != g{j}(g{i}({lab(x)}))"
             return ValidationReport(False, "action-commutation", (i, j, x), detail)
     for i, (p, k) in enumerate(zip(algebra.action, algebra.group.orders)):
-        if k >= 1 and k % perm_order(p):
+        if k >= 1 and k % _order(p):
             # p^k fixes x exactly when the length of x's cycle divides k
             x = next(x for x in range(n) if k % len(cycle(p, x)))
             detail = f"g{i} applied {k} times moves {lab(x)}; factor order {k}"
@@ -395,14 +428,17 @@ def derive(algebra: FSemilattice, a: int) -> tuple[list[int], list[tuple]]:
     element, or ("meet", i, j), the meet of the i-th and the j-th.  Breadth
     first, each element is moved by every generator permutation, then met
     with each element reached up to it, which closes every unordered pair on
-    a commutative meet table.  No inverse is needed: p^-1 = p^(ord p - 1)."""
+    a commutative meet table.  No inverse is needed: p^-1 = p^(ord p - 1).
+    The walk stops once every element is reached: no later step adds one."""
     require_valid(algebra)
-    action, meet = algebra.action, algebra.meet
-    seen = [False] * algebra.size
+    action, meet, n = algebra.action, algebra.meet, algebra.size
+    seen = [False] * n
     seen[a] = True
     order, steps = [a], []
     # order grows while it is walked; the list iterator sees the appends
     for i, x in enumerate(order):
+        if len(order) == n:
+            break
         for k, p in enumerate(action):
             x2 = p[x]
             if not seen[x2]:

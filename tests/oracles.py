@@ -21,7 +21,6 @@ from fslat.algebras import (
     ShapeError,
     check_shape,
     element_action,
-    generates,
     is_isomorphism,
     meet_terms,
     perm_identity,
@@ -256,7 +255,7 @@ def reference_hom_extend(
     """
     if source.group != target.group:
         raise ValueError("algebras live over different groups")
-    if not generates(source, a):
+    if not _generates(source, a):
         raise NotGeneratedError(f"element {source.label(a)!r} does not generate the source")
     group = source.group
     id_el = identity(group)
@@ -305,8 +304,13 @@ def reference_extension_map(
     refusals, in the same order."""
     if source.group != target.group:
         raise ValueError("algebras live over different groups")
-    if not generates(source, a):
+    if not _generates(source, a):
         raise NotGeneratedError(f"element {source.label(a)!r} does not generate the source")
+    return _extension_map(source, a, target, b)
+
+
+def _extension_map(source: FSemilattice, a: int, target: FSemilattice, b: int) -> tuple[int, ...] | None:
+    """``reference_extension_map`` past its refusals: ``a`` generates ``source``."""
     moves = []
     for p, q in zip(source.action, target.action):
         moves += [(p, q), (perm_inverse(p), perm_inverse(q))]
@@ -501,6 +505,10 @@ def reference_closure(algebra: FSemilattice, seed: int, perms) -> tuple[int, ...
     return tuple(sorted(members))
 
 
+def _generates(algebra: FSemilattice, x: int) -> bool:
+    return len(reference_closure(algebra, x, algebra.action)) == algebra.size
+
+
 # Verbatim copies of ``generated_by``, which ``subalgebra_generated`` folded
 # in once the closure ran only on valid algebras, and of the cubic
 # ``cover_edges`` that the down-sets replaced.
@@ -582,8 +590,9 @@ def reference_is_isomorphic_1gen(
 ) -> tuple[bool, Homomorphism | None]:
     """The two-extension isomorphism test ``is_minimal_free`` used before it
     decided each element by one injective extension, kept as the reference
-    it and the isomorphism tests compare against; each extension is this
-    module's ``reference_extension_map``, not the library's ``hom_extend``.
+    the isomorphism tests compare against (``reference_is_minimal_free``
+    runs it inline); each extension is this module's
+    ``reference_extension_map``, not the library's ``hom_extend``.
 
     Isomorphism test for algebras generated by ``a`` and ``b``: both canonical
     extensions must be well-defined; the forward one is returned as witness."""
@@ -601,13 +610,16 @@ def reference_is_minimal_free(algebra: FSemilattice, a: int) -> MinimalityVerdic
     """The element-by-element ``is_minimal_free`` kept as a reference for the
     orbit skip: it tests every nonzero element up to the first failure, with
     this module's ``reference_closure`` for the subalgebra it generates.
+    Generation is tested once per element: once a and b are known to
+    generate, the two extension maps of ``reference_is_isomorphic_1gen``
+    are taken without testing it again.
 
     Decide whether the generated quasivariety is minimal: every nonzero
     element must generate a subalgebra isomorphic to the whole algebra via
     the canonical generator-to-generator map."""
     if algebra.size == 1:
         raise ValueError("minimality test needs a nontrivial algebra")
-    if not generates(algebra, a):
+    if not _generates(algebra, a):
         raise NotGeneratedError(f"{algebra.label(a)!r} does not generate the algebra")
     bottom = zero(algebra)
     checked = 0
@@ -617,10 +629,9 @@ def reference_is_minimal_free(algebra: FSemilattice, a: int) -> MinimalityVerdic
         checked += 1
         # b generates a subalgebra as large as the algebra only by generating
         # all of it, which is then its own generated subalgebra
-        if len(reference_closure(algebra, b, algebra.action)) != algebra.size:
+        if not _generates(algebra, b):
             return MinimalityVerdict(False, b, checked)
-        ok, _ = reference_is_isomorphic_1gen(algebra, a, algebra, b)
-        if not ok:
+        if _extension_map(algebra, a, algebra, b) is None or _extension_map(algebra, b, algebra, a) is None:
             return MinimalityVerdict(False, b, checked)
     return MinimalityVerdict(True, None, checked)
 
@@ -1009,7 +1020,7 @@ def reference_separating_quasi_identity(algebra: FSemilattice, a: int) -> QuasiI
     """
     if algebra.size == 1:
         raise ValueError("the one-element algebra admits no separating quasi-identity")
-    if not generates(algebra, a):
+    if not _generates(algebra, a):
         raise NotGeneratedError(f"{algebra.label(a)!r} does not generate the algebra")
     group = algebra.group
     elements = _image_elements(algebra)

@@ -1,7 +1,7 @@
 import json
 import random
 import re
-from itertools import chain
+from itertools import chain, islice, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,7 @@ from fslat import algebras as A
 from fslat import cli
 from fslat import constructions as C
 from fslat import groups as G
-from fslat.quasivar import eval_term
+from fslat.quasivar import eval_term, verify_bijection
 from oracles import (
     congruences_by_exhaustion,
     is_congruence_direct,
@@ -511,6 +511,116 @@ def test_loaded_tables_leave_least_recently_used_first(loaded):
     assert A.algebra_from_dict(_chain_payload(large)).meet is large
     assert A.algebra_from_dict(_chain_payload(_chain_table(65))).meet is not large
     assert loaded()[:2] == before[:2]
+
+
+@pytest.fixture
+def memos():
+    """The value memos of ``validate_axioms`` empty before and after one test."""
+    A._order.cache_clear()
+    A._commute.cache_clear()
+    yield
+    A._order.cache_clear()
+    A._commute.cache_clear()
+
+
+def _memo_state(meet):
+    return A._order.cache_info(), A._commute.cache_info(), set(meet.cover_keepers)
+
+
+@pytest.mark.parametrize("exact_first", [True, False], ids=["exact-first", "other-first"])
+def test_entries_equal_under_eq_never_reach_a_memo(memos, exact_first):
+    # (True, ...) == (1, ...), and a table holding True equals the all-int
+    # one: check_shape refuses each with its message, reading no memo,
+    # whether the all-int algebra's facts were memoized before or after;
+    # an int subclass passes as before
+    fan = fan5()
+    meet = A.MeetTable([list(row) for row in fan.meet])  # a table of its own, no memo yet
+    algebra = A.FSemilattice(fan.group, fan.carrier, meet, fan.action)
+    p, q = algebra.action
+    x = p.index(1)
+    true_perm = p[:x] + (True,) + p[x + 1 :]
+    rows = [list(row) for row in meet]
+    rows[1][1] = True
+    assert true_perm == p and tuple(map(tuple, rows)) == meet
+    refused = [
+        (A.FSemilattice(fan.group, fan.carrier, meet, (true_perm, q)), "action table is not a carrier permutation"),
+        (A.FSemilattice(fan.group, fan.carrier, rows, fan.action), "meet entry True is not an index below 5"),
+    ]
+    if exact_first:
+        assert A.validate_axioms(algebra).ok
+    for other, message in refused:
+        before = _memo_state(meet)
+        for _ in range(2):
+            with pytest.raises(A.ShapeError, match=f"^{re.escape(message)}$"):
+                A.validate_axioms(other)
+        assert _memo_state(meet) == before
+    assert A.validate_axioms(algebra).ok
+    subclass = A.FSemilattice(fan.group, fan.carrier, meet, (tuple(map(Index, p)), q))
+    assert A.validate_axioms(subclass) == reference_validate_axioms(subclass) == A.ValidationReport(True)
+
+
+def test_validate_matches_reference_with_warm_memos(loaded):
+    # random actions over the fan tables a census shares and over loaded
+    # tables, the memos warmed by a census pass: each report equals the
+    # reference's, axiom, witness and detail, also where a permutation
+    # fails the cover, commutation or order check.  Census permutations
+    # hit the memos; shuffled atoms keep the covers, shuffled points mostly
+    # do not
+    for spec in G.all_group_specs(32):
+        verify_bijection(spec)
+    hits = A._order.cache_info().hits, A._commute.cache_info().hits
+    rng = random.Random(5151)
+    pools, tables = {}, {}
+    for spec in G.all_group_specs(16):
+        for sub in G.subgroups(spec):
+            fan = C.maroti(spec, sub)
+            pools.setdefault(fan.size, set()).update(fan.action)
+            tables[fan.size] = fan.meet
+    bases = [A.FSemilattice(G.make_group([1]), [str(x) for x in range(n)], tables[n], [range(n)]) for n in tables]
+    for orders in ([2], [4], [2, 2], [6]):
+        bases += random_semilattices(rng, G.make_group(orders), 15)
+    axioms = []
+    for base in bases * 10:
+        n = base.size
+        pool = sorted(pools.get(n, set()) | set(base.action))
+        atoms = [x for x in range(n) if x != A.zero(base)]
+        action = []
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.random()
+            if kind < 0.6:
+                action.append(rng.choice(pool))
+            elif kind < 0.8 and base.meet is tables.get(n):
+                shuffled = dict(zip(atoms, rng.sample(atoms, len(atoms))))
+                action.append([shuffled.get(x, x) for x in range(n)])
+            else:
+                action.append(rng.sample(range(n), n))
+        orders = [rng.choice([0, 1, 2, 3, 4, 6, 12]) for _ in action]
+        algebra = A.FSemilattice(G.make_group(orders), base.carrier, base.meet, action)
+        want = reference_validate_axioms(algebra)
+        assert A.validate_axioms(algebra) == want, algebra
+        data = A.algebra_to_dict(algebra)
+        for _ in range(2):
+            assert A.algebra_from_dict(json.loads(json.dumps(data))).validation == want, algebra
+        assert [A.perm_order(list(p)) for p in algebra.action] == list(map(reference_perm_order, algebra.action))
+        axioms.append(want.axiom)
+    counts = {axiom: axioms.count(axiom) for axiom in set(axioms)}
+    assert set(counts) == {None, "action-automorphism", "action-commutation", "action-order"}, counts
+    assert min(counts.values()) > 20, counts
+    assert A._order.cache_info().hits > hits[0] + 100 and A._commute.cache_info().hits > hits[1] + 100
+
+
+def test_no_memo_grows_past_its_bound(memos):
+    # 4,200 automorphisms of one 9-point fan table, each over a group whose
+    # order every one divides (lcm(1..8) = 840) and acting twice, so that
+    # the pair commutes: every memo fills to its bound and stays there
+    assert A._order.cache_info().maxsize == A._commute.cache_info().maxsize == A.PERM_MEMO == 4096
+    meet = A.MeetTable([[x if x == y else 8 for y in range(9)] for x in range(9)])
+    carrier = [f"a{x}" for x in range(8)] + ["o"]
+    for atoms in islice(permutations(range(8)), 4200):
+        p = atoms + (8,)
+        assert A.validate_axioms(A.FSemilattice(G.make_group([840, 840]), carrier, meet, (p, p))).ok
+    assert len(meet.cover_keepers) == A.PERM_MEMO // 9
+    assert A._order.cache_info().currsize == A._commute.cache_info().currsize == A.PERM_MEMO
 
 
 def test_act_examples():
@@ -1017,6 +1127,36 @@ def test_extension_from_a_generator_maps_onto_the_generated_subalgebra():
                 want = reference_extension_map(algebra, a, algebra, b)
                 assert tuple(map(replayed.get, range(algebra.size))) == want, (algebra, a, b)
     assert pairs > 20000 and proper > 500 and refused > 150
+
+
+def _derive_unabridged(algebra, a):
+    """``derive`` without its early stop: every element reached is moved
+    and met to the end of the order."""
+    seen = {a}
+    order, steps = [a], []
+    for i, x in enumerate(order):
+        reached = [(p[x], ("move", i, k)) for k, p in enumerate(algebra.action)]
+        for z, step in reached + [(algebra.meet[x][order[j]], ("meet", i, j)) for j in range(i + 1)]:
+            if z not in seen:
+                seen.add(z)
+                order.append(z)
+                steps.append(step)
+    return order, steps
+
+
+def test_derive_stops_early_with_the_unabridged_result():
+    # once every element is reached no step adds one, so stopping there
+    # keeps the order and the steps; from a non-generating element the walk
+    # runs to its end
+    cases = [C.maroti(spec, sub) for spec in G.all_group_specs(16) for sub in G.subgroups(spec)]
+    cases += free_quotients(5)
+    generating = []
+    for algebra in cases:
+        for a in range(algebra.size):
+            derivation = A.derive(algebra, a)
+            assert derivation == _derive_unabridged(algebra, a), (algebra, a)
+            generating.append(len(derivation[0]) == algebra.size)
+    assert generating.count(True) > 1000 and generating.count(False) > 400
 
 
 def test_a7_congruence_and_quotient():
