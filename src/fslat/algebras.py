@@ -165,8 +165,8 @@ class MeetTable(tuple):
         if meet != tuple(zip(*meet)):
             x, y = next((x, y) for x in range(n) for y in range(x + 1, n) if meet[x][y] != meet[y][x])
             return "meet-commutativity", (x, y), "{0} ^ {1} != {1} ^ {0}"
-        # one idempotent element is a semilattice
-        if n > 1 and not _meets_are_intersections(meet, meet.down_sets):
+        down = meet.down_sets
+        if not all(down[m] == dx & dy for dx, row in zip(down, meet) for m, dy in zip(row, down)):
             lookups = [itemgetter(*row) for row in meet]
             for x, y in product(range(n), repeat=2):
                 left, right = meet[meet[x][y]], lookups[y](meet[x])
@@ -349,20 +349,6 @@ def validate_axioms(algebra: FSemilattice) -> ValidationReport:
             detail = f"g{i} applied {k} times moves {lab(x)}; factor order {k}"
             return ValidationReport(False, "action-order", (i, x), detail)
     return ValidationReport(True)
-
-
-def _meets_are_intersections(meet, down) -> bool:
-    """Whether dx & dy = d(x ^ y) for all x, y: per row x, all down-sets side by
-    side in one integer, ANDed with dx in every slot, against those row x names."""
-    n = len(down)
-    width = (n + 7) // 8
-    blocks = [d.to_bytes(width, "little") for d in down]
-    packed = int.from_bytes(b"".join(blocks), "little")
-    slots = int.from_bytes((b"\1" + bytes(width - 1)) * n, "little")
-    return all(
-        (packed & dx * slots).to_bytes(n * width, "little") == b"".join(itemgetter(*row)(blocks))
-        for dx, row in zip(down, meet)
-    )
 
 
 def require_valid(algebra: FSemilattice) -> None:

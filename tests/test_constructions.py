@@ -7,6 +7,7 @@ from oracles import (
     reference_is_isomorphic_1gen,
     reference_maroti,
     reference_transversal_independence_check,
+    reference_validate_axioms,
 )
 from tables import greatest_transversal
 
@@ -279,6 +280,18 @@ def test_free_one_generated():
         assert A.generates(free, 0)
         assert len(A.congruences(free, limit=free.size)) == count
     assert C.free_one_generated(Z4).label(4) == "{0;2}"
+    # down-sets wider than 64 bits: 127, 255 and 511 elements
+    for k in (7, 8, 9):
+        assert A.validate_axioms(C.free_one_generated(G.make_group([k]))).ok
+    # a commutative, idempotent fault low in P+(C8): {1} ^ {0;1} = {0}
+    free = C.free_one_generated(G.make_group([8]))
+    meet = [list(row) for row in free.meet]
+    assert (free.label(1), free.label(2)) == ("{1}", "{0;1}")
+    meet[1][2] = meet[2][1] = 0
+    faulty = A.FSemilattice(free.group, free.carrier, meet, free.action)
+    report = A.validate_axioms(faulty)
+    assert report == reference_validate_axioms(faulty)
+    assert (report.axiom, report.witness) == ("meet-associativity", (0, 1, 1))
 
 
 def test_free_one_generated_refuses_large_and_infinite_groups():

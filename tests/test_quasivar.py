@@ -250,6 +250,41 @@ def test_verify_bijection_small_groups():
     assert rep1.entries[0].minimal is None  # improper subgroup: two-element case
 
 
+def fan_theories(max_order):
+    """The bijection from the model checker's side, over every coset fan M_K
+    of every group of order <= ``max_order``: M_K satisfies ``-> g(x) = x``
+    exactly for the g in K, so the fans of one group have pairwise distinct
+    theories; and for proper K, with g0 the first element outside K, M_K
+    satisfies ``x ^ g(x) = y ^ g0(y)`` for every g outside K.  Asserts both
+    and returns (fans, model checks)."""
+    fans = checks = 0
+    for group in G.all_group_specs(max_order):
+        x, y = A.var("x", group), A.var("y", group)
+        elements = group.elements()
+        subs, theories = G.subgroups(group), set()
+        for sub in subs:
+            fan = C.maroti(group, sub)
+            fixed = frozenset(
+                g for g in elements
+                if Q.holds_quasi_identity(fan, Q.make_quasi_identity([], (A.translate_term(group, g, x), x)))[0]
+            )
+            assert fixed == set(sub.elements)
+            theories.add(fixed)
+            outside = [g for g in elements if g not in sub]
+            for g in outside:
+                left = A.meet_terms(x, A.translate_term(group, g, x))
+                right = A.meet_terms(y, A.translate_term(group, outside[0], y))
+                assert Q.holds_quasi_identity(fan, Q.make_quasi_identity([], (left, right))) == (True, None)
+            fans += 1
+            checks += len(elements) + len(outside)
+        assert len(theories) == len(subs)
+    return fans, checks
+
+
+def test_fans_over_distinct_subgroups_have_distinct_theories():
+    assert fan_theories(16) == (247, 5231)
+
+
 def test_decompose_examples():
     fan = maroti_z4_h()
     res = Q.decompose_ku(fan, 0)

@@ -2,7 +2,9 @@
 fields, defaults, ``repr``, equality, hashing and immutability it had as a
 frozen dataclass.  ``GroupSpec``, ``Term``, ``QuadraticIrrational`` and
 ``FSemilattice`` also keep the checks and normalisation of their
-constructors, and ``fslat`` imports no ``dataclasses``."""
+constructors, and ``fslat`` imports no ``dataclasses``.  The package
+re-exports nothing, so importing one module loads only what that module
+uses."""
 
 import importlib
 import os
@@ -177,9 +179,8 @@ def test_no_class_in_fslat_is_a_dataclass():
     assert [kind.__name__ for kind in classes if hasattr(kind, "__dataclass_fields__")] == []
 
 
-def test_importing_the_cli_leaves_out_dataclasses():
-    # in a fresh interpreter: pytest itself imports both modules
-    code = "import sys, fslat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+def _fresh_stdout(code: str) -> str:
+    """What ``code`` prints in a fresh interpreter that imports fslat from ``src/``."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run(
         [sys.executable, "-c", code],
@@ -189,7 +190,24 @@ def test_importing_the_cli_leaves_out_dataclasses():
         env=dict(os.environ, PYTHONPATH=src),
         check=True,
     )
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_importing_the_cli_leaves_out_dataclasses():
+    # in a fresh interpreter: pytest itself imports both modules
+    code = "import sys, fslat.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert _fresh_stdout(code) == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "module, loaded",
+    [("fslat", ["fslat"]), ("fslat.irrationals", ["fslat", "fslat.groups", "fslat.irrationals"])],
+)
+def test_importing_a_module_loads_only_what_it_uses(module, loaded):
+    # in a fresh interpreter: the package re-exports nothing, so importing
+    # one module leaves the others unloaded
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'fslat'))"
+    assert _fresh_stdout(code) == f"{loaded}\n"
 
 
 def _four():
