@@ -285,8 +285,8 @@ def _build_algebra(args) -> FSemilattice:
     reps = None
     if args.transversal is not None:
         reps = groups.make_transversal(group, sub, _parse_elements(args.transversal))
-    factor, gens = constructions.chain2_factor(group, sub) if args.u == "chain2" else (None, None)
-    return constructions.twisted_multiple(group, sub, factor, reps, gens)
+    factor = constructions.chain2_factor(group, sub) if args.u == "chain2" else None
+    return constructions.twisted_multiple(group, sub, factor, reps)
 
 
 def _cmd_build(args) -> int:

@@ -22,17 +22,16 @@ from .algebras import (
 )
 from .groups import (
     AdditionTable,
-    Element,
     GroupSpec,
     InfiniteGroupError,
     NotASubgroupError,
     Subgroup,
     Transversal,
     format_element,
+    identity,
     inv,
     mul,
     presentation,
-    reduce_element,
     transversal,
 )
 
@@ -124,55 +123,14 @@ def free_one_generated(group: GroupSpec) -> FSemilattice:
     return FSemilattice(group=group, carrier=labels, meet=meet, action=action)
 
 
-def trivial_factor(
-    group: GroupSpec, sub: Subgroup, label: str = "u"
-) -> tuple[FSemilattice, tuple[Element, ...]]:
-    """One-element algebra over the abstract form of the subgroup, its
-    element labeled ``label``, with the natural generator correspondence."""
-    pres = presentation(group, sub)
-    algebra = FSemilattice(
-        group=pres.spec,
-        carrier=(label,),
-        meet=((0,),),
-        action=tuple((0,) for _ in range(pres.spec.rank)),
-    )
-    return algebra, pres.generators
+def trivial_factor(spec: GroupSpec, label: str = "u") -> FSemilattice:
+    """One-element algebra over ``spec``, its element labeled ``label``."""
+    return FSemilattice(group=spec, carrier=(label,), meet=((0,),), action=((0,),) * spec.rank)
 
 
-def chain2_factor(group: GroupSpec, sub: Subgroup) -> tuple[FSemilattice, tuple[Element, ...]]:
+def chain2_factor(group: GroupSpec, sub: Subgroup) -> FSemilattice:
     """Two-element chain over the abstract form of the subgroup, trivial action."""
-    pres = presentation(group, sub)
-    return two_element(pres.spec), pres.generators
-
-
-def _factor_exponent_table(
-    group: GroupSpec,
-    sub: Subgroup,
-    factor: FSemilattice,
-    factor_generators: tuple[Element, ...],
-    table: AdditionTable,
-) -> dict[int, Element]:
-    """Map the code of each subgroup element to its exponent vector over the
-    supplied generators, verifying on the way that the correspondence is an
-    isomorphism onto the subgroup.  Mismatches are an error, never coerced."""
-    fgroup = factor.group
-    if not fgroup.is_finite:
-        raise NotASubgroupError("factor algebra must live over a finite group")
-    if len(factor_generators) != fgroup.rank:
-        raise NotASubgroupError("need one subgroup generator per factor-group coordinate")
-    gens = [table.index[reduce_element(group, g)] for g in factor_generators]
-    exponents: dict[int, Element] = {}
-    for vector in fgroup.elements():
-        value = 0
-        for g, e in zip(gens, vector):
-            for _ in range(e):
-                value = table[value][g]
-        if value in exponents:
-            raise NotASubgroupError("generator correspondence is not injective")
-        exponents[value] = vector
-    if set(exponents) != {table.index.get(h) for h in sub.elements}:
-        raise NotASubgroupError("generator correspondence does not present the subgroup")
-    return exponents
+    return two_element(presentation(group, sub).spec)
 
 
 def twisted_multiple(
@@ -180,14 +138,13 @@ def twisted_multiple(
     sub: Subgroup,
     factor: FSemilattice | None = None,
     reps: Transversal | None = None,
-    factor_generators: tuple[Element, ...] | None = None,
 ) -> FSemilattice:
     """Glue one shifted copy of the factor algebra per coset above a zero.
 
-    With no factor, the one-element algebra over the subgroup is used; with a
-    factor but no generator correspondence, the natural presentation of the
-    subgroup, provided its abstract group matches the factor's exactly.  With
-    no transversal, the least member of each coset represents it.
+    The factor lives over the subgroup's abstract form ``presentation(group,
+    sub).spec``, whose i-th coordinate is the presentation's i-th generator;
+    with no factor, the one-element algebra over it is used.  With no
+    transversal, the least member of each coset represents it.
 
     Carrier: pairs (u, t) for u in the factor and t a coset representative,
     (u, t) at index (position of t) * |factor| + u, plus a final zero.  Pairs
@@ -201,22 +158,23 @@ def twisted_multiple(
         raise InfiniteGroupError("twisted multiples are built over finite groups")
     if reps is None:
         reps = transversal(group, sub)
-    if reps.subgroup.elements != sub.elements:
+    if reps.subgroup != sub:
         raise NotASubgroupError("transversal does not belong to the subgroup")
+    pres = presentation(group, sub)
     if factor is None:
-        factor, gens = trivial_factor(group, sub)
-        if factor_generators is None:
-            factor_generators = gens
-    if factor_generators is None:
-        pres = presentation(group, sub)
-        if pres.spec != factor.group:
-            raise NotASubgroupError(
-                f"factor group {factor.group} does not match the subgroup's abstract form {pres.spec}; "
-                "supply an explicit generator correspondence"
-            )
-        factor_generators = pres.generators
+        factor = trivial_factor(pres.spec)
+    if factor.group != pres.spec:
+        raise NotASubgroupError(
+            f"factor group {factor.group} does not match the subgroup's abstract form {pres.spec}"
+        )
     table = AdditionTable(group)
-    exponents = _factor_exponent_table(group, sub, factor, factor_generators, table)
+    exponents = {0: identity(pres.spec)}  # code of h -> h's exponents over pres.generators
+    for i, g in enumerate(pres.generators):
+        row = table[table.index[g]]
+        for code, vector in list(exponents.items()):
+            for e in range(1, pres.spec.orders[i]):
+                code = row[code]
+                exponents[code] = vector[:i] + (e,) + vector[i + 1 :]
     members = [table.index[h] for h in sub.elements]
     split = {}  # code(t + h) -> (position of t, code of h)
     for pos, t in enumerate(reps.reps):
@@ -247,15 +205,14 @@ def transversal_independence_check(
     factor: FSemilattice | None,
     first: Transversal,
     second: Transversal,
-    factor_generators: tuple[Element, ...] | None = None,
 ) -> Homomorphism:
     """Build the twisted multiple with two different transversals and verify
     the explicit isomorphism (u, t) -> (t'^{-1} t (u), t') between them, where
     t' represents t's coset in the second transversal.  With e the second
     transversal's member of the subgroup, that pair is (t - e) applied to
     (u, e), so the map is read off the action of the second multiple."""
-    left = twisted_multiple(group, sub, factor, first, factor_generators)
-    right = twisted_multiple(group, sub, factor, second, factor_generators)
+    left = twisted_multiple(group, sub, factor, first)
+    right = twisted_multiple(group, sub, factor, second)
     u_size = (right.size - 1) // len(second.reps)
     e = next(t for t in second.reps if t in sub)
     base = second.reps.index(e) * u_size

@@ -53,6 +53,7 @@ from .groups import (
     elementary,
     identity,
     parse_int,
+    presentation,
     reduce_element,
     subgroups,
     transversal,
@@ -347,7 +348,6 @@ def verify_bijection(group: GroupSpec) -> BijectionReport:
 class DecompositionResult(NamedTuple):
     subgroup: Subgroup
     factor: FSemilattice
-    factor_generators: tuple[Element, ...]
     reconstruction: FSemilattice
     iso: Homomorphism
 
@@ -378,21 +378,20 @@ def decompose_ku(algebra: FSemilattice, a: int) -> DecompositionResult:
             f"{algebra.label(verdict.counterexample)!r}"
         )
     sub = stabilizer(algebra, a)
-    factor, generators = trivial_factor(group, sub, algebra.label(a))
+    factor = trivial_factor(presentation(group, sub).spec, algebra.label(a))
     reps = transversal(group, sub)
-    rebuilt = twisted_multiple(group, sub, factor, reps, generators)
+    rebuilt = twisted_multiple(group, sub, factor, reps)
     mapping = [act(algebra, t, a) for t in reps.reps] + [zero(algebra)]
     iso = Homomorphism(rebuilt, algebra, tuple(mapping))
     if not is_isomorphism(iso):
         raise VerificationError("reconstruction map failed verification")
-    return DecompositionResult(sub, factor, generators, rebuilt, iso)
+    return DecompositionResult(sub, factor, rebuilt, iso)
 
 
 def delta_map(
     group: GroupSpec,
     sub: Subgroup,
     factor: FSemilattice | None = None,
-    factor_generators: tuple[Element, ...] | None = None,
 ) -> FSemilattice:
     """Free-algebra representative of the (subgroup, factor) pair: the twisted
     multiple, with its free-minimality verified before returning.
@@ -404,7 +403,7 @@ def delta_map(
     order = group.order()
     if order is not None and len(sub.elements) == order:
         raise ValueError("the subgroup must be proper")
-    built = twisted_multiple(group, sub, factor, factor_generators=factor_generators)
+    built = twisted_multiple(group, sub, factor)
     verdict = is_minimal_free(built, 0)
     if not verdict.minimal:
         raise VerificationError(

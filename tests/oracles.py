@@ -27,7 +27,7 @@ from fslat.algebras import (
     var,
     zero,
 )
-from fslat.constructions import VerificationError, twisted_multiple
+from fslat.constructions import VerificationError
 from fslat.groups import (
     Element,
     GroupSpec,
@@ -1086,7 +1086,7 @@ def reference_decompose_ku(algebra: FSemilattice, a: int) -> DecompositionResult
         algebra, a, pres.spec, [element_action(algebra, g) for g in pres.generators]
     )
     reps = transversal(group, sub)
-    rebuilt = twisted_multiple(group, sub, factor, reps, pres.generators)
+    rebuilt = reference_twisted_multiple(TwistedSpec(group, sub, reps, factor, pres.generators))
     u_size = factor.size
     mapping = []
     for i in range(rebuilt.size - 1):
@@ -1097,7 +1097,7 @@ def reference_decompose_ku(algebra: FSemilattice, a: int) -> DecompositionResult
     iso = Homomorphism(rebuilt, algebra, tuple(mapping))
     if not is_isomorphism(iso):
         raise VerificationError("reconstruction map failed verification")
-    return DecompositionResult(sub, factor, pres.generators, rebuilt, iso)
+    return DecompositionResult(sub, factor, rebuilt, iso)
 
 
 # Verbatim copies of ``validate_axioms`` and the ``perm_order`` it calls,

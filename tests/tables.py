@@ -166,8 +166,8 @@ def fans_and_multiples(max_order):
         for sub in G.subgroups(spec):
             out.append(C.maroti(spec, sub))
             if sub.is_proper:
-                for factor, gens in (C.trivial_factor(spec, sub), C.chain2_factor(spec, sub)):
-                    out.append(C.twisted_multiple(spec, sub, factor, None, gens))
+                for factor in (None, C.chain2_factor(spec, sub)):
+                    out.append(C.twisted_multiple(spec, sub, factor))
     return out
 
 

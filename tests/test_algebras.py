@@ -797,8 +797,7 @@ def test_congruences_of_small_fan_match_exhaustive_oracle():
 
 def test_congruence_method_matches_oracle_on_carriers_up_to_7():
     h = G.subgroup_from_elements(Z4, [(0,), (2,)])
-    u, gens = C.chain2_factor(Z4, h)
-    twisted_chain = C.twisted_multiple(Z4, h, u, factor_generators=gens)  # not simple
+    twisted_chain = C.twisted_multiple(Z4, h, C.chain2_factor(Z4, h))  # not simple
     samples = [
         maroti_z2(),
         maroti_z4_h(),

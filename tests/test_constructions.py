@@ -3,6 +3,7 @@ import pytest
 from fslat import algebras as A
 from fslat import constructions as C
 from fslat import groups as G
+from fslat import quasivar as Q
 from oracles import (
     reference_is_isomorphic_1gen,
     reference_maroti,
@@ -15,6 +16,7 @@ Z2 = G.make_group([2])
 Z4 = G.make_group([4])
 Z6 = G.make_group([6])
 Z2xZ2 = G.make_group([2, 2])
+Z2xZ4 = G.make_group([2, 4])
 
 
 def test_maroti_examples():
@@ -52,13 +54,12 @@ def test_maroti_generated_by_each_atom():
 
 def test_construction_outputs_validate():
     h = G.subgroup_from_elements(Z4, [(0,), (2,)])
-    u, gens = C.chain2_factor(Z4, h)
     outputs = [
         C.maroti(Z4, h),
         C.maroti(Z2xZ2, G.trivial_subgroup(Z2xZ2)),
         C.two_element(Z6),
         C.twisted_multiple(Z4, h),
-        C.twisted_multiple(Z4, h, u, factor_generators=gens),
+        C.twisted_multiple(Z4, h, C.chain2_factor(Z4, h)),
         C.counterexample_a7(),
     ] + [C.a_k(k) for k in range(1, 9)]
     for algebra in outputs:
@@ -75,8 +76,7 @@ def test_twisted_trivial_factor_is_the_coset_fan():
 
 def test_twisted_chain_factor_size():
     h = G.subgroup_from_elements(Z4, [(0,), (2,)])
-    u, gens = C.chain2_factor(Z4, h)
-    tw = C.twisted_multiple(Z4, h, u, factor_generators=gens)
+    tw = C.twisted_multiple(Z4, h, C.chain2_factor(Z4, h))
     assert tw.size == 2 * 2 + 1
 
 
@@ -91,10 +91,22 @@ def test_twisted_transversal_choice_is_irrelevant():
 
 
 def test_twisted_factor_group_mismatch_is_an_error():
+    # the factor must live over the presentation's abstract form: another
+    # order, an infinite group, or another shape of the same order is refused
     h = G.subgroup_from_elements(Z4, [(0,), (2,)])
-    wrong = A.FSemilattice(G.make_group([3]), ("u",), ((0,),), ((0,),))
-    with pytest.raises(G.NotASubgroupError):
-        C.twisted_multiple(Z4, h, wrong)
+    klein = G.subgroup_from_elements(Z2xZ4, [(0, 0), (0, 2), (1, 0), (1, 2)])
+    cases = [
+        (Z4, h, G.make_group([3]), "C3", "C2"),
+        (Z4, h, G.GroupSpec((0,)), "C_inf", "C2"),
+        (Z2xZ4, klein, G.make_group([4]), "C4", "C2xC2"),
+    ]
+    for group, sub, fgroup, got, want in cases:
+        wrong = A.FSemilattice(fgroup, ("u",), ((0,),), ((0,),) * fgroup.rank)
+        message = f"^factor group {got} does not match the subgroup's abstract form {want}$"
+        with pytest.raises(G.NotASubgroupError, match=message):
+            C.twisted_multiple(group, sub, wrong)
+        with pytest.raises(G.NotASubgroupError, match=message):
+            Q.delta_map(group, sub, wrong)
 
 
 def test_twisted_refuses_a_transversal_of_another_subgroup():
@@ -108,6 +120,13 @@ def test_twisted_refuses_a_transversal_of_another_subgroup():
         C.twisted_multiple(Z4, h, wrong, other)
     with pytest.raises(G.NotASubgroupError, match="^transversal does not belong"):
         C.transversal_independence_check(Z4, h, None, G.transversal(Z4, h), other)
+    # a transversal of another group's subgroup with the same elements
+    triv4, triv6 = G.trivial_subgroup(Z4), G.trivial_subgroup(Z6)
+    with pytest.raises(G.NotASubgroupError, match="^transversal does not belong"):
+        C.twisted_multiple(Z4, triv4, reps=G.transversal(Z6, triv6))
+    first, second = G.transversal(Z4, triv4), G.transversal(Z2, G.trivial_subgroup(Z2))
+    with pytest.raises(G.NotASubgroupError, match="^transversal does not belong"):
+        C.transversal_independence_check(Z4, triv4, None, first, second)
 
 
 def test_twisted_generated_from_any_transversal_slot():
@@ -117,9 +136,8 @@ def test_twisted_generated_from_any_transversal_slot():
     pres = G.presentation(Z6, h6)
     fan_factor = C.maroti(pres.spec, G.trivial_subgroup(pres.spec))
     assert A.generates(fan_factor, 0)
-    cases = [C.trivial_factor(Z6, h6), (fan_factor, pres.generators)]
-    for factor, gens in cases:
-        tw = C.twisted_multiple(Z6, h6, factor, factor_generators=gens)
+    for factor in (C.trivial_factor(pres.spec), fan_factor):
+        tw = C.twisted_multiple(Z6, h6, factor)
         u_size = factor.size
         for t_pos in range(len(G.transversal(Z6, h6).reps)):
             assert A.generates(tw, t_pos * u_size + 0)
@@ -172,10 +190,10 @@ def test_transversal_independence_check_examples():
     assert same.map == tuple(range(3))
 
     h6 = G.subgroup_from_elements(Z6, [(0,), (3,)])
-    u, gens = C.chain2_factor(Z6, h6)
+    u = C.chain2_factor(Z6, h6)
     ta = G.make_transversal(Z6, h6, [(0,), (1,), (2,)])
     tb = G.make_transversal(Z6, h6, [(3,), (1,), (5,)])
-    hom6 = C.transversal_independence_check(Z6, h6, u, ta, tb, gens)
+    hom6 = C.transversal_independence_check(Z6, h6, u, ta, tb)
     assert hom6.is_bijective and A.is_homomorphism(hom6)
 
 
@@ -185,8 +203,8 @@ def test_twisted_builds_validate_over_small_groups():
         for sub in G.subgroups(spec):
             if not 1 < sub.size < order:
                 continue
-            for factor, gens in (C.trivial_factor(spec, sub), C.chain2_factor(spec, sub)):
-                built = C.twisted_multiple(spec, sub, factor, factor_generators=gens)
+            for factor in (C.trivial_factor(G.presentation(spec, sub).spec), C.chain2_factor(spec, sub)):
+                built = C.twisted_multiple(spec, sub, factor)
                 assert A.validate_axioms(built).ok
                 assert built.size == factor.size * (order // sub.size) + 1
 
@@ -204,12 +222,11 @@ def test_twisted_matches_reference_up_to_16():
             kinds = [G.transversal(spec, sub), greatest_transversal(spec, sub)]
             pres = G.presentation(spec, sub)
             fan = C.maroti(pres.spec, G.trivial_subgroup(pres.spec))
-            factors = [C.trivial_factor(spec, sub), C.chain2_factor(spec, sub)]
-            for factor, gens in factors + [(fan, pres.generators)]:
+            for factor in (C.trivial_factor(pres.spec), C.chain2_factor(spec, sub), fan):
                 for reps, other in zip(kinds, kinds[::-1]):
-                    got = C.transversal_independence_check(spec, sub, factor, reps, other, gens)
+                    got = C.transversal_independence_check(spec, sub, factor, reps, other)
                     want = reference_transversal_independence_check(
-                        spec, sub, factor, reps, other, gens
+                        spec, sub, factor, reps, other, pres.generators
                     )
                     # source and target are the twisted multiples on reps and other
                     assert got == want

@@ -225,8 +225,8 @@ def test_generator_preserving_isomorphism_preserves_stabilizer():
             algebras += [fan, opposite(fan)]
             if 1 < sub.size < spec.order():
                 reps = greatest_transversal(spec, sub)
-                for factor, gens in (C.trivial_factor(spec, sub), C.chain2_factor(spec, sub)):
-                    algebras.append(C.twisted_multiple(spec, sub, factor, reps, gens))
+                for factor in (None, C.chain2_factor(spec, sub)):
+                    algebras.append(C.twisted_multiple(spec, sub, factor, reps))
         if spec == a7.group:
             algebras += [A.subalgebra_generated(a7, x)[0] for x in range(a7.size)]
         generated = [(alg, x) for alg in algebras for x in range(alg.size) if A.generates(alg, x)]
@@ -318,9 +318,8 @@ def test_decompose_matches_reference():
     for spec in G.all_group_specs(16):
         for sub in G.subgroups(spec):
             if sub.is_proper:
-                factor, gens = C.chain2_factor(spec, sub)
                 cases += [C.maroti(spec, sub), C.twisted_multiple(spec, sub)]
-                cases.append(C.twisted_multiple(spec, sub, factor, factor_generators=gens))
+                cases.append(C.twisted_multiple(spec, sub, C.chain2_factor(spec, sub)))
     for orders in ([1], [2], [3], [4], [2, 2], [6], [2, 3], [8]):
         cases += random_tables(rng, G.make_group(orders), 60)
         cases += random_semilattices(rng, G.make_group(orders), 20)
@@ -366,15 +365,14 @@ def test_delta_map_examples():
 def test_delta_map_rejects_ineligible_factors():
     h = G.subgroup_from_elements(Z4, [(0,), (2,)])
     # the two-chain factor is not 1-generated, so nothing generates the result
-    u, gens = C.chain2_factor(Z4, h)
     with pytest.raises(A.NotGeneratedError):
-        Q.delta_map(Z4, h, u, factor_generators=gens)
+        Q.delta_map(Z4, h, C.chain2_factor(Z4, h))
     # a 1-generated factor with a zero and several elements generates the
     # result, but the result fails the minimality verification
     pres = G.presentation(Z4, h)
     fan_u = C.maroti(pres.spec, G.trivial_subgroup(pres.spec))
     with pytest.raises(C.VerificationError):
-        Q.delta_map(Z4, h, fan_u, factor_generators=pres.generators)
+        Q.delta_map(Z4, h, fan_u)
 
 
 def test_delta_then_decompose_roundtrip_small():
@@ -606,8 +604,8 @@ def _action_cases():
             fan = C.maroti(spec, sub)
             out += [fan, opposite(fan), C.two_element(spec)]
             if sub.is_proper:
-                for factor, gens in (C.trivial_factor(spec, sub), C.chain2_factor(spec, sub)):
-                    out.append(C.twisted_multiple(spec, sub, factor, None, gens))
+                for factor in (None, C.chain2_factor(spec, sub)):
+                    out.append(C.twisted_multiple(spec, sub, factor))
         out += [
             _coset_tower(spec, [big, small])
             for big, small in itertools.permutations(subs, 2)

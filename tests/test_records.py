@@ -53,7 +53,7 @@ OLD_FIELDS = {
     Q.BijectionEntry: (("subgroup", "algebra_size", "is_proper", "minimal", "stabilizer_ok"), {}),
     Q.BijectionReport: (("group", "entries", "pairwise_distinct"), {}),
     Q.DecompositionResult: (
-        ("subgroup", "factor", "factor_generators", "reconstruction", "iso"),
+        ("subgroup", "factor", "reconstruction", "iso"),
         {},
     ),
     Q.QuotientExclusion: (("blocks", "excluded", "witness"), {}),
