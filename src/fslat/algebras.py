@@ -110,23 +110,15 @@ def perm_order(p: Perm) -> int:
     return lcm(*lengths)
 
 
-# Most entries of each memo of a generator permutation fact: orders and
-# commuting pairs by value; per meet table, points of ``cover_keepers``.
+# Most points of permutations (carrier size times generators, summed over
+# its pairs) each meet table's ``valid_actions`` keeps.
 PERM_MEMO = 4096
-
-_order = lru_cache(maxsize=PERM_MEMO)(perm_order)
-
-
-@lru_cache(maxsize=PERM_MEMO)
-def _commute(p: Perm, q: Perm) -> bool:
-    """Whether p(q(x)) = q(p(x)) for every x."""
-    return itemgetter(*q)(p) == itemgetter(*p)(q)
 
 
 class MeetTable(tuple):
     """A meet table, a tuple of index rows, caching the facts about the table
-    alone: algebras sharing one (every coset fan of a size, every loaded
-    payload of one ``exact`` table) compute them once."""
+    alone and the actions valid on it: algebras sharing one (every coset fan
+    of a size, every loaded payload of one ``exact`` table) compute them once."""
 
     def __new__(cls, rows):
         return rows if type(rows) is cls else super().__new__(cls, map(tuple, rows))
@@ -203,21 +195,11 @@ class MeetTable(tuple):
         return tuple(sorted(edges))
 
     @cached_property
-    def cover_keepers(self) -> set[Perm]:
-        """The permutations ``keeps_covers`` has found to keep every cover in order."""
-        return set()
-
-    def keeps_covers(self, p: Perm) -> bool:
-        """Whether p keeps each cover in order; one that does is kept in
-        ``cover_keepers``, up to ``PERM_MEMO`` points of permutations."""
-        kept = self.cover_keepers
-        if p in kept:
-            return True
-        if not all(self[p[x]][p[y]] == p[x] for x, y in self.covers):
-            return False
-        if len(kept) < PERM_MEMO // len(self):
-            kept.add(p)
-        return True
+    def valid_actions(self) -> dict[tuple[tuple[int, ...], tuple[Perm, ...]], int]:
+        """The (factor orders, action) pairs ``validate_axioms`` has passed on
+        this table, each mapped to the points of permutations kept up to and
+        with it: the last value is the total, at most ``PERM_MEMO``."""
+        return {}
 
 
 class FSemilattice(
@@ -316,10 +298,10 @@ def validate_axioms(algebra: FSemilattice) -> ValidationReport:
     the first witness; it compares the rows (x ^ y) ^ z and x ^ (y ^ z) over
     all z whole for each pair (x, y).  The other checks likewise compare
     whole tables, permutations or covers before an element loop names a
-    witness.  The three action checks are memoized by value (``keeps_covers``,
-    ``_commute``, ``_order``), read only after ``check_shape`` has found every
-    entry an int, since ``==`` takes ``True`` for ``1``; a witness scan runs
-    on the failing algebra itself.
+    witness.  An action passing the three action checks is kept, with the
+    factor orders, in the table's ``valid_actions`` and passes at once when
+    met again; its keys are read only after ``check_shape`` has found every
+    entry an int, since ``==`` takes ``True`` for ``1``.
     """
     check_shape(algebra)
     n = algebra.size
@@ -328,26 +310,32 @@ def validate_axioms(algebra: FSemilattice) -> ValidationReport:
     if meet.failure:
         axiom, witness, detail = meet.failure
         return ValidationReport(False, axiom, witness, detail.format(*map(lab, witness)))
-    for i, p in enumerate(algebra.action):
+    action, orders, valid = algebra.action, algebra.group.orders, meet.valid_actions
+    if (orders, action) in valid:
+        return ValidationReport(True)
+    for i, p in enumerate(action):
         # a bijection that keeps each cover in order keeps the whole order,
         # so it preserves greatest lower bounds
-        if not meet.keeps_covers(p):
+        if not all(meet[p[x]][p[y]] == p[x] for x, y in meet.covers):
             pairs = ((x, y) for x in range(n) for y in range(x, n))
             x, y = next((x, y) for x, y in pairs if p[meet[x][y]] != meet[p[x]][p[y]])
             detail = f"g{i}({lab(x)} ^ {lab(y)}) != g{i}({lab(x)}) ^ g{i}({lab(y)})"
             return ValidationReport(False, "action-automorphism", (i, x, y), detail)
-    for i, j in combinations(range(len(algebra.action)), 2):
-        p, q = algebra.action[i], algebra.action[j]
-        if not _commute(p, q):
+    for i, j in combinations(range(len(action)), 2):
+        p, q = action[i], action[j]
+        if itemgetter(*q)(p) != itemgetter(*p)(q):  # p(q(x)) against q(p(x)), every x
             x = next(x for x in range(n) if p[q[x]] != q[p[x]])
             detail = f"g{i}(g{j}({lab(x)})) != g{j}(g{i}({lab(x)}))"
             return ValidationReport(False, "action-commutation", (i, j, x), detail)
-    for i, (p, k) in enumerate(zip(algebra.action, algebra.group.orders)):
-        if k >= 1 and k % _order(p):
+    for i, (p, k) in enumerate(zip(action, orders)):
+        if k >= 1 and k % perm_order(p):
             # p^k fixes x exactly when the length of x's cycle divides k
             x = next(x for x in range(n) if k % len(cycle(p, x)))
             detail = f"g{i} applied {k} times moves {lab(x)}; factor order {k}"
             return ValidationReport(False, "action-order", (i, x), detail)
+    kept = n * len(action) + next(reversed(valid.values()), 0)
+    if kept <= PERM_MEMO:
+        valid[orders, action] = kept
     return ValidationReport(True)
 
 

@@ -26,6 +26,7 @@ from .algebras import (
     Homomorphism,
     NotGeneratedError,
     Term,
+    ValidationReport,
     act,
     congruences,
     cycle,
@@ -330,13 +331,21 @@ def verify_bijection(group: GroupSpec) -> BijectionReport:
     reports that the generator stabilizers are pairwise distinct.  One
     addition table serves the subgroups, every fan and every stabilizer:
     each stabilizer is read off the fan's action as a set of codes, which
-    the table's closure test turns into its element set.  Every fan is
-    still validated before its stabilizer is read.
+    the table's closure test turns into its element set.
+
+    Each fan is valid by construction, so it carries ``ValidationReport(True)``
+    where ``validation`` caches it, and ``validate_axioms`` never runs on it:
+    ``_fan_meet`` is a semilattice (distinct atoms meet at the zero); F
+    permutes the cosets of the closed K that ``subgroups`` gives, so the
+    generator permutations commute and s_i^(k_i) = id; and any permutation
+    of the atoms that fixes the zero is a meet automorphism of a flat fan.
+    ``maroti`` cannot assume this: a caller may pass an unclosed ``Subgroup``.
     """
     table, order = AdditionTable(group), group.order()
     entries, stabilizers = [], set()
     for sub in subgroups(group, table):
         fan = maroti(group, sub, table)
+        vars(fan)["validation"] = ValidationReport(True)
         proper = sub.size < order
         minimal = is_minimal_free(fan, 0).minimal if proper else None
         stab = stabilizer(fan, 0, table).elements

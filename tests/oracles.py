@@ -17,7 +17,6 @@ from fslat.algebras import (
     Perm,
     Term,
     ValidationReport,
-    act,
     ShapeError,
     check_shape,
     element_action,
@@ -25,7 +24,6 @@ from fslat.algebras import (
     meet_terms,
     perm_identity,
     var,
-    zero,
 )
 from fslat.constructions import VerificationError
 from fslat.groups import (
@@ -42,8 +40,6 @@ from fslat.groups import (
     mul,
     presentation,
     reduce_element,
-    subgroup_from_elements,
-    transversal,
 )
 from fslat.irrationals import QuadraticIrrational, compare_values, compare_with_rational
 from fslat.quasivar import (
@@ -453,6 +449,21 @@ def reference_act(algebra: FSemilattice, g: Element, x: int) -> int:
     return y
 
 
+def _step(algebra: FSemilattice, g: Element, x: int) -> int:
+    """g(x) for g in a finite group, each generator permutation applied c
+    times for its coordinate c, one move at a time."""
+    for p, c in zip(algebra.action, g):
+        for _ in range(c):
+            x = p[x]
+    return x
+
+
+def reference_zero(algebra: FSemilattice) -> int:
+    """The element every element meets to itself, found by trying each one."""
+    n = algebra.size
+    return next(z for z in range(n) if all(algebra.meet[z][x] == z for x in range(n)))
+
+
 def reference_eval_unary(algebra: FSemilattice, term: Term, x: int) -> int:
     """A term in one variable at ``x``: the meet of its translates g(x),
     each applied step by step (``reference_act``)."""
@@ -621,7 +632,7 @@ def reference_is_minimal_free(algebra: FSemilattice, a: int) -> MinimalityVerdic
         raise ValueError("minimality test needs a nontrivial algebra")
     if not _generates(algebra, a):
         raise NotGeneratedError(f"{algebra.label(a)!r} does not generate the algebra")
-    bottom = zero(algebra)
+    bottom = reference_zero(algebra)
     checked = 0
     for b in range(algebra.size):
         if b == bottom:
@@ -772,11 +783,12 @@ def reference_maroti(group: GroupSpec, sub: Subgroup) -> FSemilattice:
 
 
 def reference_stabilizer(algebra: FSemilattice, a: int) -> Subgroup:
-    """The subgroup of group elements fixing ``a`` (finite groups only)."""
+    """The subgroup of group elements fixing ``a`` (finite groups only),
+    each g applied one move at a time (``_step``)."""
     group = algebra.group
     if not group.is_finite:
         raise InfiniteGroupError("stabilizers need a finite group")
-    fixing = [g for g in group.elements() if act(algebra, g, a) == a]
+    fixing = [g for g in group.elements() if _step(algebra, g, a) == a]
     return reference_closure_subgroup_from_elements(group, fixing)
 
 
@@ -951,7 +963,7 @@ def reference_twisted_multiple(spec: TwistedSpec) -> FSemilattice:
             gt = mul(group, g, reps[t])
             f = rep_of[gt]
             k = mul(group, gt, inv(group, f))
-            u2 = act(spec.factor, exponents[k], u)
+            u2 = _step(spec.factor, exponents[k], u)
             perm.append(pair_index[(u2, reps.index(f))])
         perm.append(bottom)
         action.append(tuple(perm))
@@ -988,7 +1000,7 @@ def reference_transversal_independence_check(
         t2_pos = coset_of[t]
         t2 = second.reps[t2_pos]
         k = mul(group, inv(group, t2), t)
-        mapping.append(t2_pos * u_size + act(spec1.factor, exponents[k], u))
+        mapping.append(t2_pos * u_size + _step(spec1.factor, exponents[k], u))
     mapping.append(right.size - 1)
     hom = Homomorphism(left, right, tuple(mapping))
     if not is_isomorphism(hom):
@@ -1037,8 +1049,11 @@ def reference_separating_quasi_identity(algebra: FSemilattice, a: int) -> QuasiI
 
 # Verbatim copy of ``decompose_ku`` with its scan of meets of up to three
 # translates, kept as a reference for the version that relies on the
-# verified isomorphism alone; its minimality test and its action are this
-# module's ``reference_is_minimal_free`` and ``reference_act``.
+# verified isomorphism alone; its minimality test, its action, its zero and
+# its subgroup are this module's ``reference_is_minimal_free``,
+# ``reference_act``, ``reference_zero`` and
+# ``reference_closure_subgroup_from_elements``, and its transversal takes
+# the least member of each block of ``reference_cosets``.
 
 MAX_TRANSLATES = 3
 
@@ -1064,12 +1079,13 @@ def reference_decompose_ku(algebra: FSemilattice, a: int) -> DecompositionResult
             f"decomposition needs a free-minimal algebra; counterexample "
             f"{algebra.label(verdict.counterexample)!r}"
         )
-    bottom = zero(algebra)
+    bottom = reference_zero(algebra)
     elements = group.elements()
     translate = {g: reference_act(algebra, g, a) for g in elements}
     k_elems = [g for g in elements if algebra.meet[a][translate[g]] != bottom]
-    sub = subgroup_from_elements(group, k_elems)  # failure here would be a bug
-    coset_id = {g: i for i, b in enumerate(reference_cosets(group, sub)) for g in b}
+    sub = reference_closure_subgroup_from_elements(group, k_elems)  # failure here would be a bug
+    blocks = reference_cosets(group, sub)
+    coset_id = {g: i for i, b in enumerate(blocks) for g in b}
     for size in range(1, MAX_TRANSLATES + 1):
         for combo in itertools.combinations_with_replacement(elements, size):
             value = None
@@ -1085,7 +1101,7 @@ def reference_decompose_ku(algebra: FSemilattice, a: int) -> DecompositionResult
     factor, closure = reference_generated_by(
         algebra, a, pres.spec, [element_action(algebra, g) for g in pres.generators]
     )
-    reps = transversal(group, sub)
+    reps = Transversal(group, sub, tuple(b[0] for b in blocks))  # least members
     rebuilt = reference_twisted_multiple(TwistedSpec(group, sub, reps, factor, pres.generators))
     u_size = factor.size
     mapping = []

@@ -11,7 +11,7 @@ from fslat import algebras as A
 from fslat import cli
 from fslat import constructions as C
 from fslat import groups as G
-from fslat.quasivar import eval_term, verify_bijection
+from fslat.quasivar import eval_term
 from oracles import (
     congruences_by_exhaustion,
     is_congruence_direct,
@@ -513,73 +513,64 @@ def test_loaded_tables_leave_least_recently_used_first(loaded):
     assert loaded()[:2] == before[:2]
 
 
-@pytest.fixture
-def memos():
-    """The value memos of ``validate_axioms`` empty before and after one test."""
-    A._order.cache_clear()
-    A._commute.cache_clear()
-    yield
-    A._order.cache_clear()
-    A._commute.cache_clear()
-
-
-def _memo_state(meet):
-    return A._order.cache_info(), A._commute.cache_info(), set(meet.cover_keepers)
-
-
 @pytest.mark.parametrize("exact_first", [True, False], ids=["exact-first", "other-first"])
-def test_entries_equal_under_eq_never_reach_a_memo(memos, exact_first):
-    # (True, ...) == (1, ...), and a table holding True equals the all-int
-    # one: check_shape refuses each with its message, reading no memo,
-    # whether the all-int algebra's facts were memoized before or after;
-    # an int subclass passes as before
+def test_entries_equal_under_eq_never_reach_a_memo(exact_first):
+    # (True, ...) == (1, ...) == (1.0, ...), and a table holding True or 1.0
+    # equals the all-int one: check_shape refuses each with its message,
+    # before the table's valid_actions is read, whether the all-int
+    # algebra's action was kept before or after, and no such action enters
+    # the memo; an int subclass passes as before
     fan = fan5()
-    meet = A.MeetTable([list(row) for row in fan.meet])  # a table of its own, no memo yet
+    meet = A.MeetTable([list(row) for row in fan.meet])  # a table of its own, no action kept yet
     algebra = A.FSemilattice(fan.group, fan.carrier, meet, fan.action)
     p, q = algebra.action
     x = p.index(1)
-    true_perm = p[:x] + (True,) + p[x + 1 :]
-    rows = [list(row) for row in meet]
-    rows[1][1] = True
-    assert true_perm == p and tuple(map(tuple, rows)) == meet
-    refused = [
-        (A.FSemilattice(fan.group, fan.carrier, meet, (true_perm, q)), "action table is not a carrier permutation"),
-        (A.FSemilattice(fan.group, fan.carrier, rows, fan.action), "meet entry True is not an index below 5"),
-    ]
+    refused = []
+    for one in (True, 1.0):
+        equal_perm = p[:x] + (one,) + p[x + 1 :]
+        rows = [list(row) for row in meet]
+        rows[1][1] = one
+        assert equal_perm == p and tuple(map(tuple, rows)) == meet
+        refused += [
+            (A.FSemilattice(fan.group, fan.carrier, meet, (equal_perm, q)),
+             "action table is not a carrier permutation"),
+            (A.FSemilattice(fan.group, fan.carrier, rows, fan.action),
+             f"meet entry {one!r} is not an index below 5"),
+        ]
     if exact_first:
         assert A.validate_axioms(algebra).ok
     for other, message in refused:
-        before = _memo_state(meet)
+        before = set(meet.valid_actions)
         for _ in range(2):
             with pytest.raises(A.ShapeError, match=f"^{re.escape(message)}$"):
                 A.validate_axioms(other)
-        assert _memo_state(meet) == before
+        assert set(meet.valid_actions) == before and (other.meet is meet or not other.meet.valid_actions)
     assert A.validate_axioms(algebra).ok
+    assert meet.valid_actions == {(fan.group.orders, fan.action): 5 * 2}
     subclass = A.FSemilattice(fan.group, fan.carrier, meet, (tuple(map(Index, p)), q))
     assert A.validate_axioms(subclass) == reference_validate_axioms(subclass) == A.ValidationReport(True)
 
 
 def test_validate_matches_reference_with_warm_memos(loaded):
-    # random actions over the fan tables a census shares and over loaded
-    # tables, the memos warmed by a census pass: each report equals the
+    # random actions over copies of the fan tables (no other test fills
+    # their sets) and over loaded tables: each report equals the
     # reference's, axiom, witness and detail, also where a permutation
-    # fails the cover, commutation or order check.  Census permutations
-    # hit the memos; shuffled atoms keep the covers, shuffled points mostly
+    # fails the cover, commutation or order check.  Each payload is loaded
+    # twice, so the second load of a valid one is served from its kept
+    # table's valid_actions, and an action drawn again is served from its
+    # base table's; shuffled atoms keep the covers, shuffled points mostly
     # do not
-    for spec in G.all_group_specs(32):
-        verify_bijection(spec)
-    hits = A._order.cache_info().hits, A._commute.cache_info().hits
     rng = random.Random(5151)
     pools, tables = {}, {}
     for spec in G.all_group_specs(16):
         for sub in G.subgroups(spec):
             fan = C.maroti(spec, sub)
             pools.setdefault(fan.size, set()).update(fan.action)
-            tables[fan.size] = fan.meet
+            tables.setdefault(fan.size, A.MeetTable(list(fan.meet)))
     bases = [A.FSemilattice(G.make_group([1]), [str(x) for x in range(n)], tables[n], [range(n)]) for n in tables]
     for orders in ([2], [4], [2, 2], [6]):
         bases += random_semilattices(rng, G.make_group(orders), 15)
-    axioms = []
+    axioms, served = [], 0
     for base in bases * 10:
         n = base.size
         pool = sorted(pools.get(n, set()) | set(base.action))
@@ -596,31 +587,53 @@ def test_validate_matches_reference_with_warm_memos(loaded):
                 action.append(rng.sample(range(n), n))
         orders = [rng.choice([0, 1, 2, 3, 4, 6, 12]) for _ in action]
         algebra = A.FSemilattice(G.make_group(orders), base.carrier, base.meet, action)
+        key = algebra.group.orders, algebra.action
+        served += key in base.meet.valid_actions
         want = reference_validate_axioms(algebra)
         assert A.validate_axioms(algebra) == want, algebra
         data = A.algebra_to_dict(algebra)
         for _ in range(2):
-            assert A.algebra_from_dict(json.loads(json.dumps(data))).validation == want, algebra
+            kept = A.algebra_from_dict(json.loads(json.dumps(data)))
+            assert kept.validation == want, algebra
+        assert (key in kept.meet.valid_actions) == (key in base.meet.valid_actions) == want.ok, algebra
         assert [A.perm_order(list(p)) for p in algebra.action] == list(map(reference_perm_order, algebra.action))
         axioms.append(want.axiom)
     counts = {axiom: axioms.count(axiom) for axiom in set(axioms)}
     assert set(counts) == {None, "action-automorphism", "action-commutation", "action-order"}, counts
     assert min(counts.values()) > 20, counts
-    assert A._order.cache_info().hits > hits[0] + 100 and A._commute.cache_info().hits > hits[1] + 100
+    assert served > 20, served
 
 
-def test_no_memo_grows_past_its_bound(memos):
-    # 4,200 automorphisms of one 9-point fan table, each over a group whose
-    # order every one divides (lcm(1..8) = 840) and acting twice, so that
-    # the pair commutes: every memo fills to its bound and stays there
-    assert A._order.cache_info().maxsize == A._commute.cache_info().maxsize == A.PERM_MEMO == 4096
+def test_valid_actions_stop_at_their_bound():
+    # automorphisms of one 9-point fan table, each over a group whose order
+    # every one divides (lcm(1..8) = 840) and acting twice, so that the pair
+    # commutes: the table keeps 227 of these 18-point actions (4,086 points),
+    # then one 9-point action, and no more
+    assert A.PERM_MEMO == 4096
     meet = A.MeetTable([[x if x == y else 8 for y in range(9)] for x in range(9)])
     carrier = [f"a{x}" for x in range(8)] + ["o"]
-    for atoms in islice(permutations(range(8)), 4200):
-        p = atoms + (8,)
+    autos = [atoms + (8,) for atoms in islice(permutations(range(8)), 400)]
+    for p in autos[:300]:
         assert A.validate_axioms(A.FSemilattice(G.make_group([840, 840]), carrier, meet, (p, p))).ok
-    assert len(meet.cover_keepers) == A.PERM_MEMO // 9
-    assert A._order.cache_info().currsize == A._commute.cache_info().currsize == A.PERM_MEMO
+    assert len(meet.valid_actions) == A.PERM_MEMO // 18
+    for p in autos[300:302]:
+        assert A.validate_axioms(A.FSemilattice(G.make_group([840]), carrier, meet, (p,))).ok
+    assert sum(9 * len(action) for _, action in meet.valid_actions) == max(meet.valid_actions.values()) == 4095
+    assert ((840,), (autos[300],)) in meet.valid_actions and ((840,), (autos[301],)) not in meet.valid_actions
+    # past the bound, each action still gets its own report: kept, passed
+    # afresh, or failing the cover, commutation or order check
+    swap, turn = (1, 0, *range(2, 9)), (1, 2, 0, *range(3, 9))
+    cases = [([840, 840], (autos[0], autos[0])), ([840, 840], (autos[350], autos[350])), ([840], (autos[301],)),
+             ([840], ((*range(1, 9), 0),)), ([840, 840], (swap, turn)), ([2], (turn,)), ([2, 840], (swap, swap))]
+    reports = []
+    for orders, action in cases:
+        algebra = A.FSemilattice(G.make_group(orders), carrier, meet, action)
+        reports.append(A.validate_axioms(algebra))
+        assert reports[-1] == reference_validate_axioms(algebra), (orders, action)
+    assert [report.axiom for report in reports] == [
+        None, None, None, "action-automorphism", "action-commutation", "action-order", None
+    ]
+    assert len(meet.valid_actions) == A.PERM_MEMO // 18 + 1
 
 
 def test_act_examples():

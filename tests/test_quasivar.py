@@ -23,6 +23,7 @@ from oracles import (
     reference_perm_order,
     reference_separating_quasi_identity,
     reference_stabilizer,
+    reference_validate_axioms,
 )
 from tables import (
     atom_fan_over_z,
@@ -248,6 +249,51 @@ def test_verify_bijection_small_groups():
     assert rep1.ok and rep1.subgroup_count == 1
     assert rep1.entries[0].algebra_size == 2
     assert rep1.entries[0].minimal is None  # improper subgroup: two-element case
+
+
+def test_verify_bijection_trusts_its_fans(monkeypatch):
+    # each fan is valid by construction and carries ValidationReport(True):
+    # no validate_axioms call over a census to order 16
+    calls = []
+    validate = A.validate_axioms
+    monkeypatch.setattr(A, "validate_axioms", lambda algebra: calls.append(algebra) or validate(algebra))
+    assert all(Q.verify_bijection(spec).ok for spec in G.all_group_specs(16))
+    assert calls == []
+
+
+# Every group of order <= 64, and every reordering of the factors of each
+# group of order <= 32 with a factor 1 added: ``verify_bijection`` takes any
+# order of the factors and trivial ones, and trusts its fans there too.
+TRUSTED_FAN_GROUPS = {
+    "order-64": G.all_group_specs(64),
+    "reordered-with-1": [
+        G.GroupSpec(orders)
+        for spec in G.all_group_specs(32)
+        for orders in sorted(set(itertools.permutations(spec.orders + (1,))))
+    ],
+}
+
+
+@pytest.mark.parametrize("groups", TRUSTED_FAN_GROUPS.values(), ids=TRUSTED_FAN_GROUPS)
+def test_every_subgroup_fan_passes_a_fresh_validation(groups):
+    # the report verify_bijection gives each fan is the one validate_axioms
+    # returns on it, over fresh meet tables (one per size) whose
+    # valid_actions serve no fan, since no two fans share orders and
+    # action; on groups of order <= 16 the reference agrees
+    tables, keys, compared = {}, set(), 0
+    for spec in groups:
+        table = G.AdditionTable(spec)
+        for sub in G.subgroups(spec, table):
+            fan = C.maroti(spec, sub, table)
+            if fan.size not in tables:
+                tables[fan.size] = A.MeetTable(list(fan.meet))
+            fresh = A.FSemilattice(spec, fan.carrier, tables[fan.size], fan.action)
+            keys.add((spec.orders, fan.action))
+            assert A.validate_axioms(fresh) == A.ValidationReport(True), (spec, sub)
+            if spec.order() <= 16:
+                assert reference_validate_axioms(fresh) == A.ValidationReport(True), (spec, sub)
+                compared += 1
+    assert (len(keys), compared) in [(7210, 247), (10324, 1326)]
 
 
 def fan_theories(max_order):
