@@ -110,15 +110,9 @@ def perm_order(p: Perm) -> int:
     return lcm(*lengths)
 
 
-# Most points of permutations (carrier size times generators, summed over
-# its pairs) each meet table's ``valid_actions`` keeps.
-PERM_MEMO = 4096
-
-
 class MeetTable(tuple):
     """A meet table, a tuple of index rows, caching the facts about the table
-    alone and the actions valid on it: algebras sharing one (every coset fan
-    of a size, every loaded payload of one ``exact`` table) compute them once."""
+    alone: algebras sharing one (every coset fan of a size) compute them once."""
 
     def __new__(cls, rows):
         return rows if type(rows) is cls else super().__new__(cls, map(tuple, rows))
@@ -193,13 +187,6 @@ class MeetTable(tuple):
                 edges.append((low.bit_length() - 1, y))
                 rest ^= low
         return tuple(sorted(edges))
-
-    @cached_property
-    def valid_actions(self) -> dict[tuple[tuple[int, ...], tuple[Perm, ...]], int]:
-        """The (factor orders, action) pairs ``validate_axioms`` has passed on
-        this table, each mapped to the points of permutations kept up to and
-        with it: the last value is the total, at most ``PERM_MEMO``."""
-        return {}
 
 
 class FSemilattice(
@@ -298,21 +285,14 @@ def validate_axioms(algebra: FSemilattice) -> ValidationReport:
     the first witness; it compares the rows (x ^ y) ^ z and x ^ (y ^ z) over
     all z whole for each pair (x, y).  The other checks likewise compare
     whole tables, permutations or covers before an element loop names a
-    witness.  An action passing the three action checks is kept, with the
-    factor orders, in the table's ``valid_actions`` and passes at once when
-    met again; its keys are read only after ``check_shape`` has found every
-    entry an int, since ``==`` takes ``True`` for ``1``.
+    witness.  Nothing is kept between calls: ``FSemilattice.validation``
+    caches the report per algebra, and the table caches only its own facts.
     """
     check_shape(algebra)
-    n = algebra.size
-    meet = algebra.meet
-    lab = algebra.label
+    n, meet, action, lab = algebra.size, algebra.meet, algebra.action, algebra.label
     if meet.failure:
         axiom, witness, detail = meet.failure
         return ValidationReport(False, axiom, witness, detail.format(*map(lab, witness)))
-    action, orders, valid = algebra.action, algebra.group.orders, meet.valid_actions
-    if (orders, action) in valid:
-        return ValidationReport(True)
     for i, p in enumerate(action):
         # a bijection that keeps each cover in order keeps the whole order,
         # so it preserves greatest lower bounds
@@ -327,15 +307,12 @@ def validate_axioms(algebra: FSemilattice) -> ValidationReport:
             x = next(x for x in range(n) if p[q[x]] != q[p[x]])
             detail = f"g{i}(g{j}({lab(x)})) != g{j}(g{i}({lab(x)}))"
             return ValidationReport(False, "action-commutation", (i, j, x), detail)
-    for i, (p, k) in enumerate(zip(action, orders)):
+    for i, (p, k) in enumerate(zip(action, algebra.group.orders)):
         if k >= 1 and k % perm_order(p):
             # p^k fixes x exactly when the length of x's cycle divides k
             x = next(x for x in range(n) if k % len(cycle(p, x)))
             detail = f"g{i} applied {k} times moves {lab(x)}; factor order {k}"
             return ValidationReport(False, "action-order", (i, x), detail)
-    kept = n * len(action) + next(reversed(valid.values()), 0)
-    if kept <= PERM_MEMO:
-        valid[orders, action] = kept
     return ValidationReport(True)
 
 
@@ -707,25 +684,29 @@ def algebra_to_dict(algebra: FSemilattice) -> dict:
     }
 
 
-# Most rows of a meet table ``algebra_from_dict`` keeps, and most tables it
-# keeps: at worst 2^18 cells, about 2 MiB of rows (an 8-byte slot per cell;
-# entries below 64 are CPython's shared small ints), plus down-sets and covers.
+# Most elements of an algebra ``algebra_from_dict`` keeps, and most algebras
+# it keeps: at worst 2^18 meet cells, about 2 MiB of rows (an 8-byte slot per
+# cell; entries below 64 are CPython's shared small ints), plus each table's
+# down-sets and covers, each algebra's permutations and its labels as loaded.
 LOADED_ROWS = 64
 
 
 @lru_cache(maxsize=LOADED_ROWS)
-def _loaded_table(meet: MeetTable) -> MeetTable:
-    """The kept table equal to ``meet``, the least recently used leaving first;
-    only ``exact`` tables are passed, since ``==`` takes ``True`` for ``1``."""
-    return meet
+def _loaded_algebra(algebra: FSemilattice) -> FSemilattice:
+    """The kept algebra equal to ``algebra``, the least recently used leaving
+    first; only shape-checked algebras over ``exact`` tables are passed,
+    since ``==`` takes ``True`` and ``1.0`` for ``1``."""
+    return algebra
 
 
 def algebra_from_dict(data: dict) -> FSemilattice:
-    """The algebra of a payload, shape-checked once, its axiom report cached;
-    an ``exact`` meet table of at most ``LOADED_ROWS`` rows is the kept one
-    of its value (``_loaded_table``), with that table's cached facts.
-    Its carrier and tables must be arrays: a JSON string or object would
-    pass as the sequence of its characters or keys."""
+    """The algebra of a payload, shape-checked; one of at most ``LOADED_ROWS``
+    elements over an ``exact`` table is the kept one of its value
+    (``_loaded_algebra``), with its cached ``validation`` report.  After
+    ``check_shape`` every entry is an int that is not a bool and every
+    label a str, so no payload holding ``true`` or ``1.0`` is served a kept
+    algebra.  Its carrier and tables must be arrays: a JSON string or
+    object would pass as the sequence of its characters or keys."""
     try:
         group = GroupSpec(data["group"]["orders"])
         for name in ("carrier", "meet", "action"):
@@ -734,8 +715,6 @@ def algebra_from_dict(data: dict) -> FSemilattice:
         meet, action = MeetTable(data["meet"]), tuple(map(tuple, data["action"]))
     except (KeyError, TypeError) as exc:
         raise ShapeError(f"malformed algebra payload: {exc}") from exc
-    if len(meet) <= LOADED_ROWS and meet.exact:
-        meet = _loaded_table(meet)
     algebra = FSemilattice(group, data["carrier"], meet, action)
-    algebra.validation  # raises ShapeError before the axioms are checked
-    return algebra
+    check_shape(algebra)
+    return _loaded_algebra(algebra) if algebra.size <= LOADED_ROWS and meet.exact else algebra

@@ -512,7 +512,9 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse reads a value that starts with "-" and has no space as an option; a
     # quasi-identity without premises starts with "->", and its parser strips spaces.
-    parsed = [" " + a if p == "--qi" and a.startswith("->") else a for p, a in zip([None, *argv], argv)]
+    # In "quasi", argparse also takes "--q" for "--qi", as its abbreviation; balpha's "--q" is its own.
+    flags = ("--qi", "--q") if argv[:1] == ["quasi"] else ("--qi",)
+    parsed = [" " + a if p in flags and a.startswith("->") else a for p, a in zip([None, *argv], argv)]
     parser = _shared_parser()
     command = parser.subcommands.get(parsed[0]) if parsed else None
     try:

@@ -19,8 +19,6 @@ from fslat.algebras import (
     ValidationReport,
     ShapeError,
     check_shape,
-    element_action,
-    is_isomorphism,
     meet_terms,
     perm_identity,
     var,
@@ -60,6 +58,17 @@ def perm_inverse(p: Perm) -> Perm:
 def perm_compose(p: Perm, q: Perm) -> Perm:
     """(p . q)(x) = p(q(x))."""
     return tuple(map(p.__getitem__, q))
+
+
+def reference_is_isomorphism(hom: Homomorphism) -> bool:
+    """A bijection between algebras over one group that preserves every meet
+    pair and every generator move, checked pair by pair and point by point."""
+    source, target, f = hom.source, hom.target, hom.map
+    n = source.size
+    if source.group != target.group or target.size != n or sorted(f) != list(range(n)):
+        return False
+    meets = all(f[source.meet[x][y]] == target.meet[f[x]][f[y]] for x in range(n) for y in range(n))
+    return meets and all(f[p[x]] == q[f[x]] for p, q in zip(source.action, target.action) for x in range(n))
 
 
 def _close_mul(group: GroupSpec, seed):
@@ -1003,7 +1012,7 @@ def reference_transversal_independence_check(
         mapping.append(t2_pos * u_size + _step(spec1.factor, exponents[k], u))
     mapping.append(right.size - 1)
     hom = Homomorphism(left, right, tuple(mapping))
-    if not is_isomorphism(hom):
+    if not reference_is_isomorphism(hom):
         raise VerificationError("transversal-independence map failed verification")
     return hom
 
@@ -1049,11 +1058,13 @@ def reference_separating_quasi_identity(algebra: FSemilattice, a: int) -> QuasiI
 
 # Verbatim copy of ``decompose_ku`` with its scan of meets of up to three
 # translates, kept as a reference for the version that relies on the
-# verified isomorphism alone; its minimality test, its action, its zero and
-# its subgroup are this module's ``reference_is_minimal_free``,
-# ``reference_act``, ``reference_zero`` and
-# ``reference_closure_subgroup_from_elements``, and its transversal takes
-# the least member of each block of ``reference_cosets``.
+# verified isomorphism alone; its minimality test, its action (also on
+# each point for the factor's permutations), its zero, its subgroup and its
+# isomorphism check are this module's ``reference_is_minimal_free``,
+# ``reference_act``, ``reference_zero``,
+# ``reference_closure_subgroup_from_elements`` and
+# ``reference_is_isomorphism``, and its transversal takes the least member
+# of each block of ``reference_cosets``.
 
 MAX_TRANSLATES = 3
 
@@ -1098,9 +1109,8 @@ def reference_decompose_ku(algebra: FSemilattice, a: int) -> DecompositionResult
                     f"block condition fails for translates {[format_element(g) for g in combo]}"
                 )
     pres = presentation(group, sub)
-    factor, closure = reference_generated_by(
-        algebra, a, pres.spec, [element_action(algebra, g) for g in pres.generators]
-    )
+    perms = [tuple(reference_act(algebra, g, x) for x in range(algebra.size)) for g in pres.generators]
+    factor, closure = reference_generated_by(algebra, a, pres.spec, perms)
     reps = Transversal(group, sub, tuple(b[0] for b in blocks))  # least members
     rebuilt = reference_twisted_multiple(TwistedSpec(group, sub, reps, factor, pres.generators))
     u_size = factor.size
@@ -1111,7 +1121,7 @@ def reference_decompose_ku(algebra: FSemilattice, a: int) -> DecompositionResult
         mapping.append(reference_act(algebra, t, closure[u]))
     mapping.append(bottom)
     iso = Homomorphism(rebuilt, algebra, tuple(mapping))
-    if not is_isomorphism(iso):
+    if not reference_is_isomorphism(iso):
         raise VerificationError("reconstruction map failed verification")
     return DecompositionResult(sub, factor, rebuilt, iso)
 

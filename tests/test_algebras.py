@@ -1,7 +1,7 @@
 import json
 import random
 import re
-from itertools import chain, islice, permutations
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +21,7 @@ from oracles import (
     reference_extension_map,
     reference_hom_extend,
     reference_is_isomorphic_1gen,
+    reference_is_isomorphism,
     reference_act,
     reference_eval_unary,
     reference_perm_order,
@@ -379,10 +380,10 @@ def test_meet_table_of_booleans_is_a_shape_error():
 
 @pytest.fixture
 def loaded():
-    """No loaded meet table kept before or after one test: its ``cache_info``."""
-    A._loaded_table.cache_clear()
-    yield A._loaded_table.cache_info
-    A._loaded_table.cache_clear()
+    """No loaded algebra kept before or after one test: its ``cache_info``."""
+    A._loaded_algebra.cache_clear()
+    yield A._loaded_algebra.cache_info
+    A._loaded_algebra.cache_clear()
 
 
 def _payload(meet, carrier=("a", "b", "o"), action=((1, 0, 2),)):
@@ -390,12 +391,12 @@ def _payload(meet, carrier=("a", "b", "o"), action=((1, 0, 2),)):
 
 
 def _loaded_outcome(meet):
-    """The report of the loaded algebra over ``meet`` and its table, or its ``ShapeError`` message."""
+    """The report of the loaded algebra over ``meet`` and the algebra, or its ``ShapeError`` message."""
     try:
         algebra = A.algebra_from_dict(_payload(meet))
     except A.ShapeError as exc:
         return str(exc), None
-    return algebra.validation, algebra.meet
+    return algebra.validation, algebra
 
 
 class Index(int):
@@ -418,159 +419,143 @@ FAN_MEET = [[0, 2, 2], [2, 1, 2], [2, 2, 2]]
 )
 def test_tables_equal_under_eq_are_shared_only_when_exact(loaded, exact_first, cell, entry, outcome):
     # True, False, 1.0 and Index(2) are == to 1, 0, 1 and 2, so each other
-    # table equals the all-int one; only that one is kept, and neither
-    # payload gets the other's table, in either load order
+    # payload equals the all-int one; only that one is kept, and neither
+    # payload gets the other's algebra, in either load order
     x, y = cell
     other = [list(row) for row in FAN_MEET]
     other[x][y] = entry
     assert other == FAN_MEET
     loads = [FAN_MEET, other] * 2 if exact_first else [other, FAN_MEET] * 2
     outcomes = [(meet is other, _loaded_outcome(meet)) for meet in loads]
-    kept = [table for is_other, (_, table) in outcomes if not is_other]
+    kept = [algebra for is_other, (_, algebra) in outcomes if not is_other]
     assert kept[0] is kept[1] and loaded().currsize == 1
-    assert {type(v) for v in chain.from_iterable(kept[0])} == {int}
-    for is_other, (report, table) in outcomes:
+    assert {type(v) for v in chain.from_iterable(kept[0].meet)} == {int}
+    others = [algebra for is_other, (_, algebra) in outcomes if is_other]
+    assert others[0] is not others[1] or others[0] is None
+    for is_other, (report, algebra) in outcomes:
         if not is_other:
             assert report == A.ValidationReport(True)
             continue
         assert report == outcome
         # an int subclass passes the shape check but is not kept
-        assert table is None or (table is not kept[0] and type(table[x][y]) is Index and not table.exact)
+        assert algebra is None or (algebra is not kept[0] and type(algebra.meet[x][y]) is Index and not algebra.meet.exact)
 
 
 def test_loads_of_one_payload_share_one_table(loaded):
     # every fan of order <= 8, and a table that fails commutativity under two
-    # labellings; each payload is loaded twice, as from a file
+    # labellings; each payload is loaded twice, as from a file, and the second
+    # load is the first algebra, its report already cached
     payloads = [A.algebra_to_dict(C.maroti(spec, sub)) for spec in G.all_group_specs(8) for sub in G.subgroups(spec)]
     payloads += [_payload([[0, 0], [1, 1]], labels, [(0, 1)]) for labels in (("a", "b"), ("s", "t"))]
+    assert len(payloads) <= A.LOADED_ROWS
     reports = []
     for data in payloads:
         text = json.dumps(data)
-        one, two = (A.algebra_from_dict(json.loads(text)) for _ in range(2))
-        assert one.meet is two.meet
-        fresh = A.MeetTable(data["meet"])
-        assert fresh is not one.meet and A._loaded_table(fresh) is one.meet
-        for fact in ("exact", "shape_error", "failure", "down_sets", "covers"):
-            assert getattr(one.meet, fact) == getattr(fresh, fact), fact
+        one = A.algebra_from_dict(json.loads(text))
+        report = one.validation
+        two = A.algebra_from_dict(json.loads(text))
+        assert two is one and vars(two)["validation"] is report
         plain = A.FSemilattice(one.group, one.carrier, data["meet"], one.action)
-        assert one.validation == two.validation == A.validate_axioms(plain) == reference_validate_axioms(plain)
-        reports.append(one.validation)
-    assert loaded().currsize == len({json.dumps(data["meet"]) for data in payloads}) < len(payloads)
+        assert report == A.validate_axioms(plain) == reference_validate_axioms(plain)
+        reports.append(report)
+    assert loaded()[:] == (len(payloads), len(payloads), A.LOADED_ROWS, len(payloads))
     # the failure is a fact of the table; each algebra names it by its own labels
     assert [report.detail for report in reports[-2:]] == ["a ^ b != b ^ a", "s ^ t != t ^ s"]
 
 
 def test_a_kept_table_loaded_again_is_counted_once(loaded):
-    # a payload may carry a table already kept, as
+    # a payload may carry the table of a kept algebra, as
     # {**algebra_to_dict(a), "meet": a.meet} does for a loaded algebra
     data = A.algebra_to_dict(C.maroti(G.make_group([4]), G.subgroup_from_elements(G.make_group([4]), [(0,), (2,)])))
-    kept = A.algebra_from_dict(data).meet
+    kept = A.algebra_from_dict(data)
     assert loaded().currsize == 1
     for _ in range(2):
-        assert A.algebra_from_dict({**data, "meet": kept}).meet is kept
+        assert A.algebra_from_dict({**data, "meet": kept.meet}) is kept
     assert loaded().currsize == 1 and loaded().hits == 2
 
 
 def test_a_fault_in_the_registry_is_not_a_payload_error(loaded, monkeypatch):
-    def broken(meet):
+    def broken(algebra):
         raise TypeError("registry fault")
 
-    monkeypatch.setattr(A, "_loaded_table", broken)
+    monkeypatch.setattr(A, "_loaded_algebra", broken)
     with pytest.raises(TypeError, match="registry fault"):
         A.algebra_from_dict(_payload(FAN_MEET))
 
 
-def _chain_table(n):
-    return A.MeetTable([[min(x, y) for y in range(n)] for x in range(n)])
-
-
-def _chain_payload(meet):
-    """A payload over the trivial group, carrying ``meet`` itself."""
-    n = len(meet)
+def _chain_payload(n):
+    """A payload over the trivial group whose meet table is the chain 0 < 1 < ... < n - 1."""
+    meet = [[min(x, y) for y in range(n)] for x in range(n)]
     return {"group": {"orders": [1]}, "carrier": list(map(str, range(n))), "meet": meet, "action": [range(n)]}
 
 
 def test_loaded_tables_leave_least_recently_used_first(loaded):
     assert A.LOADED_ROWS == 64
-    # a table for each size 1..64, then one of size 1 again: the first is a hit
-    # and becomes the most recently used, so the 65th table evicts size 2
-    tables = [_chain_table(n) for n in range(1, 65)]
-    for table in tables:
-        assert A.algebra_from_dict(_chain_payload(table)).meet is table
-    assert A.algebra_from_dict(_chain_payload(_chain_table(1))).meet is tables[0]
+    # an algebra for each size 1..64, then one of size 1 again: the first is a
+    # hit and becomes the most recently used, so the 65th algebra evicts size 2
+    kept = [A.algebra_from_dict(_chain_payload(n)) for n in range(1, 65)]
+    assert A.algebra_from_dict(_chain_payload(1)) is kept[0]
     assert loaded().currsize == 64 and loaded().hits == 1
-    newcomer = A.MeetTable([[0, 1], [1, 1]])
-    assert A.algebra_from_dict(_chain_payload(newcomer)).meet is newcomer
+    newcomer = A.algebra_from_dict({**_chain_payload(2), "meet": [[0, 1], [1, 1]]})
     # size 2 left for the newcomer; loaded anew, it evicts size 3
-    assert A.algebra_from_dict(_chain_payload(_chain_table(2))).meet is not tables[1]
-    for table in (tables[0], newcomer, *tables[3:]):
-        assert A.algebra_from_dict(_chain_payload([list(row) for row in table])).meet is table
-    # a table of more than LOADED_ROWS rows is returned as is and never kept
+    assert A.algebra_from_dict(_chain_payload(2)) is not kept[1]
+    for algebra in (kept[0], newcomer, *kept[3:]):
+        assert A.algebra_from_dict(A.algebra_to_dict(algebra)) is algebra
+    # an algebra of more than LOADED_ROWS elements is returned as loaded and never kept
     before = loaded()
-    large = _chain_table(65)
-    assert A.algebra_from_dict(_chain_payload(large)).meet is large
-    assert A.algebra_from_dict(_chain_payload(_chain_table(65))).meet is not large
+    large = A.algebra_from_dict(_chain_payload(65))
+    assert A.algebra_from_dict(_chain_payload(65)) is not large
     assert loaded()[:2] == before[:2]
 
 
 @pytest.mark.parametrize("exact_first", [True, False], ids=["exact-first", "other-first"])
-def test_entries_equal_under_eq_never_reach_a_memo(exact_first):
-    # (True, ...) == (1, ...) == (1.0, ...), and a table holding True or 1.0
-    # equals the all-int one: check_shape refuses each with its message,
-    # before the table's valid_actions is read, whether the all-int
-    # algebra's action was kept before or after, and no such action enters
-    # the memo; an int subclass passes as before
-    fan = fan5()
-    meet = A.MeetTable([list(row) for row in fan.meet])  # a table of its own, no action kept yet
-    algebra = A.FSemilattice(fan.group, fan.carrier, meet, fan.action)
-    p, q = algebra.action
-    x = p.index(1)
+def test_entries_equal_under_eq_never_reach_a_memo(loaded, exact_first):
+    # (True, ...) == (1, ...) == (1.0, ...), and an action or a table holding
+    # True or 1.0 equals the all-int one: check_shape refuses each payload
+    # with its message before the kept algebras are looked up, whether the
+    # all-int algebra was kept before or after, and none is kept; an action
+    # of int subclasses passes as before
+    data = A.algebra_to_dict(fan5())
+    x = data["action"][0].index(1)
     refused = []
     for one in (True, 1.0):
-        equal_perm = p[:x] + (one,) + p[x + 1 :]
-        rows = [list(row) for row in meet]
-        rows[1][1] = one
-        assert equal_perm == p and tuple(map(tuple, rows)) == meet
+        action, meet = json.loads(json.dumps(data["action"])), json.loads(json.dumps(data["meet"]))
+        action[0][x] = meet[1][1] = one
+        assert action == data["action"] and meet == data["meet"]
         refused += [
-            (A.FSemilattice(fan.group, fan.carrier, meet, (equal_perm, q)),
-             "action table is not a carrier permutation"),
-            (A.FSemilattice(fan.group, fan.carrier, rows, fan.action),
-             f"meet entry {one!r} is not an index below 5"),
+            ({**data, "action": action}, "action table is not a carrier permutation"),
+            ({**data, "meet": meet}, f"meet entry {one!r} is not an index below 5"),
         ]
-    if exact_first:
-        assert A.validate_axioms(algebra).ok
-    for other, message in refused:
-        before = set(meet.valid_actions)
+    kept = A.algebra_from_dict(data) if exact_first else None
+    for payload, message in refused:
         for _ in range(2):
             with pytest.raises(A.ShapeError, match=f"^{re.escape(message)}$"):
-                A.validate_axioms(other)
-        assert set(meet.valid_actions) == before and (other.meet is meet or not other.meet.valid_actions)
-    assert A.validate_axioms(algebra).ok
-    assert meet.valid_actions == {(fan.group.orders, fan.action): 5 * 2}
-    subclass = A.FSemilattice(fan.group, fan.carrier, meet, (tuple(map(Index, p)), q))
-    assert A.validate_axioms(subclass) == reference_validate_axioms(subclass) == A.ValidationReport(True)
+                A.algebra_from_dict(payload)
+    assert loaded()[:2] == (0, int(exact_first))
+    algebra = A.algebra_from_dict(data)
+    assert algebra.validation.ok and (kept is None or algebra is kept) and loaded().currsize == 1
+    subclass = {**data, "action": [list(map(Index, p)) for p in data["action"]]}
+    plain = A.FSemilattice(algebra.group, algebra.carrier, algebra.meet, subclass["action"])
+    assert A.algebra_from_dict(subclass).validation == reference_validate_axioms(plain) == A.ValidationReport(True)
 
 
 def test_validate_matches_reference_with_warm_memos(loaded):
-    # random actions over copies of the fan tables (no other test fills
-    # their sets) and over loaded tables: each report equals the
-    # reference's, axiom, witness and detail, also where a permutation
-    # fails the cover, commutation or order check.  Each payload is loaded
-    # twice, so the second load of a valid one is served from its kept
-    # table's valid_actions, and an action drawn again is served from its
-    # base table's; shuffled atoms keep the covers, shuffled points mostly
-    # do not
+    # random actions over the fan tables and over random tables: each report
+    # equals the reference's, axiom, witness and detail, also where a
+    # permutation fails the cover, commutation or order check.  Each payload
+    # is loaded twice, so the second load is the kept algebra, its report
+    # cached; shuffled atoms keep the covers, shuffled points mostly do not
     rng = random.Random(5151)
     pools, tables = {}, {}
     for spec in G.all_group_specs(16):
         for sub in G.subgroups(spec):
             fan = C.maroti(spec, sub)
             pools.setdefault(fan.size, set()).update(fan.action)
-            tables.setdefault(fan.size, A.MeetTable(list(fan.meet)))
+            tables.setdefault(fan.size, fan.meet)
     bases = [A.FSemilattice(G.make_group([1]), [str(x) for x in range(n)], tables[n], [range(n)]) for n in tables]
     for orders in ([2], [4], [2, 2], [6]):
         bases += random_semilattices(rng, G.make_group(orders), 15)
-    axioms, served = [], 0
+    axioms = []
     for base in bases * 10:
         n = base.size
         pool = sorted(pools.get(n, set()) | set(base.action))
@@ -587,53 +572,36 @@ def test_validate_matches_reference_with_warm_memos(loaded):
                 action.append(rng.sample(range(n), n))
         orders = [rng.choice([0, 1, 2, 3, 4, 6, 12]) for _ in action]
         algebra = A.FSemilattice(G.make_group(orders), base.carrier, base.meet, action)
-        key = algebra.group.orders, algebra.action
-        served += key in base.meet.valid_actions
         want = reference_validate_axioms(algebra)
         assert A.validate_axioms(algebra) == want, algebra
         data = A.algebra_to_dict(algebra)
-        for _ in range(2):
-            kept = A.algebra_from_dict(json.loads(json.dumps(data)))
-            assert kept.validation == want, algebra
-        assert (key in kept.meet.valid_actions) == (key in base.meet.valid_actions) == want.ok, algebra
+        first, second = (A.algebra_from_dict(json.loads(json.dumps(data))) for _ in range(2))
+        assert first.validation == want and second is first, algebra
         assert [A.perm_order(list(p)) for p in algebra.action] == list(map(reference_perm_order, algebra.action))
         axioms.append(want.axiom)
     counts = {axiom: axioms.count(axiom) for axiom in set(axioms)}
     assert set(counts) == {None, "action-automorphism", "action-commutation", "action-order"}, counts
     assert min(counts.values()) > 20, counts
-    assert served > 20, served
 
 
-def test_valid_actions_stop_at_their_bound():
-    # automorphisms of one 9-point fan table, each over a group whose order
-    # every one divides (lcm(1..8) = 840) and acting twice, so that the pair
-    # commutes: the table keeps 227 of these 18-point actions (4,086 points),
-    # then one 9-point action, and no more
-    assert A.PERM_MEMO == 4096
-    meet = A.MeetTable([[x if x == y else 8 for y in range(9)] for x in range(9)])
-    carrier = [f"a{x}" for x in range(8)] + ["o"]
-    autos = [atoms + (8,) for atoms in islice(permutations(range(8)), 400)]
-    for p in autos[:300]:
-        assert A.validate_axioms(A.FSemilattice(G.make_group([840, 840]), carrier, meet, (p, p))).ok
-    assert len(meet.valid_actions) == A.PERM_MEMO // 18
-    for p in autos[300:302]:
-        assert A.validate_axioms(A.FSemilattice(G.make_group([840]), carrier, meet, (p,))).ok
-    assert sum(9 * len(action) for _, action in meet.valid_actions) == max(meet.valid_actions.values()) == 4095
-    assert ((840,), (autos[300],)) in meet.valid_actions and ((840,), (autos[301],)) not in meet.valid_actions
-    # past the bound, each action still gets its own report: kept, passed
-    # afresh, or failing the cover, commutation or order check
-    swap, turn = (1, 0, *range(2, 9)), (1, 2, 0, *range(3, 9))
-    cases = [([840, 840], (autos[0], autos[0])), ([840, 840], (autos[350], autos[350])), ([840], (autos[301],)),
-             ([840], ((*range(1, 9), 0),)), ([840, 840], (swap, turn)), ([2], (turn,)), ([2, 840], (swap, swap))]
+def test_validate_axioms_leaves_no_state_on_the_table():
+    # the table caches the facts about itself alone, and validate_axioms
+    # caches no report: validating a valid action and actions failing the
+    # cover, commutation and order checks on one table leaves those facts
+    fan = fan5()
+    meet = A.MeetTable([list(row) for row in fan.meet])
+    assert not vars(meet)
+    actions = [fan.action, ((4, 1, 2, 3, 0), (1, 0, 3, 2, 4)), ((1, 0, 2, 3, 4), (1, 2, 0, 3, 4)),
+               ((1, 2, 0, 3, 4), (0, 1, 2, 3, 4))]
     reports = []
-    for orders, action in cases:
-        algebra = A.FSemilattice(G.make_group(orders), carrier, meet, action)
+    for action in actions * 2:
+        algebra = A.FSemilattice(fan.group, fan.carrier, meet, action)
         reports.append(A.validate_axioms(algebra))
-        assert reports[-1] == reference_validate_axioms(algebra), (orders, action)
+        assert reports[-1] == reference_validate_axioms(algebra) and not vars(algebra)
+        assert set(vars(meet)) == {"exact", "shape_error", "failure", "down_sets", "covers"}
     assert [report.axiom for report in reports] == [
-        None, None, None, "action-automorphism", "action-commutation", "action-order", None
-    ]
-    assert len(meet.valid_actions) == A.PERM_MEMO // 18 + 1
+        None, "action-automorphism", "action-commutation", "action-order"
+    ] * 2
 
 
 def test_act_examples():
@@ -788,6 +756,30 @@ def test_is_isomorphic_examples():
     fan = maroti_z4_h()
     iso, hom = reference_is_isomorphic_1gen(fan, 0, fan, 0)
     assert iso and hom.map == tuple(range(fan.size))
+
+
+def test_is_isomorphism_matches_reference():
+    # on fans and twisted multiples of groups of order <= 8: each group
+    # element's permutation (an automorphism, F being abelian), random
+    # bijections and maps that repeat a point, also between two algebras
+    rng = random.Random(2718)
+    algebras = [
+        build(spec, sub) for spec in G.all_group_specs(8) for sub in G.subgroups(spec) if sub.is_proper
+        for build in (C.maroti, C.twisted_multiple)
+    ]
+    verdicts = []
+    for source in algebras:
+        n = source.size
+        targets = [source] + [t for t in rng.sample(algebras, 4) if t.size == n]
+        maps = [A.element_action(source, g) for g in source.group.elements()]
+        maps += [tuple(rng.sample(range(n), n)) for _ in range(4)]
+        maps += [tuple(rng.randrange(n) for _ in range(n)) for _ in range(2)]
+        for target in targets:
+            for f in maps:
+                hom = A.Homomorphism(source, target, f)
+                verdicts.append(A.is_isomorphism(hom))
+                assert verdicts[-1] == reference_is_isomorphism(hom), (source, target, f)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
 
 def test_opposite():

@@ -105,7 +105,7 @@ def test_quasi_takes_a_space_free_value_without_premises(capsys, tmp_path, monke
     spaced = invoke(capsys, ["quasi", "--algebra", path, "--qi", "-> x = y"])
     monkeypatch.setattr(sys, "argv", ["fslat", "quasi", "--algebra", path, "--qi", "->x=y"])
     assert invoke(capsys, None) == spaced
-    for argv in (["--qi", "->x=y"], ["--qi=->x=y"], ["--meta", "--qi", "->x=y"]):
+    for argv in (["--qi", "->x=y"], ["--qi=->x=y"], ["--meta", "--qi", "->x=y"], ["--q", "->x=y"]):
         code, out = invoke(capsys, ["quasi", "--algebra", path] + argv)
         if "--meta" in argv:
             payload = json.loads(out)
@@ -116,6 +116,9 @@ def test_quasi_takes_a_space_free_value_without_premises(capsys, tmp_path, monke
     # the value is still one quasi-identity: "->" alone after --qi is no option
     code, out = invoke(capsys, ["quasi", "--algebra", path, "--qi", "->x=y", "--qi", "->x=x"])
     assert code == 0 and json.loads(out)["quasi_identity"] == "-> x = x"
+    # balpha's own --q takes an integer: "->5" is still no value for it
+    [(code, _, err)] = _outcomes(capsys, [["balpha", "--alpha", "1+sqrt2", "--beta", "2", "--q", "->5"]])
+    assert code == 2 and err.endswith("error: argument --q: expected one argument\n")
 
 
 def test_hasse_counts(capsys, tmp_path):
@@ -545,7 +548,7 @@ def _fresh_process(argv):
 
 
 def test_a_rewritten_algebra_file_gets_a_fresh_process_answer(capsys, tmp_path):
-    # loaded meet tables are kept by content, not by path: one path holds a
+    # loaded algebras are kept by content, not by path: one path holds a
     # valid fan, then that table with one entry a JSON true (== 1), then a
     # valid algebra on another table, between in-process requests
     fan = A.algebra_to_dict(C.maroti(G.make_group([6]), G.subgroup_from_elements(G.make_group([6]), [(0,), (3,)])))

@@ -277,9 +277,8 @@ TRUSTED_FAN_GROUPS = {
 @pytest.mark.parametrize("groups", TRUSTED_FAN_GROUPS.values(), ids=TRUSTED_FAN_GROUPS)
 def test_every_subgroup_fan_passes_a_fresh_validation(groups):
     # the report verify_bijection gives each fan is the one validate_axioms
-    # returns on it, over fresh meet tables (one per size) whose
-    # valid_actions serve no fan, since no two fans share orders and
-    # action; on groups of order <= 16 the reference agrees
+    # returns on it, over fresh meet tables (one per size); no two fans
+    # share orders and action; on groups of order <= 16 the reference agrees
     tables, keys, compared = {}, set(), 0
     for spec in groups:
         table = G.AdditionTable(spec)
