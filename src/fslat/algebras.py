@@ -689,6 +689,10 @@ def algebra_to_dict(algebra: FSemilattice) -> dict:
 # cell; entries below 64 are CPython's shared small ints), plus each table's
 # down-sets and covers, each algebra's permutations and its labels as loaded.
 LOADED_ROWS = 64
+# Longest carrier label ``algebra_from_dict`` reads, so that the kept labels
+# hold at most 64 x 64 x 256 characters; ``fslat build`` writes at most 34
+# (a twisted multiple over 16 factors).
+MAX_LABEL_LENGTH = 256
 
 
 @lru_cache(maxsize=LOADED_ROWS)
@@ -717,4 +721,7 @@ def algebra_from_dict(data: dict) -> FSemilattice:
         raise ShapeError(f"malformed algebra payload: {exc}") from exc
     algebra = FSemilattice(group, data["carrier"], meet, action)
     check_shape(algebra)
+    longest = max(map(len, algebra.carrier))
+    if longest > MAX_LABEL_LENGTH:
+        raise ShapeError(f"carrier labels take at most {MAX_LABEL_LENGTH} characters, got {longest}")
     return _loaded_algebra(algebra) if algebra.size <= LOADED_ROWS and meet.exact else algebra

@@ -733,6 +733,24 @@ def test_shape_errors_exit_2(capsys, tmp_path, payload):
         A.algebra_from_dict(payload)
 
 
+@pytest.mark.parametrize("length", [A.MAX_LABEL_LENGTH, A.MAX_LABEL_LENGTH + 1])
+def test_carrier_labels_are_capped_when_loaded(capsys, tmp_path, length):
+    # the load cache keeps labels as loaded; the library's own algebras are
+    # not capped (a quotient joins its members' labels), so check_shape
+    # passes the long label and only a file is refused
+    fan = C.maroti(G.make_group([2]), G.trivial_subgroup(G.make_group([2])))
+    long = A.FSemilattice(fan.group, ("x" * length, *fan.carrier[1:]), fan.meet, fan.action)
+    A.check_shape(long)
+    path = write_algebra(tmp_path, long)
+    for command in ("validate", "check-minimal"):
+        code = run([command, "--algebra", path])
+        captured = capsys.readouterr()
+        if length <= A.MAX_LABEL_LENGTH:
+            assert (code, captured.err) == (0, "")
+        else:
+            assert (code, captured) == (2, ("", f"error: carrier labels take at most 256 characters, got {length}\n"))
+
+
 def test_hasse_escapes_labels(capsys, tmp_path):
     group = G.make_group([2])
     labels = ('a"]; evil [x="', "back\\slash", "o")

@@ -327,7 +327,7 @@ def fan_theories(max_order):
 
 
 def test_fans_over_distinct_subgroups_have_distinct_theories():
-    assert fan_theories(16) == (247, 5231)
+    assert fan_theories(32) == (1228, 55643)
 
 
 def test_decompose_examples():

@@ -109,6 +109,20 @@ def test_separating_demo_runs_a_pair():
 
 
 @pytest.mark.parametrize(
+    "argv, samples",
+    [(["sqrt:2", "sqrt:3"], 12), (["(0+-1*sqrt:2)/1", "sqrt:3"], 12), (["sqrt:2", "sqrt:3", "--samples", "289"], 289)],
+    ids=["default-samples", "a-zero-default-samples", "samples-at-the-cap"],
+)
+def test_separating_demo_traces_its_samples(argv, samples):
+    # 12 samples by default; 289, the cap, is accepted where 290 is refused
+    result = run_script("separating_demo.py", *argv)
+    assert (result.returncode, result.stderr) == (0, "")
+    lines = result.stdout.splitlines()
+    assert lines[-1] == "verdict: separates"
+    assert len(lines) - lines.index("sample trace (x, equal-in-alpha, equal-in-beta):") - 2 == samples
+
+
+@pytest.mark.parametrize(
     "alpha, beta, reasons",
     [
         # a = 0: sign_with_radical returns the sign of b
