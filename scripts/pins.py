@@ -8,6 +8,7 @@ Runs every pin in one process and prints, per pin, the name, the digest,
 Usage: python scripts/pins.py
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -104,6 +105,7 @@ def digest(pin) -> str:
 
 
 def main() -> int:
+    argparse.ArgumentParser(description=__doc__).parse_args()  # no options: --help, or exit 2
     differs = []
     for name, (pin, pinned) in PINS.items():
         before, start = algebras._loaded_algebra.cache_info(), time.perf_counter()

@@ -70,6 +70,13 @@ def test_census_reports_a_closed_pipe_as_one_error_line():
     assert stderr == "error: [Errno 32] Broken pipe\n"
 
 
+def test_pins_take_no_arguments():
+    # a pin name is no selection: every pin always runs
+    result = run_script("pins.py", "balpha")
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr.endswith("error: unrecognized arguments: balpha\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
