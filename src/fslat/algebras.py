@@ -110,63 +110,49 @@ def perm_order(p: Perm) -> int:
     return lcm(*lengths)
 
 
-class MeetTable(tuple):
-    """A meet table, a tuple of index rows, caching the facts about the table
-    alone: algebras sharing one (every coset fan of a size) compute them once."""
+class FSemilattice(
+    NamedTuple("FSemilattice", [("group", GroupSpec), ("carrier", tuple[str, ...]),
+                                ("meet", tuple[tuple[int, ...], ...]), ("action", tuple[Perm, ...])])
+):
+    """Carrier labels, meet table of index rows, and one permutation per generator;
+    no ``__slots__``, so that the facts cached below live in the instance's
+    ``__dict__``, each computed once per algebra."""
 
-    def __new__(cls, rows):
-        return rows if type(rows) is cls else super().__new__(cls, map(tuple, rows))
+    def __new__(cls, group, carrier, meet, action):
+        return super().__new__(cls, group, tuple(carrier), tuple(map(tuple, meet)), tuple(map(tuple, action)))
+
+    @property
+    def size(self) -> int:
+        return len(self.carrier)
+
+    def index(self, label: str) -> int:
+        try:
+            return self.carrier.index(label)
+        except ValueError:
+            raise KeyError(f"no carrier element labeled {label!r}") from None
+
+    def label(self, x: int) -> str:
+        return self.carrier[x]
 
     @cached_property
     def exact(self) -> bool:
-        """Whether the table is square and every entry an exact ``int`` below its
-        size.  ``==`` cannot tell: it takes ``True`` and ``1.0`` for ``1``."""
-        n = len(self)
+        """Whether the meet table is square of carrier size and every entry an
+        exact ``int`` below it.  ``==`` cannot tell: it takes ``True`` and
+        ``1.0`` for ``1``."""
+        meet, n = self.meet, self.size
         return (
-            set(map(len, self)) == {n}
-            and set(map(type, chain.from_iterable(self))) == {int}
-            and 0 <= min(map(min, self)) <= max(map(max, self)) < n
+            len(meet) == n
+            and set(map(len, meet)) == {n}
+            and set(map(type, chain.from_iterable(meet))) == {int}
+            and 0 <= min(map(min, meet)) <= max(map(max, meet)) < n
         )
-
-    @cached_property
-    def shape_error(self) -> str | None:
-        """Why this is not a square table of indices below its size, or None."""
-        n = len(self)
-        if self.exact:
-            return None
-        if set(map(len, self)) != {n}:
-            return "meet table is not square of carrier size"
-        for v in chain.from_iterable(self):  # name the first bad entry
-            if not _is_index(v) or not 0 <= v < n:
-                return f"meet entry {v!r} is not an index below {n}"
-        return None  # int subclasses other than bool pass
-
-    @cached_property
-    def failure(self) -> tuple[str, tuple[int, ...], str] | None:
-        """A well-shaped table's first meet-axiom failure: (axiom, witness, detail over its labels)."""
-        meet, n = self, len(self)
-        for x in range(n):
-            if meet[x][x] != x:
-                return "meet-idempotence", (x,), "{0} ^ {0} != {0}"
-        if meet != tuple(zip(*meet)):
-            x, y = next((x, y) for x in range(n) for y in range(x + 1, n) if meet[x][y] != meet[y][x])
-            return "meet-commutativity", (x, y), "{0} ^ {1} != {1} ^ {0}"
-        down = meet.down_sets
-        if not all(down[m] == dx & dy for dx, row in zip(down, meet) for m, dy in zip(row, down)):
-            lookups = [itemgetter(*row) for row in meet]
-            for x, y in product(range(n), repeat=2):
-                left, right = meet[meet[x][y]], lookups[y](meet[x])
-                if left != right:
-                    z = next(z for z in range(n) if left[z] != right[z])
-                    return "meet-associativity", (x, y, z), "({0} ^ {1}) ^ {2} != {0} ^ ({1} ^ {2})"
-        return None
 
     @cached_property
     def down_sets(self) -> tuple[int, ...]:
         """For each x, the bitmask of the z with x ^ z = z: the down-set of
         x once the table is commutative."""
-        bits = [1 << z for z in range(len(self))]
-        return tuple(sum(compress(bits, map(eq, row, range(len(self))))) for row in self)
+        bits = [1 << z for z in range(self.size)]
+        return tuple(sum(compress(bits, map(eq, row, range(self.size)))) for row in self.meet)
 
     @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
@@ -187,30 +173,6 @@ class MeetTable(tuple):
                 edges.append((low.bit_length() - 1, y))
                 rest ^= low
         return tuple(sorted(edges))
-
-
-class FSemilattice(
-    NamedTuple("FSemilattice", [("group", GroupSpec), ("carrier", tuple[str, ...]),
-                                ("meet", MeetTable), ("action", tuple[Perm, ...])])
-):
-    """Carrier labels, meet table of indices, and one permutation per generator;
-    no ``__slots__``, so that the cached tables live in the instance's ``__dict__``."""
-
-    def __new__(cls, group, carrier, meet, action):
-        return super().__new__(cls, group, tuple(carrier), MeetTable(meet), tuple(map(tuple, action)))
-
-    @property
-    def size(self) -> int:
-        return len(self.carrier)
-
-    def index(self, label: str) -> int:
-        try:
-            return self.carrier.index(label)
-        except ValueError:
-            raise KeyError(f"no carrier element labeled {label!r}") from None
-
-    def label(self, x: int) -> str:
-        return self.carrier[x]
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -236,9 +198,9 @@ class ValidationReport(NamedTuple):
 def check_shape(algebra: FSemilattice) -> None:
     """Structural well-formedness; raised errors are distinct from axiom failures.
 
-    Labels, meet rows and permutations are tested whole, by the set of
-    their types and values; a per-entry loop runs only when that test
-    fails, to name the offender or to pass a subclass."""
+    Labels, meet rows (``FSemilattice.exact``) and permutations are tested
+    whole, by the set of their types and values; a per-entry loop runs only
+    when that test fails, to name the offender or to pass a subclass."""
     n = algebra.size
     if n == 0:
         raise ShapeError("empty carrier")
@@ -248,9 +210,13 @@ def check_shape(algebra: FSemilattice) -> None:
                 raise ShapeError(f"carrier label {label!r} is not a string")
     if len(set(algebra.carrier)) != n:
         raise ShapeError("carrier labels are not unique")
-    square, meet_error = len(algebra.meet) == n, algebra.meet.shape_error
-    if meet_error or not square:
-        raise ShapeError(meet_error if square else "meet table is not square of carrier size")
+    if not algebra.exact:
+        meet = algebra.meet
+        if len(meet) != n or set(map(len, meet)) != {n}:
+            raise ShapeError("meet table is not square of carrier size")
+        for v in chain.from_iterable(meet):  # name the first bad entry
+            if not _is_index(v) or not 0 <= v < n:
+                raise ShapeError(f"meet entry {v!r} is not an index below {n}")
     if len(algebra.action) != algebra.group.rank:
         raise ShapeError("need one action permutation per group generator")
     points = list(range(n))
@@ -285,18 +251,30 @@ def validate_axioms(algebra: FSemilattice) -> ValidationReport:
     the first witness; it compares the rows (x ^ y) ^ z and x ^ (y ^ z) over
     all z whole for each pair (x, y).  The other checks likewise compare
     whole tables, permutations or covers before an element loop names a
-    witness.  Nothing is kept between calls: ``FSemilattice.validation``
-    caches the report per algebra, and the table caches only its own facts.
+    witness.  No report is kept: ``FSemilattice.validation`` caches it per
+    algebra, next to the algebra's ``exact``, ``down_sets`` and ``covers``.
     """
     check_shape(algebra)
     n, meet, action, lab = algebra.size, algebra.meet, algebra.action, algebra.label
-    if meet.failure:
-        axiom, witness, detail = meet.failure
-        return ValidationReport(False, axiom, witness, detail.format(*map(lab, witness)))
+    for x in range(n):
+        if meet[x][x] != x:
+            return ValidationReport(False, "meet-idempotence", (x,), f"{lab(x)} ^ {lab(x)} != {lab(x)}")
+    if meet != tuple(zip(*meet)):
+        x, y = next((x, y) for x in range(n) for y in range(x + 1, n) if meet[x][y] != meet[y][x])
+        return ValidationReport(False, "meet-commutativity", (x, y), f"{lab(x)} ^ {lab(y)} != {lab(y)} ^ {lab(x)}")
+    down = algebra.down_sets
+    if not all(down[m] == dx & dy for dx, row in zip(down, meet) for m, dy in zip(row, down)):
+        lookups = [itemgetter(*row) for row in meet]
+        for x, y in product(range(n), repeat=2):
+            left, right = meet[meet[x][y]], lookups[y](meet[x])
+            if left != right:
+                z = next(z for z in range(n) if left[z] != right[z])
+                detail = f"({lab(x)} ^ {lab(y)}) ^ {lab(z)} != {lab(x)} ^ ({lab(y)} ^ {lab(z)})"
+                return ValidationReport(False, "meet-associativity", (x, y, z), detail)
     for i, p in enumerate(action):
         # a bijection that keeps each cover in order keeps the whole order,
         # so it preserves greatest lower bounds
-        if not all(meet[p[x]][p[y]] == p[x] for x, y in meet.covers):
+        if not all(meet[p[x]][p[y]] == p[x] for x, y in algebra.covers):
             pairs = ((x, y) for x in range(n) for y in range(x, n))
             x, y = next((x, y) for x, y in pairs if p[meet[x][y]] != meet[p[x]][p[y]])
             detail = f"g{i}({lab(x)} ^ {lab(y)}) != g{i}({lab(x)}) ^ g{i}({lab(y)})"
@@ -369,7 +347,7 @@ def atoms(algebra: FSemilattice) -> tuple[int, ...]:
 def cover_edges(algebra: FSemilattice) -> tuple[tuple[int, int], ...]:
     """Edges (lower, upper) of the covering relation of the induced order."""
     require_valid(algebra)
-    return algebra.meet.covers
+    return algebra.covers
 
 
 def derive(algebra: FSemilattice, a: int) -> tuple[list[int], list[tuple]]:
@@ -686,8 +664,8 @@ def algebra_to_dict(algebra: FSemilattice) -> dict:
 
 # Most elements of an algebra ``algebra_from_dict`` keeps, and most algebras
 # it keeps: at worst 2^18 meet cells, about 2 MiB of rows (an 8-byte slot per
-# cell; entries below 64 are CPython's shared small ints), plus each table's
-# down-sets and covers, each algebra's permutations and its labels as loaded.
+# cell; entries below 64 are CPython's shared small ints), plus each algebra's
+# down-sets, covers and permutations and its labels as loaded.
 LOADED_ROWS = 64
 # Longest carrier label ``algebra_from_dict`` reads, so that the kept labels
 # hold at most 64 x 64 x 256 characters; ``fslat build`` writes at most 34
@@ -698,14 +676,14 @@ MAX_LABEL_LENGTH = 256
 @lru_cache(maxsize=LOADED_ROWS)
 def _loaded_algebra(algebra: FSemilattice) -> FSemilattice:
     """The kept algebra equal to ``algebra``, the least recently used leaving
-    first; only shape-checked algebras over ``exact`` tables are passed,
-    since ``==`` takes ``True`` and ``1.0`` for ``1``."""
+    first; only shape-checked ``exact`` algebras are passed, since ``==``
+    takes ``True`` and ``1.0`` for ``1``."""
     return algebra
 
 
 def algebra_from_dict(data: dict) -> FSemilattice:
     """The algebra of a payload, shape-checked; one of at most ``LOADED_ROWS``
-    elements over an ``exact`` table is the kept one of its value
+    elements with an ``exact`` meet table is the kept one of its value
     (``_loaded_algebra``), with its cached ``validation`` report.  After
     ``check_shape`` every entry is an int that is not a bool and every
     label a str, so no payload holding ``true`` or ``1.0`` is served a kept
@@ -716,12 +694,11 @@ def algebra_from_dict(data: dict) -> FSemilattice:
         for name in ("carrier", "meet", "action"):
             if not isinstance(data[name], (list, tuple)):
                 raise ShapeError(f"malformed algebra payload: {name!r} is not a JSON array")
-        meet, action = MeetTable(data["meet"]), tuple(map(tuple, data["action"]))
+        algebra = FSemilattice(group, data["carrier"], data["meet"], data["action"])
     except (KeyError, TypeError) as exc:
         raise ShapeError(f"malformed algebra payload: {exc}") from exc
-    algebra = FSemilattice(group, data["carrier"], meet, action)
     check_shape(algebra)
     longest = max(map(len, algebra.carrier))
     if longest > MAX_LABEL_LENGTH:
         raise ShapeError(f"carrier labels take at most {MAX_LABEL_LENGTH} characters, got {longest}")
-    return _loaded_algebra(algebra) if algebra.size <= LOADED_ROWS and meet.exact else algebra
+    return _loaded_algebra(algebra) if algebra.size <= LOADED_ROWS and algebra.exact else algebra

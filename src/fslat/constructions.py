@@ -15,7 +15,6 @@ from .algebras import (
     CarrierLimitError,
     FSemilattice,
     Homomorphism,
-    MeetTable,
     element_action,
     is_isomorphism,
     perm_identity,
@@ -45,10 +44,11 @@ MAX_FREE_CARRIER = 1023
 
 
 @cache
-def _fan_meet(size: int) -> MeetTable:
-    """size - 1 atoms over a zero, the last index: one shared table per size."""
+def _fan_meet(size: int) -> tuple[tuple[int, ...], ...]:
+    """size - 1 atoms over a zero, the last index: built once per size, since
+    a census builds over a thousand fans and building a table costs O(size^2)."""
     bottom = size - 1
-    return MeetTable((bottom,) * i + (i,) + (bottom,) * (bottom - i) for i in range(size))
+    return tuple((bottom,) * i + (i,) + (bottom,) * (bottom - i) for i in range(size))
 
 
 def maroti(group: GroupSpec, sub: Subgroup, table: AdditionTable | None = None) -> FSemilattice:

@@ -18,9 +18,7 @@ from fslat.algebras import (
     Term,
     ValidationReport,
     ShapeError,
-    check_shape,
     meet_terms,
-    perm_identity,
     var,
 )
 from fslat.constructions import VerificationError
@@ -185,7 +183,7 @@ def normal_form_subalgebra(algebra: FSemilattice, seed: int) -> set[int]:
     n = algebra.size
     gens = [tuple(p) for p in algebra.action]
     gens += [perm_inverse(p) for p in gens]
-    image = {perm_identity(n)}
+    image = {tuple(range(n))}
     queue = list(image)
     while queue:
         p = queue.pop()
@@ -1147,6 +1145,29 @@ def reference_perm_order(p) -> int:
     return n
 
 
+def reference_check_shape(algebra: FSemilattice) -> None:
+    """Raise the library's ``ShapeError`` message for the first structural
+    fault, checked entry by entry in the library's order."""
+    n, carrier, meet = algebra.size, algebra.carrier, algebra.meet
+    if n == 0:
+        raise ShapeError("empty carrier")
+    for label in carrier:
+        if not isinstance(label, str):
+            raise ShapeError(f"carrier label {label!r} is not a string")
+    if any(carrier[i] == carrier[j] for i in range(n) for j in range(i + 1, n)):
+        raise ShapeError("carrier labels are not unique")
+    if len(meet) != n or any(len(row) != n for row in meet):
+        raise ShapeError("meet table is not square of carrier size")
+    for v in itertools.chain.from_iterable(meet):
+        if type(v) is bool or not isinstance(v, int) or v < 0 or v >= n:
+            raise ShapeError(f"meet entry {v!r} is not an index below {n}")
+    if len(algebra.action) != len(algebra.group.orders):
+        raise ShapeError("need one action permutation per group generator")
+    for p in algebra.action:
+        if len(p) != n or any(type(v) is bool or not isinstance(v, int) for v in p) or set(p) != set(range(n)):
+            raise ShapeError("action table is not a carrier permutation")
+
+
 def reference_validate_axioms(algebra: FSemilattice) -> ValidationReport:
     """Check the defining identities, returning the first violation with a witness.
 
@@ -1156,7 +1177,7 @@ def reference_validate_axioms(algebra: FSemilattice) -> ValidationReport:
     order k having order dividing k.  The last two make exponentiation of
     generator permutations a genuine group action.
     """
-    check_shape(algebra)
+    reference_check_shape(algebra)
     n = algebra.size
     meet = algebra.meet
     lab = algebra.label
@@ -1202,7 +1223,7 @@ def reference_validate_axioms(algebra: FSemilattice) -> ValidationReport:
                     )
     for i, (p, k) in enumerate(zip(algebra.action, algebra.group.orders)):
         if k >= 1:
-            pk = perm_identity(n)
+            pk = tuple(range(n))
             for _ in range(k % reference_perm_order(p)):
                 pk = perm_compose(p, pk)
             for x in range(n):

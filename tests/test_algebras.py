@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 import re
@@ -285,37 +286,6 @@ def test_cover_edges():
     }
 
 
-def test_fans_of_one_size_share_one_meet_table():
-    # C4, C2xC2 and C8 over its subgroup of order 2 all have 4 atoms
-    z8 = G.make_group([8])
-    fans = [
-        C.maroti(Z4, G.trivial_subgroup(Z4)),
-        fan5(),
-        C.maroti(z8, G.subgroup_from_elements(z8, [(0,), (4,)])),
-    ]
-    assert all(isinstance(fan.meet, A.MeetTable) and fan.meet is fans[0].meet for fan in fans)
-    assert C.a_k(4).meet is fans[0].meet and maroti_z2().meet is not fans[0].meet
-
-
-def test_shared_meet_tables_match_plain_copies():
-    # the facts cached on a shared table are those of a table built afresh,
-    # and every fan still gets the reference report
-    count = 0
-    for spec in G.all_group_specs(16):
-        for sub in G.subgroups(spec):
-            fan = C.maroti(spec, sub)
-            plain = A.FSemilattice(
-                spec, list(fan.carrier), [list(row) for row in fan.meet], [list(p) for p in fan.action]
-            )
-            assert plain.meet is not fan.meet
-            report = A.validate_axioms(fan)
-            assert report == A.validate_axioms(plain) == reference_validate_axioms(plain)
-            assert report.ok
-            assert (fan.meet.down_sets, fan.meet.covers) == (plain.meet.down_sets, plain.meet.covers)
-            count += 1
-    assert count > 200
-
-
 def _sharing_one_table(meet):
     """Algebras over C2 on one shared table: a valid fan over the trivial
     subgroup, and three that each fail one per-algebra check."""
@@ -328,22 +298,23 @@ def _sharing_one_table(meet):
     }
 
 
-def _shared_table_outcome(algebra):
+def _outcome(algebra, validate=A.validate_axioms):
+    """The report of ``validate`` on ``algebra``, or its ``ShapeError`` message."""
     try:
-        return A.validate_axioms(algebra)
+        return validate(algebra)
     except A.ShapeError as exc:
         return str(exc)
 
 
 @pytest.mark.parametrize("first", ["invalid", "valid"])
 def test_algebras_on_a_shared_table_get_their_own_reports(first):
-    meet = A.MeetTable([[0, 2, 2], [2, 1, 2], [2, 2, 2]])
+    meet = ((0, 2, 2), (2, 1, 2), (2, 2, 2))
     algebras = _sharing_one_table(meet)
     names = ["labels", "automorphism", "order", "valid"]
     if first == "valid":
         names.reverse()
-    outcomes = {name: _shared_table_outcome(algebras[name]) for name in names}
-    assert all(algebra.meet is meet for algebra in algebras.values())
+    outcomes = {name: _outcome(algebras[name]) for name in names}
+    assert all(algebra.meet == meet for algebra in algebras.values())
     assert outcomes == {
         "valid": A.ValidationReport(True),
         "labels": "carrier labels are not unique",
@@ -354,15 +325,9 @@ def test_algebras_on_a_shared_table_get_their_own_reports(first):
             False, "action-order", (0, 0), "g0 applied 3 times moves u; factor order 3"
         ),
     }
-    plain = [list(row) for row in meet]
-    for name, algebra in algebras.items():
-        copy = A.FSemilattice(algebra.group, algebra.carrier, plain, algebra.action)
-        assert _shared_table_outcome(copy) == outcomes[name] == _shared_table_outcome(algebra)
-        if name != "labels":
-            assert outcomes[name] == reference_validate_axioms(copy)
-    # a meet-axiom failure is a fact of the table; each algebra names its
-    # witness by its own labels
-    skew = A.MeetTable([[0, 0], [1, 1]])
+    assert outcomes == {name: _outcome(algebra, reference_validate_axioms) for name, algebra in algebras.items()}
+    # one meet-axiom failure, each algebra naming its witness by its own labels
+    skew = ((0, 0), (1, 1))
     one = A.FSemilattice(Z2, ("a", "b"), skew, ((0, 1),))
     two = A.FSemilattice(Z2, ("s", "t"), skew, ((1, 0),))
     assert A.validate_axioms(one).detail == "a ^ b != b ^ a"
@@ -372,10 +337,10 @@ def test_algebras_on_a_shared_table_get_their_own_reports(first):
 
 def test_meet_table_of_booleans_is_a_shape_error():
     for rows in ([[True, False], [False, False]], [[0, 1], [1, True]]):
-        meet = A.MeetTable(rows)
-        for _ in range(2):  # the cached check raises again
+        algebra = A.FSemilattice(Z2, ("a", "b"), rows, ((0, 1),))
+        for _ in range(2):  # the check raises again once the algebra caches that it is not exact
             with pytest.raises(A.ShapeError, match="^meet entry (True|False) is not an index below 2$"):
-                A.validate_axioms(A.FSemilattice(Z2, ("a", "b"), meet, ((0, 1),)))
+                A.validate_axioms(algebra)
 
 
 @pytest.fixture
@@ -438,7 +403,7 @@ def test_tables_equal_under_eq_are_shared_only_when_exact(loaded, exact_first, c
             continue
         assert report == outcome
         # an int subclass passes the shape check but is not kept
-        assert algebra is None or (algebra is not kept[0] and type(algebra.meet[x][y]) is Index and not algebra.meet.exact)
+        assert algebra is None or (algebra is not kept[0] and type(algebra.meet[x][y]) is Index and not algebra.exact)
 
 
 def test_loads_of_one_payload_share_one_table(loaded):
@@ -459,7 +424,7 @@ def test_loads_of_one_payload_share_one_table(loaded):
         assert report == A.validate_axioms(plain) == reference_validate_axioms(plain)
         reports.append(report)
     assert loaded()[:] == (len(payloads), len(payloads), A.LOADED_ROWS, len(payloads))
-    # the failure is a fact of the table; each algebra names it by its own labels
+    # one failure, each algebra naming it by its own labels
     assert [report.detail for report in reports[-2:]] == ["a ^ b != b ^ a", "s ^ t != t ^ s"]
 
 
@@ -565,7 +530,7 @@ def test_validate_matches_reference_with_warm_memos(loaded):
             kind = rng.random()
             if kind < 0.6:
                 action.append(rng.choice(pool))
-            elif kind < 0.8 and base.meet is tables.get(n):
+            elif kind < 0.8 and base.meet == tables.get(n):
                 shuffled = dict(zip(atoms, rng.sample(atoms, len(atoms))))
                 action.append([shuffled.get(x, x) for x in range(n)])
             else:
@@ -584,21 +549,64 @@ def test_validate_matches_reference_with_warm_memos(loaded):
     assert min(counts.values()) > 20, counts
 
 
-def test_validate_axioms_leaves_no_state_on_the_table():
-    # the table caches the facts about itself alone, and validate_axioms
-    # caches no report: validating a valid action and actions failing the
-    # cover, commutation and order checks on one table leaves those facts
+def test_validate_matches_reference_on_mutated_payloads(loaded):
+    # a seeded boundary differential: valid payloads with 1-3 random edits to
+    # the carrier, the meet table, the action or one of their rows, each an
+    # entry deleted, duplicated, swapped or replaced by a junk value or an
+    # index.  The library, loaded or built directly, and the reference raise
+    # the same ShapeError message or return the same report; a payload whose
+    # rows are not arrays is refused as malformed
+    rng = random.Random(4000)
+    bases = [fan5(), maroti_z2(), maroti_z4_h(), C.a_k(3), C.counterexample_a7(), C.two_element(Z2xZ2)]
+    outcomes = []
+    for _ in range(2000):
+        base = rng.choice(bases)
+        data = json.loads(json.dumps(A.algebra_to_dict(base)))
+        n = len(data["carrier"])
+        for _ in range(rng.randint(1, 3)):
+            table = data[rng.choices(["carrier", "meet", "action"], [1, 3, 2])[0]]
+            targets = [row for row in (table, *table) if isinstance(row, list) and row]
+            target = rng.choice(targets or [[None]])
+            i, j, kind = rng.randrange(len(target)), rng.randrange(len(target)), rng.random()
+            if kind < 0.15:
+                del target[i]
+            elif kind < 0.3:
+                target.insert(i, copy.copy(target[i]))
+            elif kind < 0.5:
+                target[i], target[j] = target[j], target[i]
+            else:
+                junk = [None, True, False, 1.0, Index(1), "1", "o", 2**70, -1, n]
+                target[i] = rng.choice(junk + [rng.randrange(n)] * 4)
+        try:
+            algebra = A.FSemilattice(base.group, data["carrier"], data["meet"], data["action"])
+        except TypeError:
+            with pytest.raises(A.ShapeError, match="^malformed algebra payload: "):
+                A.algebra_from_dict(data)
+            outcomes.append("malformed")
+            continue
+        results = [_outcome(algebra), _outcome(algebra, reference_validate_axioms),
+                   _outcome(data, lambda payload: A.algebra_from_dict(payload).validation)]
+        assert results[0] == results[1] == results[2], data
+        outcomes.append(results[0] if isinstance(results[0], str) else results[0].axiom)
+    counts = {outcome: outcomes.count(outcome) for outcome in set(outcomes)}
+    assert len(counts) > 40 and min(counts[None], counts["malformed"]) > 20, counts
+    assert {"meet-idempotence", "meet-commutativity", "action-automorphism", "action-order"} <= set(counts)
+
+
+def test_validate_axioms_caches_no_report():
+    # validate_axioms caches no report: validating a valid action and
+    # actions failing the cover, commutation and order checks on one table
+    # leaves each algebra its facts about the table, and no report
     fan = fan5()
-    meet = A.MeetTable([list(row) for row in fan.meet])
-    assert not vars(meet)
+    meet = [list(row) for row in fan.meet]
     actions = [fan.action, ((4, 1, 2, 3, 0), (1, 0, 3, 2, 4)), ((1, 0, 2, 3, 4), (1, 2, 0, 3, 4)),
                ((1, 2, 0, 3, 4), (0, 1, 2, 3, 4))]
     reports = []
     for action in actions * 2:
         algebra = A.FSemilattice(fan.group, fan.carrier, meet, action)
         reports.append(A.validate_axioms(algebra))
-        assert reports[-1] == reference_validate_axioms(algebra) and not vars(algebra)
-        assert set(vars(meet)) == {"exact", "shape_error", "failure", "down_sets", "covers"}
+        assert reports[-1] == reference_validate_axioms(algebra) and "validation" not in vars(algebra)
+        assert set(vars(algebra)) == {"exact", "down_sets", "covers"}
     assert [report.axiom for report in reports] == [
         None, "action-automorphism", "action-commutation", "action-order"
     ] * 2

@@ -62,8 +62,6 @@ REQUESTS = {
         "build", "twisted", "--orders", "6", "--subgroup", "0;3", "--u", "chain2",
         "--transversal", "3;1;5",
     ],
-    "decompose-twisted": ["decompose", "--algebra", "{twisted}"],
-    "decompose-fan": ["decompose", "--algebra", "{fan}"],
     "simplicity-twisted": ["simplicity", "--algebra", "{twisted}"],
     "simplicity-fan": ["simplicity", "--algebra", "{fan}"],
     "check-minimal-tower": ["check-minimal", "--algebra", "{tower}"],
@@ -93,8 +91,6 @@ GOLDEN = {
     "balpha-one-sample": ("ae86fd6edbf002ccd41bcbadb33487f26c34f776f3a79f19fab610f61fb12793", 0),
     "build-twisted-chain2": ("9c6e0b20969aea8a6dd8a5941f92eb3048b7b04392062a04cd4c456ef3cd695c", 0),
     "check-minimal-tower": ("0a72ca46c354bdba27671aa7747dc3f429732ee3490efaf27db6368fd275ea8f", 1),
-    "decompose-fan": ("a197ff4da634a5a40dc84e8d25f4f5b3c9bb5db91532a9b098adf3c3aebc90e8", 0),
-    "decompose-twisted": ("1384072ecb2e93ae0d11d20756f34c0996754cc3eae0da3c4e003d87fdccca13", 0),
     "hasse-actions-tower": ("754f1eaff5c3fc3c88e6c237522b5cddad11e9b6826fa9ddb9a24b65e3205a01", 0),
     "quasi-tower": ("bca20456c99b8e4a6a791069f95675ea41f0e3b999596cd568c4e8dadce72f1f", 0),
     "quasi-tower-fails": ("2a69b429cfcaffe68c6f937ede369cfea5a50f8beac20a27710c3fd15b0f313f", 1),

@@ -175,7 +175,7 @@ def test_no_class_in_fslat_is_a_dataclass():
         for value in vars(module).values()
         if isinstance(value, type) and value.__module__ == module.__name__
     ]
-    assert {A.FSemilattice, A.MeetTable, G.GroupSpec, A.Term, I.QuadraticIrrational} <= set(classes)
+    assert {A.FSemilattice, G.GroupSpec, A.Term, I.QuadraticIrrational} <= set(classes)
     assert [kind.__name__ for kind in classes if hasattr(kind, "__dataclass_fields__")] == []
 
 
@@ -241,7 +241,7 @@ def test_checked_records_keep_their_dataclass_behaviour(value, text):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
     if kind is A.FSemilattice:
-        value.extra = None  # cached tables live in the instance's __dict__
+        value.extra = None  # cached facts live in the instance's __dict__
     else:
         with pytest.raises(AttributeError):
             value.extra = None
@@ -250,7 +250,7 @@ def test_checked_records_keep_their_dataclass_behaviour(value, text):
 def test_constructors_normalise_their_fields():
     group, fan, term, alpha = _four()
     assert type(group.orders) is tuple and str(group) == "C2"
-    assert type(fan.carrier) is tuple and type(fan.meet) is A.MeetTable
+    assert type(fan.carrier) is tuple and type(fan.meet) is tuple and type(fan.meet[0]) is tuple
     assert type(fan.action) is tuple and type(fan.action[0]) is tuple
     assert type(term.pairs) is frozenset and term.variables == ("x", "y")
     assert A.Term([((0,), "x"), ((0,), "x")]).pairs == frozenset({((0,), "x")})
